@@ -41,7 +41,7 @@ from .family import (
     read_family,
     write_family,
 )
-from .search import Problem, solve
+from .search import KINDS, Problem, solve
 from .search.verify import THEOREMS, verify_grid
 from .shifting import is_shifted
 
@@ -64,15 +64,6 @@ _BOUNDS = {
     "main5_odd": lambda p, u: bound_union("main5_odd", p, u),
     "binomial": lambda p, u: binomial(*p.require("n", "k")),
 }
-
-_KINDS = (
-    "hemibundled_max",
-    "cross_pair_max",
-    "cross_pair_capped",
-    "diverse_intersecting_max",
-    "s_union_max",
-    "s_union_conditioned_max",
-)
 
 
 def _add_param_flags(ap: argparse.ArgumentParser) -> None:
@@ -332,11 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=_cmd_check)
 
     s = sub.add_parser("search", help="run an exact search oracle")
-    s.add_argument("kind", choices=_KINDS)
+    s.add_argument("kind", choices=KINDS)
     _add_param_flags(s)
     s.add_argument("--engine", default="auto", choices=("auto", "brute", "shifted", "clique"))
     s.add_argument("--backend", default=None, choices=("compiled", "python"))
-    s.add_argument("--threads", type=int, default=_default_threads())
     s.add_argument("--max-seconds", type=float, default=None)
     s.add_argument("--json", action="store_true")
     s.add_argument("--no-timing", action="store_true")

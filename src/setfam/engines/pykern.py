@@ -26,7 +26,7 @@ _CHECK_MASK = 0x1FFF
 
 
 class _Budget:
-    __slots__ = ("deadline", "nodes", "best_ref")
+    __slots__ = ("deadline", "nodes")
 
     def __init__(self, deadline: float | None):
         self.deadline = deadline

@@ -9,7 +9,7 @@ and sorted by numeric bit-vector value.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, TextIO
 
@@ -146,7 +146,9 @@ class Family:
         return iter(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        ms = self.members
+        i = bisect_left(ms, mask)
+        return i < len(ms) and ms[i] == mask
 
     def __str__(self) -> str:
         body = " ".join(str(Subset(m, self.n)) for m in self.members)
@@ -381,18 +383,6 @@ def are_isomorphic(F: Family, G: Family) -> IsoCertificate:
         assert apply_permutation(F, perm) == G
         return IsoCertificate(perm)
     return IsoCertificate(None)
-
-
-def are_isomorphic_bruteforce(F: Family, G: Family) -> bool:
-    """Reference check trying all n! permutations.  Test oracle only."""
-    if F.n != G.n:
-        raise UniverseMismatchError(f"universe mismatch: {F.n} vs {G.n}")
-    if len(F) != len(G):
-        return False
-    for perm in itertools.permutations(range(1, F.n + 1)):
-        if apply_permutation(F, perm) == G:
-            return True
-    return False
 
 
 # ------------------------------------------------------------------ file I/O

@@ -40,14 +40,15 @@ from ..bounds import (
 )
 from ..errors import InfeasibleInstanceError, ParamRangeError, TimeBudgetExceededError
 from ..family import Family, are_isomorphic, degree_profile, is_s_union
-from ..shifting import dominates
 from .. import engines
 from .tables import (
     MAX_CANDIDATES,
     build_diversity_tables,
     build_pair_tables,
     build_union_tables,
+    dominance_pred,
     layer_masks,
+    overlap_table,
 )
 
 __all__ = [
@@ -193,27 +194,25 @@ def classify_maximizers(families: list) -> list[MaximizerClass]:
     lexicographically least members of their classes.
     """
     items = sorted(families, key=_family_sort_key)
-    classes: list[tuple[object, Family, list]] = []  # (representative, rep F-side, members)
+    # (representative, rep F-side, rep bucket key, members)
+    classes: list[tuple[object, Family, tuple, list]] = []
     for item in items:
         fam = item[0] if isinstance(item, tuple) else item
+        key = _iso_bucket_key(fam)
         placed = False
-        for rep, repfam, members in classes:
-            if _iso_bucket_key(repfam) != _iso_bucket_key(fam):
+        for rep, repfam, repkey, members in classes:
+            if repkey != key:
                 continue
             if are_isomorphic(repfam, fam):
                 members.append(item)
                 placed = True
                 break
         if not placed:
-            classes.append((item, fam, [item]))
-    return [MaximizerClass(rep, len(members)) for rep, _, members in classes]
+            classes.append((item, fam, key, [item]))
+    return [MaximizerClass(rep, len(members)) for rep, _, _, members in classes]
 
 
 # ------------------------------------------------------------------ engines
-
-
-def _partner_masks(fmasks: list[int], gmasks: list[int]) -> list[int]:
-    return [g for g in gmasks if all(g & f for f in fmasks)]
 
 
 def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
@@ -240,12 +239,18 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
             r, r, False, r - 1, tabs.selfpos, deadline,
         )
     pairs = []
+    full_g = (1 << len(tabs.gmasks)) - 1
     for chosen in maxers:
-        fmasks = [tabs.cands[i] for i in _bits(chosen)]
-        gm = _partner_masks(fmasks, tabs.gmasks)
+        chosen_idx = list(_bits(chosen))
+        fmasks = [tabs.cands[i] for i in chosen_idx]
+        partner = full_g
+        for i in chosen_idx:
+            partner &= ~tabs.kill[i]
+        gm = [tabs.gmasks[j] for j in _bits(partner)]
         if kind == "cross_pair_capped":
             # drop the overlap excess deterministically: lowest shared first
-            shared = [g for g in gm if g in set(fmasks)]
+            fset = set(fmasks)
+            shared = [g for g in gm if g in fset]
             over = max(0, len(shared) - (p.r - 1))
             drop = set(shared[:over])
             gm = [g for g in gm if g not in drop]
@@ -299,19 +304,8 @@ def _solve_diversity_shifted(p: Params, deadline):
     m = len(masks)
     if m > MAX_CANDIDATES:
         raise InfeasibleInstanceError(f"C({n},{k}) = {m} exceeds {MAX_CANDIDATES}")
-    pred = []
-    compat = []
-    for i, a in enumerate(masks):
-        pb = 0
-        for j in range(i):
-            if dominates(a, masks[j]):
-                pb |= 1 << j
-        pred.append(pb)
-        cb = 0
-        for j, b in enumerate(masks):
-            if a & b:
-                cb |= 1 << j
-        compat.append(cb)
+    pred = dominance_pred(masks)
+    compat = overlap_table(masks, masks, n, 1)
     state = [-1, [], 0]
 
     def gamma(chosen_masks: list[int]) -> int:
@@ -435,13 +429,7 @@ def enumerate_shifted(n: int, k: int, predicate: Optional[Callable[[Family], boo
         raise InfeasibleInstanceError(
             f"C({n},{k}) = {m} exceeds the enumeration limit of {MAX_CANDIDATES}"
         )
-    pred = []
-    for i, a in enumerate(masks):
-        bits = 0
-        for j in range(i):
-            if dominates(a, masks[j]):
-                bits |= 1 << j
-        pred.append(bits)
+    pred = dominance_pred(masks)
 
     def rec(chosen: int, fmasks: tuple[int, ...], start: int) -> Iterator[Family]:
         fam = Family(n, fmasks)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from ..errors import InfeasibleInstanceError
-from ..family import mask_of
+from ..family import elements_of, mask_of
 from ..shifting import dominates
 
 MAX_CANDIDATES = 128
@@ -28,6 +28,58 @@ def layer_masks(n: int, k: int) -> list[int]:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InfeasibleInstanceError(msg)
+
+
+def dominance_pred(masks: list[int]) -> list[int]:
+    """pred[i] is the bitset of the indices j != i whose set masks[i]
+    coordinatewise dominates; ``masks`` is a full layer sorted by value.
+
+    Dominance on k-sets is the transitive closure of single moves x -> x-1
+    onto a free element, and such a move lowers the mask value, so every
+    one-move predecessor is listed before its successor and pred[i] is the
+    union of pred[j] | 1 << j over the at most k one-move predecessors j.
+    """
+    index = {a: i for i, a in enumerate(masks)}
+    pred = []
+    for a in masks:
+        bits = 0
+        movable = a & ~(a << 1) & ~1  # elements x in a with x-1 free, x >= 2
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            j = index[a - (low >> 1)]
+            bits |= pred[j] | 1 << j
+        pred.append(bits)
+    return pred
+
+
+def overlap_table(masks: list[int], others: list[int], n: int, t: int) -> list[int]:
+    """Row i is the bitset of the indices j with |masks[i] & others[j]| >= t.
+
+    Built from per-element containment bitsets: the row is the OR over the
+    t-subsets of masks[i] of the AND of their elements' bitsets.
+    """
+    contains = [0] * (n + 1)
+    for j, b in enumerate(others):
+        for e in elements_of(b):
+            contains[e] |= 1 << j
+    full = (1 << len(others)) - 1
+    rows = []
+    for a in masks:
+        bits = 0
+        for sub in itertools.combinations(elements_of(a), t):
+            both = full
+            for e in sub:
+                both &= contains[e]
+            bits |= both
+        rows.append(bits)
+    return rows
+
+
+def disjoint_table(masks: list[int], others: list[int], n: int) -> list[int]:
+    """Row i is the bitset of the indices j with masks[i] & others[j] empty."""
+    full = (1 << len(others)) - 1
+    return [full ^ bits for bits in overlap_table(masks, others, n, 1)]
 
 
 @dataclass(frozen=True)
@@ -60,31 +112,9 @@ def build_pair_tables(
         len(gmasks) <= MAX_PARTNER,
         f"partner universe C({n},{g_size}) = {len(gmasks)} exceeds {MAX_PARTNER}",
     )
-    compat = None
-    if t_inter is not None:
-        compat = []
-        for a in cands:
-            bits = 0
-            for j, b in enumerate(cands):
-                if (a & b).bit_count() >= t_inter:
-                    bits |= 1 << j
-            compat.append(bits)
-    pred = None
-    if shifted:
-        pred = []
-        for i, a in enumerate(cands):
-            bits = 0
-            for j in range(i):
-                if dominates(a, cands[j]):
-                    bits |= 1 << j
-            pred.append(bits)
-    kill = []
-    for a in cands:
-        bits = 0
-        for j, g in enumerate(gmasks):
-            if not a & g:
-                bits |= 1 << j
-        kill.append(bits)
+    compat = overlap_table(cands, cands, n, t_inter) if t_inter is not None else None
+    pred = dominance_pred(cands) if shifted else None
+    kill = disjoint_table(cands, gmasks, n)
     selfpos = None
     if with_selfpos:
         index = {g: j for j, g in enumerate(gmasks)}
@@ -141,26 +171,9 @@ def build_diversity_tables(n: int, k: int) -> DiversityTables:
         len(amasks) <= MAX_AMEMBERS,
         f"C({n - 1},{k - 1}) = {len(amasks)} star members exceed {MAX_AMEMBERS}",
     )
-    hcompat = []
-    for a in hmasks:
-        bits = 0
-        for j, b in enumerate(hmasks):
-            if a & b:
-                bits |= 1 << j
-        hcompat.append(bits)
-    akill = []
-    for h in hmasks:
-        bits = 0
-        for j, a in enumerate(amasks):
-            if not h & a:
-                bits |= 1 << j
-        akill.append(bits)
-    avoid_a = [0] * (n + 1)
-    for e in range(1, n + 1):
-        bit = 1 << (e - 1)
-        for j, a in enumerate(amasks):
-            if not a & bit:
-                avoid_a[e] |= 1 << j
+    hcompat = overlap_table(hmasks, hmasks, n, 1)
+    akill = disjoint_table(hmasks, amasks, n)
+    avoid_a = [0] + disjoint_table([1 << e for e in range(n)], amasks, n)
     return DiversityTables(n, hmasks, amasks, hcompat, akill, avoid_a)
 
 

@@ -3,11 +3,24 @@ import random
 
 import pytest
 
-from setfam.family import Family, mask_of
+from setfam.errors import UniverseMismatchError
+from setfam.family import Family, apply_permutation, mask_of
 
 
 def fam(n, *sets) -> Family:
     return Family.of_sets(n, sets)
+
+
+def are_isomorphic_bruteforce(F: Family, G: Family) -> bool:
+    """Reference isomorphism check trying all n! permutations."""
+    if F.n != G.n:
+        raise UniverseMismatchError(f"universe mismatch: {F.n} vs {G.n}")
+    if len(F) != len(G):
+        return False
+    for perm in itertools.permutations(range(1, F.n + 1)):
+        if apply_permutation(F, perm) == G:
+            return True
+    return False
 
 
 def random_family(rng: random.Random, n: int, max_size: int = 12, k: int | None = None) -> Family:

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from setfam.cli import main
 from setfam.errors import ParamRangeError
 from setfam.search.verify import parse_grid
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -199,3 +202,18 @@ def test_threads_flag_gives_identical_results(capsys):
     _, out1, _ = run(capsys, *argv, "--threads", "1")
     _, out2, _ = run(capsys, *argv, "--threads", "4")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "theorem,grid,expected",
+    [
+        ("main1", "k=3;t=0,1;n=7..8;r=1..3", "verify_main1_shifted.json"),
+        ("diversity", "k=3;n=7..8;r=1..n-k", "verify_diversity_shifted.json"),
+    ],
+)
+def test_shifted_verify_json_matches_stored_output(capsys, theorem, grid, expected):
+    code, out, _ = run(
+        capsys, "verify", theorem, "--grid", grid, "--engine", "shifted", "--json", "--no-timing"
+    )
+    assert code == 0
+    assert out == (DATA / expected).read_text()

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from conftest import fam, random_family
+from conftest import are_isomorphic_bruteforce, fam, random_family
 
 from setfam.bounds import Params
 from setfam.constructions import ConstructionId, construct
@@ -14,7 +14,6 @@ from setfam.family import (
     apply_permutation,
     are_cross_intersecting,
     are_isomorphic,
-    are_isomorphic_bruteforce,
     complement_family,
     degree_profile,
     is_s_union,
@@ -45,6 +44,8 @@ def test_family_invariants():
     assert f.members == (3, 6)
     assert f.uniform_size() == 2
     assert fam(5, (1, 2), (1, 2, 3)).uniform_size() is None
+    assert [m for m in range(1 << 4) if m in f] == [3, 6]
+    assert 3 not in Family(4, ())
 
 
 def test_t_intersecting_examples():
