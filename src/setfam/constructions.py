@@ -10,13 +10,11 @@ constructed families.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from math import comb
 
-from .bounds import Params, BoundValue, _c
+from .bounds import Params, BoundValue, _ball, _c
 from .errors import ParamRangeError
-from .family import Family, mask_of
+from .family import Family, layer_masks
 
 __all__ = ["TAGS", "ConstructionId", "construct", "expected_size", "is_pair_tag"]
 
@@ -58,9 +56,7 @@ def is_pair_tag(tag: str) -> bool:
 
 
 def _layer(n: int, k: int, keep) -> list[int]:
-    return [
-        mask_of(c, n) for c in itertools.combinations(range(1, n + 1), k) if keep(mask_of(c, n))
-    ]
+    return [m for m in layer_masks(n, k) if keep(m)]
 
 
 def _interval_mask(a: int, b: int) -> int:
@@ -260,10 +256,6 @@ def _check_w(tag: str, n: int, s: int, d: int) -> None:
         _fail(tag, f"d >= 2 (got d={d})")
     if n < s + 2:
         _fail(tag, f"n >= s+2 (got n={n}, s={s})")
-
-
-def _ball(n: int, d: int) -> int:
-    return sum(comb(n, i) for i in range(0, d + 1))
 
 
 def expected_size(cid: ConstructionId) -> BoundValue:

@@ -9,6 +9,7 @@ and sorted by numeric bit-vector value.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, TextIO
@@ -22,6 +23,7 @@ __all__ = [
     "IsoCertificate",
     "mask_of",
     "elements_of",
+    "layer_masks",
     "is_t_intersecting",
     "are_cross_intersecting",
     "is_s_union",
@@ -29,6 +31,7 @@ __all__ = [
     "restrict",
     "complement_family",
     "apply_permutation",
+    "iso_invariant",
     "are_isomorphic",
     "read_family",
     "write_family",
@@ -56,6 +59,11 @@ def elements_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
+
+
+def layer_masks(n: int, k: int) -> list[int]:
+    """Bit vectors of all k-subsets of [n], ascending by value."""
+    return sorted(sum(bits) for bits in itertools.combinations([1 << i for i in range(n)], k))
 
 
 def _check_universe(n: int) -> None:
@@ -301,20 +309,34 @@ def apply_permutation(F: Family, perm: tuple[int, ...]) -> Family:
     return Family.of_masks(F.n, out)
 
 
-def _element_signature(F: Family, x: int) -> tuple:
-    bit = 1 << (x - 1)
-    by_card: dict[int, int] = {}
+def _element_signatures(F: Family) -> list[tuple]:
+    """Per element 1..n, its degree in each layer as sorted (size, degree)
+    pairs; a relabeling permutes this list."""
+    counts = [[0] * (F.n + 1) for _ in range(F.n)]  # [x-1][size]
     for m in F.members:
-        if m & bit:
-            c = m.bit_count()
-            by_card[c] = by_card.get(c, 0) + 1
-    return tuple(sorted(by_card.items()))
+        c = m.bit_count()
+        while m:
+            low = m & -m
+            counts[low.bit_length() - 1][c] += 1
+            m ^= low
+    return [tuple((c, d) for c, d in enumerate(row) if d) for row in counts]
+
+
+def iso_invariant(F: Family) -> tuple:
+    """(member count, sorted per-element layer-degree signatures).
+
+    Equal on isomorphic families.  It fixes the member-size multiset (the
+    layer degrees of a layer i >= 1 sum to i times its size), and with it
+    the maximum degree and the diversity.
+    """
+    return (len(F), tuple(sorted(_element_signatures(F))))
 
 
 def are_isomorphic(F: Family, G: Family) -> IsoCertificate:
     """Search for a relabeling of [n] carrying F onto G.
 
-    Elements are first partitioned by per-layer degree signature; the
+    Families with different :func:`iso_invariant` are rejected at once.
+    Otherwise elements are partitioned by per-layer degree signature; the
     backtracking then only maps within matching signature classes, checking
     fully-assigned members along the way.  Exact for n <= 12 (rejected
     above); every verification instance in this package has n <= 10.
@@ -326,14 +348,10 @@ def are_isomorphic(F: Family, G: Family) -> IsoCertificate:
         raise InfeasibleInstanceError(
             f"isomorphism search supports n <= {ISO_MAX_UNIVERSE} (got n={n})"
         )
-    if len(F) != len(G):
-        return IsoCertificate(None)
-    if sorted(m.bit_count() for m in F.members) != sorted(m.bit_count() for m in G.members):
-        return IsoCertificate(None)
-
-    sig_f = {x: _element_signature(F, x) for x in range(1, n + 1)}
-    sig_g = {x: _element_signature(G, x) for x in range(1, n + 1)}
-    if sorted(sig_f.values()) != sorted(sig_g.values()):
+    sig_f = dict(enumerate(_element_signatures(F), 1))
+    sig_g = dict(enumerate(_element_signatures(G), 1))
+    # the iso_invariant pre-check, on the signatures already computed
+    if len(F) != len(G) or sorted(sig_f.values()) != sorted(sig_g.values()):
         return IsoCertificate(None)
     candidates = {x: [y for y in range(1, n + 1) if sig_g[y] == sig_f[x]] for x in range(1, n + 1)}
 
@@ -348,9 +366,7 @@ def are_isomorphic(F: Family, G: Family) -> IsoCertificate:
     # chosen order) gets an image; index members by that trigger element
     pos_in_order = {x: i for i, x in enumerate(order)}
     for m in F.members:
-        if m == 0:
-            if 0 not in g_set:  # the empty member is fixed by every relabeling
-                return IsoCertificate(None)
+        if m == 0:  # fixed by every relabeling; the invariant puts it in G too
             continue
         trigger = max(elements_of(m), key=lambda e: pos_in_order[e])
         members_by_max[trigger].append(m)

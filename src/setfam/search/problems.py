@@ -26,7 +26,7 @@ The overlap cap of cross_pair_capped can grow under joint shifts, so only
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 from ..bounds import (
@@ -39,7 +39,7 @@ from ..bounds import (
     bound_union,
 )
 from ..errors import InfeasibleInstanceError, ParamRangeError, TimeBudgetExceededError
-from ..family import Family, are_isomorphic, degree_profile, is_s_union
+from ..family import Family, are_isomorphic, is_s_union, iso_invariant, layer_masks
 from .. import engines
 from .tables import (
     MAX_CANDIDATES,
@@ -47,7 +47,6 @@ from .tables import (
     build_pair_tables,
     build_union_tables,
     dominance_pred,
-    layer_masks,
     overlap_table,
 )
 
@@ -175,41 +174,30 @@ def _family_sort_key(item):
     return item.members
 
 
-def _iso_bucket_key(fam: Family):
-    maxdeg, div = degree_profile(fam)
-    return (
-        len(fam),
-        tuple(sorted(m.bit_count() for m in fam.members)),
-        maxdeg,
-        div,
-    )
-
-
 def classify_maximizers(families: list) -> list[MaximizerClass]:
     """Partition maximizers into isomorphism classes.
 
     Pair maximizers are classified by their F side: the partner is a
     function of F, so a relabeling carries one pair onto another exactly
-    when it carries the F sides onto each other.  Representatives are the
-    lexicographically least members of their classes.
+    when it carries the F sides onto each other.  Classes are bucketed by
+    :func:`iso_invariant`, so ``are_isomorphic`` only runs within a bucket.
+    Representatives are the lexicographically least members of their
+    classes, and classes are listed in the order of their representatives.
     """
-    items = sorted(families, key=_family_sort_key)
-    # (representative, rep F-side, rep bucket key, members)
-    classes: list[tuple[object, Family, tuple, list]] = []
-    for item in items:
+    classes: list[list] = []  # [representative, its F side, size]
+    buckets: dict[tuple, list[list]] = {}
+    for item in sorted(families, key=_family_sort_key):
         fam = item[0] if isinstance(item, tuple) else item
-        key = _iso_bucket_key(fam)
-        placed = False
-        for rep, repfam, repkey, members in classes:
-            if repkey != key:
-                continue
-            if are_isomorphic(repfam, fam):
-                members.append(item)
-                placed = True
+        bucket = buckets.setdefault(iso_invariant(fam), [])
+        for cls in bucket:
+            if are_isomorphic(cls[1], fam):
+                cls[2] += 1
                 break
-        if not placed:
-            classes.append((item, fam, key, [item]))
-    return [MaximizerClass(rep, len(members)) for rep, _, _, members in classes]
+        else:
+            cls = [item, fam, 1]
+            bucket.append(cls)
+            classes.append(cls)
+    return [MaximizerClass(rep, size) for rep, _, size in classes]
 
 
 # ------------------------------------------------------------------ engines
@@ -298,7 +286,12 @@ def _solve_diversity_shifted(p: Params, deadline):
     """Lower-bound engine: best shifted intersecting family with diversity
     at least r.  Shifting can decrease diversity, so a non-shifted family
     could in principle beat every shifted one; the clique engine is the
-    validator."""
+    validator.
+
+    Every node is a down-set of the dominance order, so element degrees
+    fall as the label rises and the diversity is the number of chosen
+    members avoiding element 1; that count is carried down the recursion.
+    """
     (n, k, r) = p.require("n", "k", "r")
     masks = layer_masks(n, k)
     m = len(masks)
@@ -306,19 +299,9 @@ def _solve_diversity_shifted(p: Params, deadline):
         raise InfeasibleInstanceError(f"C({n},{k}) = {m} exceeds {MAX_CANDIDATES}")
     pred = dominance_pred(masks)
     compat = overlap_table(masks, masks, n, 1)
-    state = [-1, [], 0]
+    state = [-1, [], 0]  # best size, chosen bitsets of maximizers, nodes
 
-    def gamma(chosen_masks: list[int]) -> int:
-        if not chosen_masks:
-            return 0
-        best_deg = 0
-        for e in range(n):
-            bit = 1 << e
-            deg = sum(1 for mm in chosen_masks if mm & bit)
-            best_deg = max(best_deg, deg)
-        return len(chosen_masks) - best_deg
-
-    def rec(chosen: int, fmasks: list[int], pbits: int) -> None:
+    def rec(chosen: int, size: int, avoid: int, pbits: int) -> None:
         state[2] += 1
         if deadline is not None and state[2] % 4096 == 0 and time.monotonic() > deadline:
             raise TimeBudgetExceededError("shifted diversity search timed out", state[0])
@@ -326,27 +309,27 @@ def _solve_diversity_shifted(p: Params, deadline):
             low = pbits & -pbits
             i = low.bit_length() - 1
             pbits ^= low
-            if len(fmasks) + 1 + pbits.bit_count() < state[0]:
+            if size + 1 + pbits.bit_count() < state[0]:
                 return
             if pred[i] & ~chosen:
                 continue
             if chosen & ~compat[i]:
                 continue
-            child_masks = fmasks + [masks[i]]
-            if gamma(child_masks) >= r:
-                value = len(child_masks)
-                if value > state[0]:
-                    state[0] = value
-                    state[1] = [list(child_masks)]
-                elif value == state[0]:
-                    state[1].append(list(child_masks))
-            rec(chosen | low, child_masks, pbits & compat[i])
+            child = chosen | low
+            child_avoid = avoid + (not masks[i] & 1)
+            if child_avoid >= r:
+                if size + 1 > state[0]:
+                    state[0] = size + 1
+                    state[1] = [child]
+                elif size + 1 == state[0]:
+                    state[1].append(child)
+            rec(child, size + 1, child_avoid, pbits & compat[i])
 
     if r == 0:
         state[0] = 0
-        state[1] = [[]]
-    rec(0, [], (1 << m) - 1)
-    fams = [Family.of_masks(n, fm) for fm in state[1]]
+        state[1] = [0]
+    rec(0, 0, 0, (1 << m) - 1)
+    fams = [Family.of_masks(n, [masks[i] for i in _bits(c)]) for c in state[1]]
     return state[0], fams, state[2]
 
 

@@ -10,19 +10,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from ..errors import InfeasibleInstanceError
-from ..family import elements_of, mask_of
+from ..family import elements_of, layer_masks
 from ..shifting import dominates
 
 MAX_CANDIDATES = 128
 MAX_PARTNER = 128
 MAX_AMEMBERS = 64
-
-
-def layer_masks(n: int, k: int) -> list[int]:
-    return sorted(mask_of(c, n) for c in itertools.combinations(range(1, n + 1), k))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -161,8 +156,9 @@ class DiversityTables:
 
 
 def build_diversity_tables(n: int, k: int) -> DiversityTables:
-    hmasks = sorted(m for m in layer_masks(n, k) if not m & 1)
-    amasks = sorted(m for m in layer_masks(n, k) if m & 1)
+    layer = layer_masks(n, k)
+    hmasks = [m for m in layer if not m & 1]
+    amasks = [m for m in layer if m & 1]
     _require(
         len(hmasks) <= MAX_CANDIDATES,
         f"C({n - 1},{k}) = {len(hmasks)} candidates exceed {MAX_CANDIDATES}",
@@ -204,7 +200,3 @@ def shifted_family_count_reference(n: int, k: int) -> int:
         if ok:
             count += 1
     return count
-
-
-def binom(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0

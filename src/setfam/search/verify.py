@@ -11,10 +11,9 @@ from typing import Optional
 
 from ..bounds import Params
 from ..errors import ParamRangeError
-from ..family import Family, are_isomorphic
+from ..family import are_isomorphic
 from .expected import expected_classes
 from .problems import Problem, SearchReport, solve
-from .tables import binom
 
 __all__ = ["THEOREMS", "parse_grid", "verify_grid", "VerifyRow", "VerifyResult"]
 

@@ -7,7 +7,7 @@ import itertools
 from math import comb
 
 from .errors import ParamRangeError
-from .family import Family, elements_of, mask_of
+from .family import Family, elements_of, layer_masks, mask_of
 
 __all__ = [
     "shift_once",
@@ -181,11 +181,7 @@ def disjointness_family(F: Family, ell: int) -> Family:
         raise ParamRangeError(f"need 0 <= ell <= n (got ell={ell}, n={F.n})")
     if F.members and F.n < k + ell:
         raise ParamRangeError(f"need n >= k + ell (got n={F.n}, k={k}, ell={ell})")
-    out = []
-    for combo in itertools.combinations(range(1, F.n + 1), ell):
-        d = mask_of(combo, F.n)
-        if any(not d & m for m in F.members):
-            out.append(d)
+    out = [d for d in layer_masks(F.n, ell) if any(not d & m for m in F.members)]
     return Family.of_masks(F.n, out)
 
 
@@ -193,9 +189,4 @@ def max_cross_partner(F: Family, ell: int) -> Family:
     """Largest family of ell-sets cross-intersecting with F: the full
     ell-layer minus the disjointness family."""
     dis = set(disjointness_family(F, ell).members)
-    out = [
-        mask_of(c, F.n)
-        for c in itertools.combinations(range(1, F.n + 1), ell)
-        if mask_of(c, F.n) not in dis
-    ]
-    return Family.of_masks(F.n, out)
+    return Family.of_masks(F.n, (d for d in layer_masks(F.n, ell) if d not in dis))

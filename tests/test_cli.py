@@ -209,11 +209,27 @@ def test_threads_flag_gives_identical_results(capsys):
     [
         ("main1", "k=3;t=0,1;n=7..8;r=1..3", "verify_main1_shifted.json"),
         ("diversity", "k=3;n=7..8;r=1..n-k", "verify_diversity_shifted.json"),
+        ("main5", "n=7;s=4,5;r=1", "verify_main5_clique.json"),
+        ("diversity", "k=3;n=7;r=0..n-k", "verify_diversity_clique.json"),
+        ("f24", "k=2;n=4..7;r=1..n-k+1", "verify_f24_brute.json"),
+        ("katona", "n=4..7;s=2..n-2", "verify_katona_auto.json"),
     ],
 )
 def test_shifted_verify_json_matches_stored_output(capsys, theorem, grid, expected):
+    stored = (DATA / expected).read_text()
+    engine = json.loads(stored)["engine"]  # the stored run names its engine
     code, out, _ = run(
-        capsys, "verify", theorem, "--grid", grid, "--engine", "shifted", "--json", "--no-timing"
+        capsys, "verify", theorem, "--grid", grid, "--engine", engine, "--json", "--no-timing"
     )
     assert code == 0
-    assert out == (DATA / expected).read_text()
+    assert out == stored
+
+
+@pytest.mark.parametrize("n,k,r", [(9, 3, 1), (9, 4, 2), (10, 3, 4)])
+def test_shifted_diversity_search_json_matches_stored_output(capsys, n, k, r):
+    code, out, _ = run(
+        capsys, "search", "diverse_intersecting_max", "--n", str(n), "--k", str(k),
+        "--r", str(r), "--engine", "shifted", "--json", "--no-timing",
+    )
+    assert code == 0
+    assert out == (DATA / f"search_diversity_shifted_n{n}_k{k}_r{r}.json").read_text()

@@ -1,3 +1,4 @@
+import collections
 import io
 import itertools
 import random
@@ -18,6 +19,7 @@ from setfam.family import (
     degree_profile,
     is_s_union,
     is_t_intersecting,
+    iso_invariant,
     read_family,
     restrict,
     write_family,
@@ -170,6 +172,24 @@ def test_isomorphism_matches_bruteforce(rng):
         else:
             G = random_family(rng, n, max_size=6)
         assert bool(are_isomorphic(F, G)) == are_isomorphic_bruteforce(F, G)
+
+
+def test_iso_invariant_is_unchanged_by_relabeling(rng):
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        F = random_family(rng, n, max_size=10)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        inv = iso_invariant(F)
+        assert iso_invariant(apply_permutation(F, tuple(perm))) == inv
+        # it fixes the member-size multiset: layer i >= 1 has degree sum i|F_i|
+        size, signatures = inv
+        degree_sums = collections.Counter()
+        for sig in signatures:
+            degree_sums.update(dict(sig))
+        assert size == len(F)
+        assert {i: d // i for i, d in degree_sums.items()} == {i: len(F.layer(i)) for i in degree_sums}
+        assert sum(len(F.layer(i)) for i in degree_sums) == len(F) - (0 in F)
 
 
 def test_certificate_is_always_verified(rng):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from conftest import fam
+from conftest import are_isomorphic_bruteforce, fam, random_family
 
 from setfam import engines
 from setfam.bounds import Params, bound_classic
@@ -11,7 +11,7 @@ from setfam.errors import (
     ParamRangeError,
     TimeBudgetExceededError,
 )
-from setfam.family import Family, are_isomorphic, degree_profile, mask_of
+from setfam.family import Family, apply_permutation, are_isomorphic, degree_profile, mask_of
 from setfam.search import (
     Problem,
     check_layer_inequality,
@@ -252,14 +252,43 @@ def test_enumerate_shifted_stream_properties():
 
 def test_classify_maximizers():
     star1 = construct(ConstructionId("full_star", Params(n=6, k=2)))
-    from setfam.family import apply_permutation
-
     star2 = apply_permutation(star1, (2, 1, 3, 4, 5, 6))
     classes = classify_maximizers([star1, star2])
     assert len(classes) == 1 and classes[0].size == 2
     classes = classify_maximizers([star1, fam(6, (1, 2))])
     assert len(classes) == 2
     assert classes[0].representative == fam(6, (1, 2))  # lexicographically least first
+
+
+def _bruteforce_classes(families: list) -> list[tuple[Family, int]]:
+    classes: list[list] = []  # [least member, size], in order of least member
+    for F in sorted(families, key=lambda f: f.members):
+        for cls in classes:
+            if are_isomorphic_bruteforce(cls[0], F):
+                cls[1] += 1
+                break
+        else:
+            classes.append([F, 1])
+    return [tuple(c) for c in classes]
+
+
+def test_classify_maximizers_matches_bruteforce(rng):
+    # a hexagon and two triangles share the invariant of a 2-regular graph
+    hexagon = fam(6, (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6))
+    triangles = fam(6, (1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6))
+    for trial in range(30):
+        n = rng.randint(2, 6)
+        bases = [random_family(rng, n, max_size=5) for _ in range(3)]
+        if n == 6 and trial % 2:
+            bases += [hexagon, triangles]
+        families = set()
+        for F in bases:
+            for _ in range(3):
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                families.add(apply_permutation(F, tuple(perm)))
+        got = [(c.representative, c.size) for c in classify_maximizers(list(families))]
+        assert got == _bruteforce_classes(list(families))
 
 
 def test_degenerate_base_lists_classes_without_assertion():
