@@ -1,26 +1,20 @@
-"""Builds the optional compiled search core.
+"""Builds the optional compiled search kernels.
 
-The package works without the extension (a pure-Python twin of every kernel
-is selected at import time); the extension only speeds up the hot
-branch-and-bound loops.
+``fastcore.c`` is plain C with no Python API: it is built as an ordinary
+extension library, and ``setfam.engines`` loads it through ctypes.  The
+package works without it (the pure-Python twin ``pykern`` runs instead), so
+the build is optional and an install without a C compiler still succeeds.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-PYX = "src/setfam/engines/_fastcore.pyx"
-
-extensions = []
-if os.path.exists(PYX):
-    try:
-        from Cython.Build import cythonize
-
-        extensions = cythonize(
-            [Extension("setfam.engines._fastcore", [PYX], extra_compile_args=["-O3"])],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "setfam.engines._fastcore",
+            ["src/setfam/engines/fastcore.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
         )
-    except ImportError:
-        pass
-
-setup(ext_modules=extensions)
+    ]
+)

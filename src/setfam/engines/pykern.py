@@ -1,9 +1,12 @@
 """Pure-Python branch-and-bound kernels.
 
-Twin of the compiled extension ``_fastcore``; both expose the same three
-entry points with identical traversal order, so reports are byte-identical
-across backends.  All index sets are plain int bitsets (candidate universes
-are capped at 128 entries by the callers).
+Twin of the C file ``fastcore.c`` (loaded through ``fastcore.Kernels``):
+both implement the same three entry points with the same traversal order,
+node counts, maximizer order and errors, so reports are byte-identical
+across backends, and a change to one kernel must be made to both.  The
+timeout message and ``MAXIMIZER_CAP`` defined here hold for both backends.
+All index sets are plain int bitsets (candidate universes are capped at 128
+entries by the callers, the width of the C kernels' bitsets).
 
 Soundness notes shared by the kernels:
 

@@ -1,8 +1,14 @@
 import itertools
 import random
+import shlex
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
+from setfam import engines
+from setfam.engines.fastcore import Kernels
 from setfam.errors import UniverseMismatchError
 from setfam.family import Family, apply_permutation, mask_of
 
@@ -67,3 +73,32 @@ def random_s_union(rng: random.Random, n: int, s: int, max_size: int = 12) -> Fa
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory) -> Kernels:
+    """The compiled kernels, built from the current fastcore.c into a
+    temporary directory (never into src/, where a library would switch the
+    default backend).  Skips only when no C compiler works."""
+    source = Path(engines.__file__).with_name("fastcore.c")
+    lib = tmp_path_factory.mktemp("fastcore") / "fastcore.so"
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    try:
+        subprocess.run(
+            [*cc, "-O3", "-shared", "-fPIC", "-o", str(lib), str(source)],
+            check=True, capture_output=True, text=True,
+        )
+    except (OSError, subprocess.CalledProcessError) as exc:
+        pytest.skip(f"cannot compile fastcore.c: {getattr(exc, 'stderr', None) or exc}")
+    return Kernels(str(lib))
+
+
+@pytest.fixture
+def compiled(compiled_kernels, monkeypatch) -> Kernels:
+    """Installs the compiled kernels as the default backend, as if their
+    library sat next to the package."""
+    monkeypatch.setattr(engines, "_compiled", compiled_kernels)
+    monkeypatch.setattr(engines, "HAVE_COMPILED", True)
+    monkeypatch.setattr(engines, "DEFAULT_BACKEND", "compiled")
+    monkeypatch.setattr(engines, "BACKENDS", ("compiled", "python"))
+    return compiled_kernels

@@ -1,9 +1,15 @@
 import itertools
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import are_isomorphic_bruteforce, fam, random_family
 
 from setfam import engines
+from setfam.engines import pykern
 from setfam.bounds import Params, bound_classic
 from setfam.constructions import ConstructionId, construct
 from setfam.errors import (
@@ -92,9 +98,7 @@ def test_named_specializations_verify_on_their_own_grids():
     assert res.ok
 
 
-def test_f24_classes_exhaustively_at_k3():
-    if "compiled" not in BACKENDS:
-        pytest.skip("needs the compiled backend to stay fast")
+def test_f24_classes_exhaustively_at_k3(compiled):
     from setfam.search.verify import verify_grid
 
     res = verify_grid("f24", "k=3;n=7;r=1..5", engine="brute")
@@ -126,9 +130,7 @@ def test_verify_main3_upper_bound_mode():
     assert attained[(5, 1)] is True and attained[(5, 2)] is False
 
 
-def test_backend_agreement():
-    if "compiled" not in BACKENDS:
-        pytest.skip("compiled backend not built")
+def test_backend_agreement(compiled):
     cases = [
         ("hemibundled_max", Params(n=7, k=3, t=0, r=2), "brute"),
         ("hemibundled_max", Params(n=8, k=3, t=1, r=2), "shifted"),
@@ -332,13 +334,95 @@ def test_reports_are_deterministic():
     )
 
 
-def test_time_budget_raises_cleanly():
-    with pytest.raises(TimeBudgetExceededError):
+def test_compiled_kernels_replay_every_pykern_call(compiled_kernels, monkeypatch):
+    """Record the pykern calls of solves of all six kinds (every clique
+    constraint kind, diversity with r = 0 and r > 0, capped pairs) and
+    replay each on the compiled kernels."""
+    calls = []
+    for name in ("pair_bnb", "clique_bnb", "diversity_bnb"):
+        def record(*args, _kernel=getattr(pykern, name), _name=name):
+            result = _kernel(*args)
+            calls.append((_name, args, result))
+            return result
+
+        monkeypatch.setattr(pykern, name, record)
+    cases = [
+        ("hemibundled_max", Params(n=7, k=3, t=0, r=2), "brute"),
+        ("hemibundled_max", Params(n=8, k=3, t=1, r=2), "shifted"),
+        ("cross_pair_max", Params(n=7, k=3, r=2), "shifted"),
+        ("cross_pair_max", Params(n=6, k=2, r=1), "brute"),
+        ("cross_pair_capped", Params(n=6, k=2, r=2), "brute"),
+        ("cross_pair_capped", Params(n=7, k=2, r=3), "brute"),
+        ("s_union_max", Params(n=6, s=3), "clique"),
+        ("s_union_conditioned_max", Params(n=7, s=4, r=2), "clique"),
+        ("s_union_conditioned_max", Params(n=7, s=5, r=1), "clique"),
+        ("diverse_intersecting_max", Params(n=8, k=3, r=2), "clique"),
+        ("diverse_intersecting_max", Params(n=7, k=3, r=0), "clique"),
+    ]
+    for kind, p, eng in cases:
+        solve(Problem(kind, p, eng), backend="python")
+    assert {name for name, _, _ in calls} == {"pair_bnb", "clique_bnb", "diversity_bnb"}
+    for name, args, expected in calls:
+        assert getattr(compiled_kernels, name)(*args) == expected, (name, args[0])
+
+
+def _assert_times_out(backend: str) -> None:
+    with pytest.raises(TimeBudgetExceededError) as info:
         solve(
             Problem("cross_pair_max", Params(n=8, k=3, r=2), "brute"),
             max_seconds=0.01,
-            backend="python",
+            backend=backend,
         )
+    assert re.fullmatch(r"search exceeded its time budget after \d+ nodes", str(info.value))
+    assert isinstance(info.value.best_so_far, int)
+
+
+def test_time_budget_raises_cleanly():
+    _assert_times_out("python")
+
+
+def test_time_budget_raises_cleanly_on_compiled(compiled):
+    _assert_times_out("compiled")
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize(
+    "kind,p,eng",
+    [
+        ("hemibundled_max", Params(n=6, k=2, t=0, r=1), "brute"),
+        ("s_union_max", Params(n=6, s=3), "clique"),
+        ("diverse_intersecting_max", Params(n=7, k=3, r=1), "clique"),
+    ],
+)
+def test_maximizer_cap_raises_the_same_error(request, monkeypatch, backend, kind, p, eng):
+    if backend == "compiled":
+        request.getfixturevalue("compiled")
+    monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 3)
+    with pytest.raises(InfeasibleInstanceError, match=r"^maximizer enumeration exceeded the cap of 3$"):
+        solve(Problem(kind, p, eng), backend=backend)
+
+
+def test_compiled_verify_rows_agree_across_threads(compiled):
+    from setfam.search.verify import verify_grid
+
+    def digest(threads):
+        res = verify_grid("main5", "n=7;s=4,5;r=1..3", engine="clique", threads=threads)
+        return [(r.report.optimum, r.report.nodes, r.report.class_representatives) for r in res.rows]
+
+    assert digest(4) == digest(1)
+
+
+def test_missing_library_names_the_reason():
+    if engines.HAVE_COMPILED:
+        pytest.skip("a compiled kernel library sits next to the package")
+    with pytest.raises(InfeasibleInstanceError, match="no kernel library .*pip install -e"):
+        engines.backend_module("compiled")
+    code = "import sys, setfam.cli; print('ctypes' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(engines.__file__).parents[2])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"  # ctypes is loaded only with a library
 
 
 def test_infeasible_instances_are_rejected():
