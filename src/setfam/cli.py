@@ -251,6 +251,10 @@ def _cmd_verify(args) -> int:
         if row.skipped:
             entry["status"] = "skipped"
             entry["reason"] = row.skipped
+        elif row.timeout is not None:
+            entry["status"] = "timeout"
+            entry["reason"] = str(row.timeout)
+            entry["best_so_far"] = str(row.timeout.best_so_far)
         else:
             rep = row.report
             entry["status"] = "ok" if (row.bound_ok and row.classes_ok is not False) else "mismatch"
@@ -277,14 +281,25 @@ def _cmd_verify(args) -> int:
             pstr = " ".join(f"{k}={v}" for k, v in entry["params"].items())
             if status == "skipped":
                 print(f"SKIP  {pstr:30s} {entry['reason']}")
+            elif status == "timeout":
+                best = entry["best_so_far"]
+                print(f"TIME  {pstr:30s} {entry['reason']} (best so far: {best})")
             else:
                 cls_note = "" if entry["classes_ok"] is None else f" classes_ok={entry['classes_ok']}"
                 print(
                     f"{'OK  ' if status == 'ok' else 'FAIL'}  {pstr:30s} "
                     f"optimum={entry['optimum']} bound={entry['bound']}{cls_note}"
                 )
-        print("verified" if res.ok else "MISMATCH")
-    return 0 if res.ok else 1
+    statuses = {entry["status"] for entry in rows_json}
+    if "mismatch" in statuses:
+        verdict, code = "MISMATCH", 1
+    elif "timeout" in statuses:
+        verdict, code = "TIMEOUT", 4  # the exit code of a timed-out search
+    else:
+        verdict, code = "verified", 0
+    if not args.json:
+        print(verdict)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ctypes
 import math
 
-from ..errors import InfeasibleInstanceError, TimeBudgetExceededError
+from ..errors import InfeasibleInstanceError
 from . import pykern
 
 MAX_BITS = 128
@@ -82,11 +82,9 @@ class Kernels:
         finally:
             self._free(s.items)
         if status == _TIMEOUT:
-            raise TimeBudgetExceededError(
-                f"search exceeded its time budget after {s.nodes} nodes", best_so_far=s.best
-            )
+            raise pykern._over_time(s.nodes, s.best)
         if status == _CAP:
-            raise InfeasibleInstanceError(f"maximizer enumeration exceeded the cap of {cap}")
+            raise pykern._over_cap(cap)
         if status == _NOMEM:
             raise MemoryError("compiled kernel ran out of memory")
         words = [int.from_bytes(raw[j:j + _WORD], "little") for j in range(0, len(raw), _WORD)]

@@ -1,11 +1,19 @@
 """Pure-Python branch-and-bound kernels.
 
-Twin of the C file ``fastcore.c`` (loaded through ``fastcore.Kernels``):
-both implement the same three entry points with the same traversal order,
-node counts, maximizer order and errors, so reports are byte-identical
-across backends, and a change to one kernel must be made to both.  The
-timeout message and ``MAXIMIZER_CAP`` defined here hold for both backends.
-All index sets are plain int bitsets (candidate universes are capped at 128
+Twin of the C file ``fastcore.c`` (loaded through ``fastcore.Kernels``).
+Both implement the same three entry points, and these must match exactly:
+
+* the traversal: the same nodes, visited in the same order, so ``nodes``
+  agrees;
+* the result: the optimum and the maximizers in the same order;
+* the errors: the timeout message with its ``best_so_far``, and the cap
+  ``MAXIMIZER_CAP`` (read at each call), hold for both backends.
+
+Reports are therefore byte-identical across backends, and a change to the
+traversal of one kernel must be made to both.  Per-node bookkeeping may
+differ: for example, pykern carries candidate counts down the recursion and
+does not store the colour classes that cannot reach the incumbent.  All
+index sets are plain int bitsets (candidate universes are capped at 128
 entries by the callers, the width of the C kernels' bitsets).
 
 Soundness notes shared by the kernels:
@@ -25,37 +33,15 @@ import time
 from ..errors import InfeasibleInstanceError, TimeBudgetExceededError
 
 MAXIMIZER_CAP = 200_000
-_CHECK_MASK = 0x1FFF
+_CHECK_MASK = 0x1FFF  # read the clock every 8192 nodes
 
 
-class _Budget:
-    __slots__ = ("deadline", "nodes")
-
-    def __init__(self, deadline: float | None):
-        self.deadline = deadline
-        self.nodes = 0
-
-    def tick(self, best: int) -> None:
-        self.nodes += 1
-        if self.deadline is not None and (self.nodes & _CHECK_MASK) == 0:
-            if time.monotonic() > self.deadline:
-                raise TimeBudgetExceededError(
-                    f"search exceeded its time budget after {self.nodes} nodes",
-                    best_so_far=best,
-                )
+def _over_time(nodes: int, best: int) -> TimeBudgetExceededError:
+    return TimeBudgetExceededError(f"search exceeded its time budget after {nodes} nodes", best)
 
 
-def _record(state: list, value: int, item) -> None:
-    # state = [best, maximizers]
-    if value > state[0]:
-        state[0] = value
-        state[1] = [item]
-    elif value == state[0]:
-        if len(state[1]) >= MAXIMIZER_CAP:
-            raise InfeasibleInstanceError(
-                f"maximizer enumeration exceeded the cap of {MAXIMIZER_CAP}"
-            )
-        state[1].append(item)
+def _over_cap(cap: int) -> InfeasibleInstanceError:
+    return InfeasibleInstanceError(f"maximizer enumeration exceeded the cap of {cap}")
 
 
 def pair_bnb(
@@ -97,103 +83,79 @@ def pair_bnb(
 
     Returns (best, maximizers as chosen-index bitsets, node_count).
     """
-    budget = _Budget(deadline)
-    full_g = (1 << ng) - 1
+    cap = MAXIMIZER_CAP
+    nodes = 0
+    keep = [~k for k in kill]
 
-    def run(collect: bool, best_init: int, sink: list | None) -> int:
-        best = best_init
+    def run(slack: int, bar: int, sink: list | None) -> int:
+        # bar = best - slack: a bound at or below it prunes.  slack is 0 while
+        # proving (only a strict gain counts) and 1 while collecting ties.
 
-        def score(child: int, fc: int, gc: int, child_partner: int) -> int | None:
-            if fc < r_min:
-                return None
-            if cap_excess >= 0:
-                shared = 0
-                rest = child
-                while rest:
-                    lo2 = rest & -rest
-                    rest ^= lo2
-                    sp = selfpos[lo2.bit_length() - 1]
-                    if sp >= 0 and child_partner >> sp & 1:
-                        shared += 1
-                over = shared - cap_excess
-                if over < 0:
-                    over = 0
-                if gc - over < r_min:
-                    return None
-                return fc + gc - over
-            return fc + gc
-
-        def rec(chosen: int, fcount: int, p: int, partner: int) -> None:
-            nonlocal best
-            budget.tick(best)
-            gcount_node = partner.bit_count()
+        def rec(chosen: int, fcount: int, p: int, pcount: int, partner: int) -> None:
+            nonlocal bar, nodes
+            nodes += 1
+            if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
+                raise _over_time(nodes, bar + slack)
+            gnode = partner.bit_count()
+            base = fcount + gnode
+            twice = 2 * gnode  # |F| <= |partner| caps the sum at twice the partner
+            fc = fcount + 1
+            scored = fc >= r_min
             while p:
                 low = p & -p
-                i = low.bit_length() - 1
                 p ^= low
-                ub = fcount + 1 + p.bit_count() + gcount_node
-                if g_ge_f and 2 * gcount_node < ub:
-                    ub = 2 * gcount_node  # |F| <= |partner| caps the sum at twice the partner
-                if ub < best or (not collect and ub == best):
+                # one more member, every remaining candidate, the whole partner
+                if base + pcount <= bar or (g_ge_f and twice <= bar):
                     return
+                pcount -= 1
+                i = low.bit_length() - 1
                 if pred is not None and pred[i] & ~chosen:
                     continue
                 if compat is not None and chosen & ~compat[i]:
                     continue
-                child = chosen | low
-                child_partner = partner & ~kill[i]
-                fc = fcount + 1
+                child_partner = partner & keep[i]
                 gc = child_partner.bit_count()
-                if gc < g_min:
+                if gc < g_min or (g_ge_f and gc < fc):
                     continue
-                if g_ge_f and gc < fc:
-                    continue
-                g = score(child, fc, gc, child_partner)
-                if g is not None:
-                    if collect:
-                        if g == best:
-                            if len(sink) >= MAXIMIZER_CAP:
-                                raise InfeasibleInstanceError(
-                                    f"maximizer enumeration exceeded the cap of {MAXIMIZER_CAP}"
-                                )
-                            sink.append(child)
-                    elif g > best:
-                        best = g
-                child_p = p & compat[i] if compat is not None else p
-                child_ub = fc + child_p.bit_count() + gc
-                if g_ge_f and 2 * gc < child_ub:
-                    child_ub = 2 * gc
-                if child_ub > best or (collect and child_ub == best):
-                    rec(child, fc, child_p, child_partner)
+                size = fc + gc
+                if scored:
+                    g = size
+                    if cap_excess >= 0:
+                        over = -cap_excess
+                        rest = chosen | low
+                        while rest:
+                            lo2 = rest & -rest
+                            rest ^= lo2
+                            sp = selfpos[lo2.bit_length() - 1]
+                            if sp >= 0 and child_partner >> sp & 1:
+                                over += 1
+                        if over > 0:
+                            g -= over
+                        if g - fc < r_min:
+                            g = -1
+                    if g > bar:  # collecting, only a tie: no score beats the proven optimum
+                        if sink is None:
+                            bar = g
+                        else:
+                            if len(sink) >= cap:
+                                raise _over_cap(cap)
+                            sink.append(chosen | low)
+                if compat is None:
+                    child_p, child_pcount = p, pcount
+                else:
+                    child_p = p & compat[i]
+                    child_pcount = child_p.bit_count()
+                if size + child_pcount > bar and not (g_ge_f and 2 * gc <= bar):
+                    rec(chosen | low, fc, child_p, child_pcount, child_partner)
 
-        rec(0, 0, (1 << m) - 1, full_g)
-        return best
+        rec(0, 0, (1 << m) - 1, m, (1 << ng) - 1)
+        return bar + slack
 
-    optimum = run(collect=False, best_init=-1, sink=None)
+    optimum = run(0, -1, None)
     maximizers: list[int] = []
     if optimum >= 0:
-        run(collect=True, best_init=optimum, sink=maximizers)
-    return optimum, maximizers, budget.nodes
-
-
-def _color_order(p: int, adj: list[int]):
-    """Greedy coloring of the candidate set; returns (vertex, color) pairs
-    in ascending color order.  Any clique inside a prefix of this order has
-    size at most the prefix's top color."""
-    order = []
-    uncolored = p
-    color = 0
-    while uncolored:
-        color += 1
-        avail = uncolored
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            avail ^= low
-            uncolored ^= low
-            order.append((v, color))
-            avail &= ~adj[v]
-    return order
+        run(1, optimum - 1, maximizers)
+    return optimum, maximizers, nodes
 
 
 def clique_bnb(
@@ -218,66 +180,83 @@ def clique_bnb(
     are maximal and only leaves need scoring.  Returns (best, maximizers as
     vertex bitsets, node_count).
     """
-    budget = _Budget(deadline)
-    state: list = [-1, []]
-    degs = [0] * (nelems + 1)
-
-    def layer_diversity_ub(lay_total: int) -> int:
-        dmax = 0
-        for e in range(1, nelems + 1):
-            if degs[e] > dmax:
-                dmax = degs[e]
-        return lay_total - dmax
+    cap = MAXIMIZER_CAP
+    nodes = 0
+    best = -1
+    maxers: list[int] = []
+    # what may share v's colour class: neither v nor its neighbours
+    apart = [~(a | 1 << v) for v, a in enumerate(adj)]
+    elems = [[e + 1 for e in range(nelems) if vm >> e & 1] for vm in vmasks]
+    degs = [0] * (nelems + 1)  # degs[e] of element e over chosen layer vertices
 
     def expand(q: int, qcount: int, laycount: int, p: int) -> None:
-        budget.tick(state[0])
+        nonlocal nodes, best, maxers
+        nodes += 1
+        if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
+            raise _over_time(nodes, best)
         if not p:
             if cons_kind == 1 and laycount < r:
                 return
-            if cons_kind == 2 and layer_diversity_ub(laycount) < r:
+            if cons_kind == 2 and laycount - max(degs) < r:
                 return
-            _record(state, qcount, q)
+            if qcount > best:
+                best = qcount
+                maxers = [q]
+            elif qcount == best:
+                if len(maxers) >= cap:
+                    raise _over_cap(cap)
+                maxers.append(q)
             return
-        order = _color_order(p, adj)
+        # Greedy colouring: a clique among the vertices of colours <= c has
+        # at most c of them.  The walk below goes down from the top colour
+        # and stops at the first colour c with qcount + c < best; best only
+        # rises, so the classes below best - qcount are never walked.
+        first = best - qcount
+        classes = []
+        colour = 0
+        uncoloured = p
+        while uncoloured:
+            colour += 1
+            avail = uncoloured
+            cls = 0
+            while avail:
+                low = avail & -avail
+                cls |= low
+                avail &= apart[low.bit_length() - 1]
+            uncoloured ^= cls
+            if colour >= first:
+                classes.append(cls)
         local_p = p
-        for v, c in reversed(order):
-            if qcount + c < state[0]:
-                return
-            low = 1 << v
-            local_p ^= low
-            child_p = local_p & adj[v]
-            in_layer = 1 if layer >> v & 1 else 0
-            lay2 = laycount + in_layer
-            if cons_kind == 1 and lay2 + (child_p & layer).bit_count() < r:
-                continue
-            if cons_kind == 2 and in_layer:
-                mask = vmasks[v]
-                e = 1
-                mm = mask
-                while mm:
-                    if mm & 1:
-                        degs[e] += 1
-                    mm >>= 1
-                    e += 1
-            if cons_kind == 2 and lay2 + (child_p & layer).bit_count() - max(degs[1:]) < r:
-                if in_layer:
-                    _deg_undo(degs, vmasks[v])
-                continue
-            expand(q | low, qcount + 1, lay2, child_p)
-            if cons_kind == 2 and in_layer:
-                _deg_undo(degs, vmasks[v])
+        for cls in reversed(classes):
+            while cls:
+                if qcount + colour < best:
+                    return
+                v = cls.bit_length() - 1
+                low = 1 << v
+                cls ^= low
+                local_p ^= low
+                child_p = local_p & adj[v]
+                in_layer = layer >> v & 1
+                lay2 = laycount + in_layer
+                if cons_kind == 1 and lay2 + (child_p & layer).bit_count() < r:
+                    continue
+                if cons_kind == 2:
+                    if in_layer:
+                        for e in elems[v]:
+                            degs[e] += 1
+                    if lay2 + (child_p & layer).bit_count() - max(degs) < r:
+                        if in_layer:
+                            for e in elems[v]:
+                                degs[e] -= 1
+                        continue
+                expand(q | low, qcount + 1, lay2, child_p)
+                if cons_kind == 2 and in_layer:
+                    for e in elems[v]:
+                        degs[e] -= 1
+            colour -= 1
 
     expand(0, 0, 0, (1 << nverts) - 1)
-    return state[0], state[1], budget.nodes
-
-
-def _deg_undo(degs: list[int], mask: int) -> None:
-    e = 1
-    while mask:
-        if mask & 1:
-            degs[e] -= 1
-        mask >>= 1
-        e += 1
+    return best, maxers, nodes
 
 
 def diversity_bnb(
@@ -303,47 +282,67 @@ def diversity_bnb(
 
     Returns (best, maximizers as (H-bitset, A-bitset) pairs, node_count).
     """
-    budget = _Budget(deadline)
-    state: list = [-1, []]
+    cap = MAXIMIZER_CAP
+    nodes = 0
+    best = -1
+    maxers: list = []
     full_a = (1 << na) - 1
-    degs = [0] * (nelems + 1)
-
-    def feasible(amask: int) -> bool:
-        for e in range(2, nelems + 1):
-            if degs[e] > (amask & avoid_a[e]).bit_count():
-                return False
-        return True
+    # degs[j] and avoid[j] belong to element j + 2: the cap binds every
+    # element but 1, which no H member contains
+    degs = [0] * max(nelems - 1, 0)
+    avoid = avoid_a[2:nelems + 1]
+    elems = [[j for j in range(nelems - 1) if hm >> j + 1 & 1] for hm in hmasks]
 
     if r <= 0:
-        _record(state, na, (0, full_a))
+        best, maxers = na, [(0, full_a)]
 
-    def rec(chosen: int, hcount: int, p: int, amask: int) -> None:
-        budget.tick(state[0])
+    def rec(chosen: int, hcount: int, p: int, pcount: int, amask: int, acount: int) -> None:
+        nonlocal nodes, best, maxers
+        nodes += 1
+        if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
+            raise _over_time(nodes, best)
+        hc2 = hcount + 1
         while p:
             low = p & -p
-            i = low.bit_length() - 1
             p ^= low
-            if hcount + 1 + p.bit_count() + amask.bit_count() < state[0]:
+            pcount -= 1
+            if hc2 + pcount + acount < best:
                 return
+            i = low.bit_length() - 1
             if chosen & ~hcompat[i]:
                 continue
-            child = chosen | low
             am2 = amask & ~akill[i]
-            hc2 = hcount + 1
-            mm = hmasks[i]
-            e = 1
-            while mm:
-                if mm & 1:
-                    degs[e] += 1
-                mm >>= 1
-                e += 1
-            if feasible(am2):
-                if hc2 >= r:
-                    _record(state, hc2 + am2.bit_count(), (child, am2))
-                child_p = p & hcompat[i]
-                if hc2 + child_p.bit_count() + am2.bit_count() >= state[0]:
-                    rec(child, hc2, child_p, am2)
-            _deg_undo(degs, hmasks[i])
+            # the chosen H members containing e are at most the A members
+            # avoiding it: deg_e(F) <= |A| = deg_1(F).  Member i raises the
+            # degrees of its own elements, so those fail first.
+            es = elems[i]
+            for j in es:
+                if degs[j] >= (am2 & avoid[j]).bit_count():
+                    break
+            else:
+                for j in es:
+                    degs[j] += 1
+                for d, av in zip(degs, avoid):
+                    if d > (am2 & av).bit_count():
+                        break
+                else:
+                    ac2 = am2.bit_count()
+                    child = chosen | low
+                    if hc2 >= r:
+                        value = hc2 + ac2
+                        if value > best:
+                            best = value
+                            maxers = [(child, am2)]
+                        elif value == best:
+                            if len(maxers) >= cap:
+                                raise _over_cap(cap)
+                            maxers.append((child, am2))
+                    child_p = p & hcompat[i]
+                    child_pcount = child_p.bit_count()
+                    if hc2 + child_pcount + ac2 >= best:
+                        rec(child, hc2, child_p, child_pcount, am2, ac2)
+                for j in es:
+                    degs[j] -= 1
 
-    rec(0, 0, (1 << mh) - 1, full_a)
-    return state[0], state[1], budget.nodes
+    rec(0, 0, (1 << mh) - 1, mh, full_a, na)
+    return best, maxers, nodes

@@ -38,9 +38,10 @@ from ..bounds import (
     bound_pairs,
     bound_union,
 )
-from ..errors import InfeasibleInstanceError, ParamRangeError, TimeBudgetExceededError
+from ..errors import InfeasibleInstanceError, ParamRangeError
 from ..family import Family, are_isomorphic, is_s_union, iso_invariant, layer_masks
 from .. import engines
+from ..engines import pykern
 from .tables import (
     MAX_CANDIDATES,
     build_diversity_tables,
@@ -302,9 +303,9 @@ def _solve_diversity_shifted(p: Params, deadline):
     state = [-1, [], 0]  # best size, chosen bitsets of maximizers, nodes
 
     def rec(chosen: int, size: int, avoid: int, pbits: int) -> None:
-        state[2] += 1
-        if deadline is not None and state[2] % 4096 == 0 and time.monotonic() > deadline:
-            raise TimeBudgetExceededError("shifted diversity search timed out", state[0])
+        nodes = state[2] = state[2] + 1
+        if not nodes & pykern._CHECK_MASK and deadline is not None and time.monotonic() > deadline:
+            raise pykern._over_time(nodes, state[0])
         while pbits:
             low = pbits & -pbits
             i = low.bit_length() - 1

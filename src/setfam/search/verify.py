@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..bounds import Params
-from ..errors import ParamRangeError
+from ..errors import ParamRangeError, TimeBudgetExceededError
 from ..family import are_isomorphic
 from .expected import expected_classes
 from .problems import Problem, SearchReport, solve
@@ -104,6 +104,7 @@ class VerifyRow:
     report: Optional[SearchReport]
     bound_ok: Optional[bool]
     classes_ok: Optional[bool]  # None when no characterization is asserted
+    timeout: Optional[TimeBudgetExceededError] = None  # the search ran out of time
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class VerifyResult:
         for row in self.rows:
             if row.skipped:
                 continue
-            if row.bound_ok is False or row.classes_ok is False:
+            if row.timeout is not None or row.bound_ok is False or row.classes_ok is False:
                 return False
         return True
 
@@ -153,7 +154,10 @@ def _run_row(theorem: str, env: dict[str, int], engine: str, max_seconds) -> Ver
         bound_for(kind, params)
     except ParamRangeError as exc:
         return VerifyRow(params, str(exc), None, None, None)
-    report = solve(Problem(kind, params, engine), max_seconds=max_seconds)
+    try:
+        report = solve(Problem(kind, params, engine), max_seconds=max_seconds)
+    except TimeBudgetExceededError as exc:
+        return VerifyRow(params, None, None, None, None, exc.with_traceback(None))
     if mode == "equality":
         bound_ok = report.optimum == report.bound.value
     else:

@@ -149,18 +149,19 @@ def test_verify_skips_out_of_range_rows(capsys):
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     import setfam.cli as cli_mod
     from setfam.bounds import Params
+    from setfam.errors import TimeBudgetExceededError
     from setfam.search import Problem, solve
     from setfam.search.verify import VerifyResult, VerifyRow
 
     report = solve(Problem("hemibundled_max", Params(n=5, k=2, t=0, r=1), "brute"))
     row = VerifyRow(report.params, None, report, False, None)
+    timeout = TimeBudgetExceededError("search exceeded its time budget after 8192 nodes", 7)
+    timed_out = VerifyRow(report.params, None, None, None, None, timeout)
 
-    def fake_verify(*a, **k):
-        return VerifyResult("f16", [row])
-
-    monkeypatch.setattr(cli_mod, "verify_grid", fake_verify)
-    code = main(["verify", "f16", "--grid", "k=2;t=0;n=5"])
-    assert code == 1
+    for rows, expected in (([row], 1), ([timed_out, row], 1), ([timed_out], 4)):
+        monkeypatch.setattr(cli_mod, "verify_grid", lambda *a, _rows=rows, **k: VerifyResult("f16", _rows))
+        code = main(["verify", "f16", "--grid", "k=2;t=0;n=5"])
+        assert code == expected  # a mismatch outranks a timeout
 
 
 def test_bound_union_accepts_s_or_d(capsys):
@@ -233,3 +234,62 @@ def test_shifted_diversity_search_json_matches_stored_output(capsys, n, k, r):
     )
     assert code == 0
     assert out == (DATA / f"search_diversity_shifted_n{n}_k{k}_r{r}.json").read_text()
+
+
+# One instance per pure-Python kernel mode; the stored output (``nodes``
+# included) was written by the kernels before their per-node costs were cut.
+PYTHON_SEARCHES = [
+    # pair kernel, g_ge_f
+    ("cross_pair_max_brute_n8_k2_r1", "cross_pair_max --n 8 --k 2 --r 1 --engine brute"),
+    # pair kernel, compat
+    ("hemibundled_max_brute_n7_k3_t0_r2",
+     "hemibundled_max --n 7 --k 3 --t 0 --r 2 --engine brute"),
+    # pair kernel, compat and pred
+    ("hemibundled_max_shifted_n10_k3_t0_r3",
+     "hemibundled_max --n 10 --k 3 --t 0 --r 3 --engine shifted"),
+    # pair kernel, cap_excess
+    ("cross_pair_capped_brute_n7_k2_r3", "cross_pair_capped --n 7 --k 2 --r 3 --engine brute"),
+    # clique kernel, constraint kinds 0, 1 and 2
+    ("s_union_max_clique_n7_s5", "s_union_max --n 7 --s 5 --engine clique"),
+    ("s_union_conditioned_max_clique_n7_s4_r2",
+     "s_union_conditioned_max --n 7 --s 4 --r 2 --engine clique"),
+    ("s_union_conditioned_max_clique_n7_s5_r2",
+     "s_union_conditioned_max --n 7 --s 5 --r 2 --engine clique"),
+    # diversity kernel, r = 0 and r > 0
+    ("diverse_intersecting_max_clique_n7_k3_r0",
+     "diverse_intersecting_max --n 7 --k 3 --r 0 --engine clique"),
+    ("diverse_intersecting_max_clique_n8_k3_r2",
+     "diverse_intersecting_max --n 8 --k 3 --r 2 --engine clique"),
+]
+
+
+@pytest.mark.parametrize("name,args", PYTHON_SEARCHES, ids=[n for n, _ in PYTHON_SEARCHES])
+def test_python_search_json_matches_stored_output(capsys, name, args):
+    code, out, _ = run(
+        capsys, "search", *args.split(), "--backend", "python", "--json", "--no-timing"
+    )
+    assert code == 0
+    assert out == (DATA / f"search_python_{name}.json").read_text()
+
+
+def test_verify_reports_timed_out_rows_and_runs_the_rest(capsys):
+    # k=2 needs 396 nodes; k=3 reaches the first clock check at node 8192
+    argv = ("verify", "f24", "--grid", "n=7;k=2..3;r=2", "--engine", "brute",
+            "--max-seconds", "0")
+    code, out, _ = run(capsys, *argv, "--json", "--no-timing")
+    assert code == 4
+    obj = json.loads(out)
+    assert obj["ok"] is False
+    assert [row["status"] for row in obj["rows"]] == ["ok", "timeout"]
+    assert obj["rows"][1] == {
+        "params": {"k": 3, "n": 7, "r": 2},
+        "status": "timeout",
+        "reason": "search exceeded its time budget after 8192 nodes",
+        "best_so_far": "30",
+    }
+    code, out, _ = run(capsys, *argv)
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[0].startswith("OK  ") and lines[1].startswith("TIME  ")
+    assert lines[1].endswith("after 8192 nodes (best so far: 30)")
+    assert lines[-1] == "TIMEOUT"

@@ -387,6 +387,38 @@ def test_time_budget_raises_cleanly_on_compiled(compiled):
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
 @pytest.mark.parametrize(
+    "kind,p,eng,best",
+    [
+        ("cross_pair_max", Params(n=8, k=3, r=2), "brute", 42),
+        ("s_union_conditioned_max", Params(n=7, s=5, r=1), "clique", 42),
+        ("diverse_intersecting_max", Params(n=9, k=3, r=1), "clique", 19),
+    ],
+)
+def test_zero_budget_stops_every_kernel_at_the_first_clock_check(
+    request, backend, kind, p, eng, best
+):
+    """With no time at all, the clock check at node 8192 always fires; both
+    backends stop there with the same incumbent."""
+    if backend == "compiled":
+        request.getfixturevalue("compiled")
+    with pytest.raises(TimeBudgetExceededError) as info:
+        solve(Problem(kind, p, eng), max_seconds=0, backend=backend)
+    assert str(info.value) == "search exceeded its time budget after 8192 nodes"
+    assert info.value.best_so_far == best
+
+
+@pytest.mark.parametrize("eng", ["shifted", "clique"])
+def test_shifted_diversity_engine_times_out_like_the_kernels(monkeypatch, eng):
+    monkeypatch.setattr(pykern, "_CHECK_MASK", 0)  # read the clock at every node
+    problem = Problem("diverse_intersecting_max", Params(n=9, k=3, r=1), eng)
+    with pytest.raises(TimeBudgetExceededError) as info:
+        solve(problem, max_seconds=0, backend="python")
+    assert str(info.value) == "search exceeded its time budget after 1 nodes"
+    assert info.value.best_so_far == -1
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize(
     "kind,p,eng",
     [
         ("hemibundled_max", Params(n=6, k=2, t=0, r=1), "brute"),
