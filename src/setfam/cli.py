@@ -255,6 +255,9 @@ def _cmd_verify(args) -> int:
             entry["status"] = "timeout"
             entry["reason"] = str(row.timeout)
             entry["best_so_far"] = str(row.timeout.best_so_far)
+        elif row.infeasible is not None:
+            entry["status"] = "infeasible"
+            entry["reason"] = str(row.infeasible)
         else:
             rep = row.report
             entry["status"] = "ok" if (row.bound_ok and row.classes_ok is not False) else "mismatch"
@@ -284,6 +287,8 @@ def _cmd_verify(args) -> int:
             elif status == "timeout":
                 best = entry["best_so_far"]
                 print(f"TIME  {pstr:30s} {entry['reason']} (best so far: {best})")
+            elif status == "infeasible":
+                print(f"INFS  {pstr:30s} {entry['reason']}")
             else:
                 cls_note = "" if entry["classes_ok"] is None else f" classes_ok={entry['classes_ok']}"
                 print(
@@ -293,6 +298,8 @@ def _cmd_verify(args) -> int:
     statuses = {entry["status"] for entry in rows_json}
     if "mismatch" in statuses:
         verdict, code = "MISMATCH", 1
+    elif "infeasible" in statuses:
+        verdict, code = "INFEASIBLE", 3  # the exit code of an infeasible search
     elif "timeout" in statuses:
         verdict, code = "TIMEOUT", 4  # the exit code of a timed-out search
     else:
@@ -343,7 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-timing", action="store_true")
     s.set_defaults(func=_cmd_search)
 
-    v = sub.add_parser("verify", help="sweep a grid: search vs bound vs expected classes")
+    v = sub.add_parser(
+        "verify", help="sweep a grid: search vs bound vs expected classes",
+        description="Sweep a grid: search vs bound vs expected classes.  Exit codes: 0 every "
+        "row verified or skipped, 1 any mismatch, else 3 any infeasible row, else 4 any "
+        "timed-out row.",
+    )
     v.add_argument("theorem", choices=sorted(THEOREMS))
     v.add_argument("--grid", required=True)
     v.add_argument("--engine", default="auto", choices=("auto", "brute", "shifted", "clique"))

@@ -142,7 +142,7 @@ static void pair_rec(Pair *c, bits chosen, int fcount, bits p, bits partner) {
             ub = 2 * gnode; /* |F| <= |partner| caps the sum at twice the partner */
         if (ub < s->best || (!c->collect && ub == s->best))
             return;
-        if (c->pred && (c->pred[i] & ~chosen))
+        if (c->pred[i] & ~chosen)
             continue;
         if (c->compat && (chosen & ~c->compat[i]))
             continue;

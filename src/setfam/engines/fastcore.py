@@ -98,7 +98,7 @@ class Kernels:
         return self._run(
             self._pair_bnb, deadline, m,
             None if compat is None else _words(compat, m),
-            None if pred is None else _words(pred, m),
+            _words(pred, m),
             _words(kill, m), ng, r_min, g_min, bool(g_ge_f), cap_excess,
             None if cap_excess < 0 else (ctypes.c_int * m)(*_rows(selfpos, m)),
         )

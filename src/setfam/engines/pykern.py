@@ -47,7 +47,7 @@ def _over_cap(cap: int) -> InfeasibleInstanceError:
 def pair_bnb(
     m: int,
     compat: list[int] | None,
-    pred: list[int] | None,
+    pred: list[int],
     kill: list[int],
     ng: int,
     r_min: int,
@@ -62,9 +62,7 @@ def pair_bnb(
     chosen candidate kills.
 
     compat[i]   candidates allowed together with i (None: no self constraint)
-    pred[i]     candidates that must already be chosen before i (None: all
-                subsets allowed; otherwise enumerates exactly the down-sets
-                of the dominance order, i.e. the shifted families)
+    pred[i]     candidates that must already be chosen before i
     r_min       minimum |F| for a family to be scored
     g_min       minimum |partner|; the partner only shrinks, so falling
                 below this prunes the whole subtree
@@ -109,7 +107,7 @@ def pair_bnb(
                     return
                 pcount -= 1
                 i = low.bit_length() - 1
-                if pred is not None and pred[i] & ~chosen:
+                if pred[i] & ~chosen:
                     continue
                 if compat is not None and chosen & ~compat[i]:
                     continue

@@ -15,6 +15,11 @@ Engine/kind matrix (auto picks the first listed):
     s_union_max              clique (alias brute)
     s_union_conditioned_max  clique (alias brute)
 
+The brute pair kinds search only the families that contain the least
+candidate (see :func:`build_pair_tables`), so their ``nodes`` count that
+reduced search; ``maximizer_count`` and the class sizes still count labeled
+families, recovered by double counting (:func:`_labeled_classes`).
+
 ``shifted`` is valid where every constraint survives the shifting operator
 (sum objectives with (t+1)-intersecting / cross-intersecting constraints);
 for the diversity problem shifting can lower the diversity, so there the
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from math import comb
 from typing import Callable, Iterator, Optional
 
 from ..bounds import (
@@ -72,6 +78,8 @@ KINDS = (
     "s_union_max",
     "s_union_conditioned_max",
 )
+
+_PAIR_KINDS = ("hemibundled_max", "cross_pair_max", "cross_pair_capped")
 
 _ENGINES = {
     "hemibundled_max": ("shifted", "brute"),
@@ -128,7 +136,7 @@ def _resolve_engine(kind: str, engine: str) -> str:
         return allowed[0]
     if engine == "brute" and "brute" not in allowed and "clique" in allowed:
         return "clique"  # exhaustive engine for graph-shaped kinds
-    if engine == "clique" and kind in ("hemibundled_max", "cross_pair_max", "cross_pair_capped"):
+    if engine == "clique" and kind in _PAIR_KINDS:
         raise ParamRangeError(f"engine 'clique' does not apply to kind {kind!r}")
     if engine not in allowed:
         raise ParamRangeError(f"engine {engine!r} is not valid for kind {kind!r}")
@@ -201,6 +209,28 @@ def classify_maximizers(families: list) -> list[MaximizerClass]:
     return [MaximizerClass(rep, size) for rep, _, size in classes]
 
 
+def _labeled_classes(classes: list[MaximizerClass], n: int) -> list[MaximizerClass]:
+    """Labeled class sizes from a search that kept only the families
+    containing the least j-set, candidate 0.
+
+    A class of j-set families of size f found c0 times has C(n, j) * c0 / f
+    labeled members: count the pairs (F in the class, A in F) both ways;
+    S_n is transitive on the j-sets, so every A lies in c0 class members.
+    The class's least member contains candidate 0, so representatives stay.
+    Raises the cap error when the labeled total exceeds the cap.
+    """
+    out = []
+    for cls in classes:
+        fam = cls.representative[0]
+        size, rest = divmod(comb(n, fam.members[0].bit_count()) * cls.size, len(fam))
+        if rest:
+            raise AssertionError(f"class of {fam} was found {cls.size} times, not a whole orbit")
+        out.append(MaximizerClass(cls.representative, size))
+    if sum(c.size for c in out) > pykern.MAXIMIZER_CAP:
+        raise pykern._over_cap(pykern.MAXIMIZER_CAP)
+    return out
+
+
 # ------------------------------------------------------------------ engines
 
 
@@ -224,7 +254,7 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
         (n, k, r) = p.require("n", "k", "r")
         tabs = build_pair_tables(n, k, k, t_inter=None, shifted=False, with_selfpos=True)
         best, maxers, nodes = kern.pair_bnb(
-            len(tabs.cands), None, None, tabs.kill, len(tabs.gmasks),
+            len(tabs.cands), None, tabs.pred, tabs.kill, len(tabs.gmasks),
             r, r, False, r - 1, tabs.selfpos, deadline,
         )
     pairs = []
@@ -365,7 +395,7 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
     backend_name = backend or engines.DEFAULT_BACKEND
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     start = time.monotonic()
-    if problem.kind in ("hemibundled_max", "cross_pair_max", "cross_pair_capped"):
+    if problem.kind in _PAIR_KINDS:
         optimum, maxers, nodes = _solve_pair(problem.kind, p, engine, backend_name, deadline)
     elif problem.kind == "diverse_intersecting_max":
         if engine == "shifted":
@@ -380,7 +410,9 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
             "no admissible family satisfies the side constraints at these parameters"
         )
     bound = bound_for(problem.kind, p)
-    classes = tuple(classify_maximizers(maxers))
+    classes = classify_maximizers(maxers)
+    if engine == "brute" and problem.kind in _PAIR_KINDS:
+        classes = _labeled_classes(classes, p.n)
     if problem.kind == "diverse_intersecting_max" and engine == "shifted":
         backend_name = "python"  # the lower-bound traversal has no compiled twin
     return SearchReport(
@@ -391,8 +423,8 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
         optimum=optimum,
         bound=bound,
         matches_bound=optimum == bound.value,
-        maximizer_count=len(maxers),
-        classes=classes,
+        maximizer_count=sum(c.size for c in classes),
+        classes=tuple(classes),
         nodes=nodes,
         elapsed=elapsed,
         note=_NOTES.get((problem.kind, engine)),

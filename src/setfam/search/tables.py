@@ -83,7 +83,7 @@ class PairTables:
     cands: list[int]       # F-side candidate masks
     gmasks: list[int]      # partner universe masks
     compat: list[int] | None
-    pred: list[int] | None
+    pred: list[int]
     kill: list[int]
     selfpos: list[int] | None
 
@@ -98,7 +98,17 @@ def build_pair_tables(
 ) -> PairTables:
     """F-candidates are the f_size-subsets of [n], partner universe the
     g_size-subsets.  ``t_inter`` (when given) restricts F to pairwise
-    intersections of at least that depth."""
+    intersections of at least that depth.
+
+    ``pred`` makes every candidate but the least one require candidate 0,
+    so the kernel searches only the families that contain it.  The pair
+    objectives and constraints are unchanged by relabeling and S_n is
+    transitive on the f_size-sets, so every non-empty family has a
+    relabeling that contains candidate 0: the optimum is unchanged, and the
+    callers recover labeled maximizer counts by double counting.  With
+    ``shifted`` it is the dominance order instead (down-sets, the shifted
+    families), which already puts candidate 0 below every other candidate.
+    """
     cands = layer_masks(n, f_size)
     gmasks = layer_masks(n, g_size)
     m = len(cands)
@@ -108,7 +118,7 @@ def build_pair_tables(
         f"partner universe C({n},{g_size}) = {len(gmasks)} exceeds {MAX_PARTNER}",
     )
     compat = overlap_table(cands, cands, n, t_inter) if t_inter is not None else None
-    pred = dominance_pred(cands) if shifted else None
+    pred = dominance_pred(cands) if shifted else [0] + [1] * (m - 1)
     kill = disjoint_table(cands, gmasks, n)
     selfpos = None
     if with_selfpos:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..bounds import Params
-from ..errors import ParamRangeError, TimeBudgetExceededError
+from ..errors import InfeasibleInstanceError, ParamRangeError, TimeBudgetExceededError
 from ..family import are_isomorphic
 from .expected import expected_classes
 from .problems import Problem, SearchReport, solve
@@ -105,6 +105,7 @@ class VerifyRow:
     bound_ok: Optional[bool]
     classes_ok: Optional[bool]  # None when no characterization is asserted
     timeout: Optional[TimeBudgetExceededError] = None  # the search ran out of time
+    infeasible: Optional[InfeasibleInstanceError] = None  # an instance limit stopped it
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ class VerifyResult:
         for row in self.rows:
             if row.skipped:
                 continue
-            if row.timeout is not None or row.bound_ok is False or row.classes_ok is False:
+            if row.report is None or row.bound_ok is False or row.classes_ok is False:
                 return False
         return True
 
@@ -157,7 +158,9 @@ def _run_row(theorem: str, env: dict[str, int], engine: str, max_seconds) -> Ver
     try:
         report = solve(Problem(kind, params, engine), max_seconds=max_seconds)
     except TimeBudgetExceededError as exc:
-        return VerifyRow(params, None, None, None, None, exc.with_traceback(None))
+        return VerifyRow(params, None, None, None, None, timeout=exc.with_traceback(None))
+    except InfeasibleInstanceError as exc:
+        return VerifyRow(params, None, None, None, None, infeasible=exc.with_traceback(None))
     if mode == "equality":
         bound_ok = report.optimum == report.bound.value
     else:

@@ -149,7 +149,7 @@ def test_verify_skips_out_of_range_rows(capsys):
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     import setfam.cli as cli_mod
     from setfam.bounds import Params
-    from setfam.errors import TimeBudgetExceededError
+    from setfam.errors import InfeasibleInstanceError, TimeBudgetExceededError
     from setfam.search import Problem, solve
     from setfam.search.verify import VerifyResult, VerifyRow
 
@@ -157,11 +157,20 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     row = VerifyRow(report.params, None, report, False, None)
     timeout = TimeBudgetExceededError("search exceeded its time budget after 8192 nodes", 7)
     timed_out = VerifyRow(report.params, None, None, None, None, timeout)
+    capped = InfeasibleInstanceError("maximizer enumeration exceeded the cap of 200000")
+    infeasible = VerifyRow(report.params, None, None, None, None, infeasible=capped)
 
-    for rows, expected in (([row], 1), ([timed_out, row], 1), ([timed_out], 4)):
+    for rows, expected in (
+        ([row], 1),
+        ([timed_out, row], 1),
+        ([timed_out], 4),
+        ([infeasible, row], 1),
+        ([timed_out, infeasible], 3),
+        ([infeasible], 3),
+    ):
         monkeypatch.setattr(cli_mod, "verify_grid", lambda *a, _rows=rows, **k: VerifyResult("f16", _rows))
         code = main(["verify", "f16", "--grid", "k=2;t=0;n=5"])
-        assert code == expected  # a mismatch outranks a timeout
+        assert code == expected  # a mismatch outranks an infeasible row, which outranks a timeout
 
 
 def test_bound_union_accepts_s_or_d(capsys):
@@ -273,7 +282,7 @@ def test_python_search_json_matches_stored_output(capsys, name, args):
 
 
 def test_verify_reports_timed_out_rows_and_runs_the_rest(capsys):
-    # k=2 needs 396 nodes; k=3 reaches the first clock check at node 8192
+    # k=2 needs 79 nodes; k=3 reaches the first clock check at node 8192
     argv = ("verify", "f24", "--grid", "n=7;k=2..3;r=2", "--engine", "brute",
             "--max-seconds", "0")
     code, out, _ = run(capsys, *argv, "--json", "--no-timing")
@@ -293,3 +302,25 @@ def test_verify_reports_timed_out_rows_and_runs_the_rest(capsys):
     assert lines[0].startswith("OK  ") and lines[1].startswith("TIME  ")
     assert lines[1].endswith("after 8192 nodes (best so far: 30)")
     assert lines[-1] == "TIMEOUT"
+
+
+def test_verify_reports_infeasible_rows_and_runs_the_rest(capsys):
+    # n=6 has more labeled maximizers than the cap; n=7 has 35 in one class
+    argv = ("verify", "f24", "--grid", "k=3;n=6..7;r=1", "--engine", "brute")
+    code, out, _ = run(capsys, *argv, "--json", "--no-timing")
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["ok"] is False
+    assert obj["rows"][0] == {
+        "params": {"k": 3, "n": 6, "r": 1},
+        "status": "infeasible",
+        "reason": "maximizer enumeration exceeded the cap of 200000",
+    }
+    assert obj["rows"][1]["status"] == "ok"
+    assert obj["rows"][1]["maximizer_count"] == 35
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0].startswith("INFS  ") and lines[0].endswith("exceeded the cap of 200000")
+    assert lines[1].startswith("OK  ")
+    assert lines[-1] == "INFEASIBLE"

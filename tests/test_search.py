@@ -26,6 +26,7 @@ from setfam.search import (
     solve,
 )
 from setfam.search.expected import expected_classes
+from setfam.search.problems import MaximizerClass, _labeled_classes
 from setfam.search.tables import shifted_family_count_reference
 from setfam.search.verify import _classes_match
 from setfam.shifting import is_shifted, max_cross_partner
@@ -432,6 +433,26 @@ def test_maximizer_cap_raises_the_same_error(request, monkeypatch, backend, kind
     monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 3)
     with pytest.raises(InfeasibleInstanceError, match=r"^maximizer enumeration exceeded the cap of 3$"):
         solve(Problem(kind, p, eng), backend=backend)
+
+
+def test_maximizer_cap_counts_labeled_families(monkeypatch):
+    """f24 (7,3,1) has one class, the 35 single sets; the reduced search
+    finds only the one containing candidate 0, but the cap counts all 35."""
+    problem = Problem("cross_pair_max", Params(n=7, k=3, r=1), "brute")
+    monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 35)
+    rep = solve(problem)
+    assert rep.maximizer_count == 35 and [c.size for c in rep.classes] == [35]
+    monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 34)
+    with pytest.raises(InfeasibleInstanceError, match=r"^maximizer enumeration exceeded the cap of 34$"):
+        solve(problem)
+
+
+def test_labeled_class_sizes_must_be_whole_orbits():
+    # a 3-edge star in K5: 20 labeled copies, 6 of them contain the edge {1, 2}
+    pair = (fam(5, {1, 2}, {1, 3}, {1, 4}), fam(5, {1, 2}, {1, 3}, {1, 4}, {1, 5}))
+    assert _labeled_classes([MaximizerClass(pair, 6)], 5) == [MaximizerClass(pair, 20)]
+    with pytest.raises(AssertionError, match="not a whole orbit"):
+        _labeled_classes([MaximizerClass(pair, 1)], 5)  # 10 * 1 / 3 is no class size
 
 
 def test_compiled_verify_rows_agree_across_threads(compiled):

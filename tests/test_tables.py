@@ -69,6 +69,7 @@ def test_pair_tables_match_pairwise_definitions(n, f_size, g_size, t_inter):
             for a in cands
         ]
     assert tabs.selfpos == [gmasks.index(a) if a in gmasks else -1 for a in cands]
+    assert tabs.pred == [0] + [1] * (len(cands) - 1)  # every family contains candidate 0
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3), (8, 3), (8, 4), (9, 3)])
