@@ -109,12 +109,13 @@ typedef struct {
     Search *s;
     const word *compat, *pred, *kill;
     const int *selfpos;
+    bits rmask;
     int r_min, g_min, g_ge_f, cap_excess, collect;
 } Pair;
 
-/* The score of an admissible family, or -1. */
-static int pair_score(const Pair *c, bits child, int fc, int gc, bits partner) {
-    if (fc < c->r_min)
+/* The score of an admissible family with rc members inside rmask, or -1. */
+static int pair_score(const Pair *c, bits child, int fc, int rc, int gc, bits partner) {
+    if (rc < c->r_min)
         return -1;
     if (c->cap_excess < 0)
         return fc + gc;
@@ -128,7 +129,7 @@ static int pair_score(const Pair *c, bits child, int fc, int gc, bits partner) {
     return gc - over < c->r_min ? -1 : fc + gc - over;
 }
 
-static void pair_rec(Pair *c, bits chosen, int fcount, bits p, bits partner) {
+static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits partner) {
     Search *s = c->s;
     if (tick(s))
         return;
@@ -150,7 +151,8 @@ static void pair_rec(Pair *c, bits chosen, int fcount, bits p, bits partner) {
         int fc = fcount + 1, gc = pop(child_partner);
         if (gc < c->g_min || (c->g_ge_f && gc < fc))
             continue;
-        int g = pair_score(c, child, fc, gc, child_partner);
+        int rc = rcount + (int)(c->rmask >> i & 1);
+        int g = pair_score(c, child, fc, rc, gc, child_partner);
         if (g >= 0) {
             if (c->collect) {
                 if (g == s->best && push(s, &child))
@@ -164,23 +166,26 @@ static void pair_rec(Pair *c, bits chosen, int fcount, bits p, bits partner) {
         if (c->g_ge_f && 2 * gc < child_ub)
             child_ub = 2 * gc;
         if (child_ub > s->best || (c->collect && child_ub == s->best)) {
-            pair_rec(c, child, fc, child_p, child_partner);
+            pair_rec(c, child, fc, rc, child_p, child_partner);
             if (s->status)
                 return;
         }
     }
 }
 
+/* rmask holds the candidates that count toward r_min: all of them for the
+   pair kinds, those avoiding element 1 for shifted diversity. */
 int pair_bnb(Search *s, int m, const word *compat, const word *pred, const word *kill,
-             int ng, int r_min, int g_min, int g_ge_f, int cap_excess, const int *selfpos) {
-    Pair c = {s, compat, pred, kill, selfpos, r_min, g_min, g_ge_f, cap_excess, 0};
+             int ng, const word *rmask, int r_min, int g_min, int g_ge_f, int cap_excess,
+             const int *selfpos) {
+    Pair c = {s, compat, pred, kill, selfpos, rmask[0], r_min, g_min, g_ge_f, cap_excess, 0};
     s->width = 1;
     s->best = -1;
     /* pass 1 proves the optimum; pass 2 collects every family tying it */
-    pair_rec(&c, 0, 0, full(m), full(ng));
+    pair_rec(&c, 0, 0, 0, full(m), full(ng));
     if (!s->status && s->best >= 0) {
         c.collect = 1;
-        pair_rec(&c, 0, 0, full(m), full(ng));
+        pair_rec(&c, 0, 0, 0, full(m), full(ng));
     }
     return s->status;
 }

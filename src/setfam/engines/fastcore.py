@@ -59,7 +59,7 @@ class Kernels:
         i, w = ctypes.c_int, ctypes.c_char_p
         search = ctypes.POINTER(_Search)
         signatures = {
-            "pair_bnb": [i, w, w, w, i, i, i, i, i, ctypes.POINTER(i)],
+            "pair_bnb": [i, w, w, w, i, w, i, i, i, i, ctypes.POINTER(i)],
             "clique_bnb": [i, w, i, w, w, i, i],
             "diversity_bnb": [i, w, w, w, i, w, i, i],
         }
@@ -91,7 +91,7 @@ class Kernels:
         items = list(zip(words[::2], words[1::2])) if s.width == 2 else words
         return s.best, items, s.nodes
 
-    def pair_bnb(self, m, compat, pred, kill, ng, r_min, g_min, g_ge_f, cap_excess,
+    def pair_bnb(self, m, compat, pred, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess,
                  selfpos, deadline=None):
         """See :func:`setfam.engines.pykern.pair_bnb`."""
         _require_width(m, ng)
@@ -99,7 +99,7 @@ class Kernels:
             self._pair_bnb, deadline, m,
             None if compat is None else _words(compat, m),
             _words(pred, m),
-            _words(kill, m), ng, r_min, g_min, bool(g_ge_f), cap_excess,
+            _words(kill, m), ng, _words([rmask], 1), r_min, g_min, bool(g_ge_f), cap_excess,
             None if cap_excess < 0 else (ctypes.c_int * m)(*_rows(selfpos, m)),
         )
 

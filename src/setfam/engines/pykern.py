@@ -11,8 +11,10 @@ Both implement the same three entry points, and these must match exactly:
 
 Reports are therefore byte-identical across backends, and a change to the
 traversal of one kernel must be made to both.  Per-node bookkeeping may
-differ: for example, pykern carries candidate counts down the recursion and
-does not store the colour classes that cannot reach the incumbent.  All
+differ: for example, pykern carries candidate counts and the number of
+``rmask`` members still needed down the recursion, where the C twin counts
+the chosen ones, and does not store the colour classes that cannot reach
+the incumbent.  All
 index sets are plain int bitsets (candidate universes are capped at 128
 entries by the callers, the width of the C kernels' bitsets).
 
@@ -50,6 +52,7 @@ def pair_bnb(
     pred: list[int],
     kill: list[int],
     ng: int,
+    rmask: int,
     r_min: int,
     g_min: int,
     g_ge_f: bool,
@@ -63,7 +66,10 @@ def pair_bnb(
 
     compat[i]   candidates allowed together with i (None: no self constraint)
     pred[i]     candidates that must already be chosen before i
-    r_min       minimum |F| for a family to be scored
+    rmask       candidates that count toward r_min: all of them for the pair
+                kinds, those avoiding element 1 for shifted diversity
+    r_min       minimum number of chosen members inside rmask for a family
+                to be scored
     g_min       minimum |partner|; the partner only shrinks, so falling
                 below this prunes the whole subtree
     g_ge_f      require |partner| >= |F| (violations prune whole subtrees:
@@ -89,7 +95,7 @@ def pair_bnb(
         # bar = best - slack: a bound at or below it prunes.  slack is 0 while
         # proving (only a strict gain counts) and 1 while collecting ties.
 
-        def rec(chosen: int, fcount: int, p: int, pcount: int, partner: int) -> None:
+        def rec(chosen: int, fcount: int, need: int, p: int, pcount: int, partner: int) -> None:
             nonlocal bar, nodes
             nodes += 1
             if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
@@ -98,7 +104,6 @@ def pair_bnb(
             base = fcount + gnode
             twice = 2 * gnode  # |F| <= |partner| caps the sum at twice the partner
             fc = fcount + 1
-            scored = fc >= r_min
             while p:
                 low = p & -p
                 p ^= low
@@ -116,7 +121,9 @@ def pair_bnb(
                 if gc < g_min or (g_ge_f and gc < fc):
                     continue
                 size = fc + gc
-                if scored:
+                # rmask members still missing for r_min; 0 stays 0
+                cneed = need and (need - 1 if low & rmask else need)
+                if not cneed:
                     g = size
                     if cap_excess >= 0:
                         over = -cap_excess
@@ -144,9 +151,9 @@ def pair_bnb(
                     child_p = p & compat[i]
                     child_pcount = child_p.bit_count()
                 if size + child_pcount > bar and not (g_ge_f and 2 * gc <= bar):
-                    rec(chosen | low, fc, child_p, child_pcount, child_partner)
+                    rec(chosen | low, fc, cneed, child_p, child_pcount, child_partner)
 
-        rec(0, 0, (1 << m) - 1, m, (1 << ng) - 1)
+        rec(0, 0, max(r_min, 0), (1 << m) - 1, m, (1 << ng) - 1)
         return bar + slack
 
     optimum = run(0, -1, None)

@@ -24,6 +24,9 @@ families, recovered by double counting (:func:`_labeled_classes`).
 (sum objectives with (t+1)-intersecting / cross-intersecting constraints);
 for the diversity problem shifting can lower the diversity, so there the
 shifted engine is only a lower bound and full validation uses ``clique``.
+That engine runs the pair kernel with an empty partner universe, counting
+toward r only the members that avoid element 1, so like every engine it
+runs on either backend and its report names the backend that ran.
 The overlap cap of cross_pair_capped can grow under joint shifts, so only
 ``brute`` applies.
 """
@@ -54,7 +57,6 @@ from .tables import (
     build_pair_tables,
     build_union_tables,
     dominance_pred,
-    overlap_table,
 )
 
 __all__ = [
@@ -239,24 +241,20 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
     if kind == "hemibundled_max":
         (n, k, t, r) = p.require("n", "k", "t", "r")
         tabs = build_pair_tables(n, k + t, k, t_inter=t + 1, shifted=engine == "shifted")
-        best, maxers, nodes = kern.pair_bnb(
-            len(tabs.cands), tabs.compat, tabs.pred, tabs.kill, len(tabs.gmasks),
-            r, 0, False, -1, None, deadline,
-        )
+        rules = (r, 0, False, -1)  # r_min, g_min, g_ge_f, cap_excess
     elif kind == "cross_pair_max":
         (n, k, r) = p.require("n", "k", "r")
         tabs = build_pair_tables(n, k, k, t_inter=None, shifted=engine == "shifted")
-        best, maxers, nodes = kern.pair_bnb(
-            len(tabs.cands), None, tabs.pred, tabs.kill, len(tabs.gmasks),
-            r, r, True, -1, None, deadline,
-        )
+        rules = (r, r, True, -1)
     else:  # cross_pair_capped
         (n, k, r) = p.require("n", "k", "r")
         tabs = build_pair_tables(n, k, k, t_inter=None, shifted=False, with_selfpos=True)
-        best, maxers, nodes = kern.pair_bnb(
-            len(tabs.cands), None, tabs.pred, tabs.kill, len(tabs.gmasks),
-            r, r, False, r - 1, tabs.selfpos, deadline,
-        )
+        rules = (r, r, False, r - 1)
+    m = len(tabs.cands)
+    best, maxers, nodes = kern.pair_bnb(
+        m, tabs.compat, tabs.pred, tabs.kill, len(tabs.gmasks), (1 << m) - 1,
+        *rules, tabs.selfpos, deadline,
+    )
     pairs = []
     full_g = (1 << len(tabs.gmasks)) - 1
     for chosen in maxers:
@@ -313,55 +311,26 @@ def _solve_diversity_clique(p: Params, backend: str, deadline):
     return best, fams, nodes
 
 
-def _solve_diversity_shifted(p: Params, deadline):
+def _solve_diversity_shifted(p: Params, backend: str, deadline):
     """Lower-bound engine: best shifted intersecting family with diversity
     at least r.  Shifting can decrease diversity, so a non-shifted family
     could in principle beat every shifted one; the clique engine is the
     validator.
 
-    Every node is a down-set of the dominance order, so element degrees
-    fall as the label rises and the diversity is the number of chosen
-    members avoiding element 1; that count is carried down the recursion.
+    The pair kernel runs with an empty partner universe over the down-sets
+    of the dominance order.  In a down-set element degrees fall as the
+    label rises, so the diversity is the number of members avoiding
+    element 1: those candidates are the ones counted toward r.
     """
     (n, k, r) = p.require("n", "k", "r")
-    masks = layer_masks(n, k)
-    m = len(masks)
-    if m > MAX_CANDIDATES:
-        raise InfeasibleInstanceError(f"C({n},{k}) = {m} exceeds {MAX_CANDIDATES}")
-    pred = dominance_pred(masks)
-    compat = overlap_table(masks, masks, n, 1)
-    state = [-1, [], 0]  # best size, chosen bitsets of maximizers, nodes
-
-    def rec(chosen: int, size: int, avoid: int, pbits: int) -> None:
-        nodes = state[2] = state[2] + 1
-        if not nodes & pykern._CHECK_MASK and deadline is not None and time.monotonic() > deadline:
-            raise pykern._over_time(nodes, state[0])
-        while pbits:
-            low = pbits & -pbits
-            i = low.bit_length() - 1
-            pbits ^= low
-            if size + 1 + pbits.bit_count() < state[0]:
-                return
-            if pred[i] & ~chosen:
-                continue
-            if chosen & ~compat[i]:
-                continue
-            child = chosen | low
-            child_avoid = avoid + (not masks[i] & 1)
-            if child_avoid >= r:
-                if size + 1 > state[0]:
-                    state[0] = size + 1
-                    state[1] = [child]
-                elif size + 1 == state[0]:
-                    state[1].append(child)
-            rec(child, size + 1, child_avoid, pbits & compat[i])
-
-    if r == 0:
-        state[0] = 0
-        state[1] = [0]
-    rec(0, 0, 0, (1 << m) - 1)
-    fams = [Family.of_masks(n, [masks[i] for i in _bits(c)]) for c in state[1]]
-    return state[0], fams, state[2]
+    tabs = build_pair_tables(n, k, k, t_inter=1, shifted=True)
+    avoid_1 = sum(1 << i for i, a in enumerate(tabs.cands) if not a & 1)
+    best, maxers, nodes = engines.backend_module(backend).pair_bnb(
+        len(tabs.cands), tabs.compat, tabs.pred, tabs.kill, 0, avoid_1,
+        r, 0, False, -1, None, deadline,
+    )
+    fams = [Family.of_masks(n, [tabs.cands[i] for i in _bits(c)]) for c in maxers]
+    return best, fams, nodes
 
 
 def _bits(x: int) -> Iterator[int]:
@@ -399,7 +368,7 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
         optimum, maxers, nodes = _solve_pair(problem.kind, p, engine, backend_name, deadline)
     elif problem.kind == "diverse_intersecting_max":
         if engine == "shifted":
-            optimum, maxers, nodes = _solve_diversity_shifted(p, deadline)
+            optimum, maxers, nodes = _solve_diversity_shifted(p, backend_name, deadline)
         else:
             optimum, maxers, nodes = _solve_diversity_clique(p, backend_name, deadline)
     else:
@@ -413,8 +382,6 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
     classes = classify_maximizers(maxers)
     if engine == "brute" and problem.kind in _PAIR_KINDS:
         classes = _labeled_classes(classes, p.n)
-    if problem.kind == "diverse_intersecting_max" and engine == "shifted":
-        backend_name = "python"  # the lower-bound traversal has no compiled twin
     return SearchReport(
         kind=problem.kind,
         params=p,
@@ -476,8 +443,6 @@ def check_layer_inequality(F: Family, s: int) -> list[LayerBound]:
     family, 1 <= i <= s/2.  A tight layer must have F_i full and F_{s+1-i}
     empty; ``equality_form_ok`` false flags a counterexample to the
     implementation, not to the inequality."""
-    from math import comb
-
     if not is_s_union(F, s):
         raise ParamRangeError("family is not s-union for the given s")
     rows = []

@@ -15,8 +15,10 @@ from ..errors import InfeasibleInstanceError
 from ..family import elements_of, layer_masks
 from ..shifting import dominates
 
-MAX_CANDIDATES = 128
-MAX_PARTNER = 128
+MAX_CANDIDATES = 128  # the width of the C kernels' bitsets
+# Lower than the bitset width on purpose: at 128, the diversity clique rows
+# k=4, n=10, r=1..3 (84 star members) each ran out of a 60 s budget after
+# over 100M compiled-kernel nodes instead of failing at once.
 MAX_AMEMBERS = 64
 
 
@@ -114,8 +116,8 @@ def build_pair_tables(
     m = len(cands)
     _require(m <= MAX_CANDIDATES, f"candidate universe C({n},{f_size}) = {m} exceeds {MAX_CANDIDATES}")
     _require(
-        len(gmasks) <= MAX_PARTNER,
-        f"partner universe C({n},{g_size}) = {len(gmasks)} exceeds {MAX_PARTNER}",
+        len(gmasks) <= MAX_CANDIDATES,
+        f"partner universe C({n},{g_size}) = {len(gmasks)} exceeds {MAX_CANDIDATES}",
     )
     compat = overlap_table(cands, cands, n, t_inter) if t_inter is not None else None
     pred = dominance_pred(cands) if shifted else [0] + [1] * (m - 1)

@@ -54,17 +54,7 @@ def fully_shift(F: Family) -> Family:
     not a canonical one; the sum of all member elements strictly decreases
     on every effective shift, so the sweep terminates.
     """
-    cur = F
-    changed = True
-    while changed:
-        changed = False
-        for j in range(2, F.n + 1):
-            for i in range(1, j):
-                nxt = shift_once(cur, i, j)
-                if nxt != cur:
-                    cur = nxt
-                    changed = True
-    return cur
+    return fully_shift_pair(F, Family(F.n, ()))[0]
 
 
 def fully_shift_pair(F: Family, G: Family) -> tuple[Family, Family]:
@@ -159,12 +149,6 @@ def lex_family(n: int, k: int, m: int) -> Family:
     for combo in itertools.islice(itertools.combinations(range(1, n + 1), k), m):
         masks.append(mask_of(combo, n))
     return Family.of_masks(n, masks)
-
-
-def lex_key(mask: int):
-    """Sort key realizing the comparator min(A\\B) < min(B\\A); equals
-    ascending-tuple order (unit-tested equivalence)."""
-    return elements_of(mask)
 
 
 def disjointness_family(F: Family, ell: int) -> Family:

@@ -235,18 +235,8 @@ def test_shifted_verify_json_matches_stored_output(capsys, theorem, grid, expect
     assert out == stored
 
 
-@pytest.mark.parametrize("n,k,r", [(9, 3, 1), (9, 4, 2), (10, 3, 4)])
-def test_shifted_diversity_search_json_matches_stored_output(capsys, n, k, r):
-    code, out, _ = run(
-        capsys, "search", "diverse_intersecting_max", "--n", str(n), "--k", str(k),
-        "--r", str(r), "--engine", "shifted", "--json", "--no-timing",
-    )
-    assert code == 0
-    assert out == (DATA / f"search_diversity_shifted_n{n}_k{k}_r{r}.json").read_text()
-
-
-# One instance per pure-Python kernel mode; the stored output (``nodes``
-# included) was written by the kernels before their per-node costs were cut.
+# One instance per pure-Python kernel mode; the stored output includes
+# ``nodes``, so any change to a traversal shows here.
 PYTHON_SEARCHES = [
     # pair kernel, g_ge_f
     ("cross_pair_max_brute_n8_k2_r1", "cross_pair_max --n 8 --k 2 --r 1 --engine brute"),
@@ -269,6 +259,13 @@ PYTHON_SEARCHES = [
      "diverse_intersecting_max --n 7 --k 3 --r 0 --engine clique"),
     ("diverse_intersecting_max_clique_n8_k3_r2",
      "diverse_intersecting_max --n 8 --k 3 --r 2 --engine clique"),
+    # pair kernel, empty partner, pred and an rmask that is not all ones
+    ("diverse_intersecting_max_shifted_n9_k3_r1",
+     "diverse_intersecting_max --n 9 --k 3 --r 1 --engine shifted"),
+    ("diverse_intersecting_max_shifted_n9_k4_r2",
+     "diverse_intersecting_max --n 9 --k 4 --r 2 --engine shifted"),
+    ("diverse_intersecting_max_shifted_n10_k3_r4",
+     "diverse_intersecting_max --n 10 --k 3 --r 4 --engine shifted"),
 ]
 
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -337,8 +338,9 @@ def test_reports_are_deterministic():
 
 def test_compiled_kernels_replay_every_pykern_call(compiled_kernels, monkeypatch):
     """Record the pykern calls of solves of all six kinds (every clique
-    constraint kind, diversity with r = 0 and r > 0, capped pairs) and
-    replay each on the compiled kernels."""
+    constraint kind, diversity with r = 0 and r > 0, capped pairs, shifted
+    diversity through the pair kernel) and replay each on the compiled
+    kernels."""
     calls = []
     for name in ("pair_bnb", "clique_bnb", "diversity_bnb"):
         def record(*args, _kernel=getattr(pykern, name), _name=name):
@@ -359,10 +361,15 @@ def test_compiled_kernels_replay_every_pykern_call(compiled_kernels, monkeypatch
         ("s_union_conditioned_max", Params(n=7, s=5, r=1), "clique"),
         ("diverse_intersecting_max", Params(n=8, k=3, r=2), "clique"),
         ("diverse_intersecting_max", Params(n=7, k=3, r=0), "clique"),
+        ("diverse_intersecting_max", Params(n=9, k=3, r=1), "shifted"),
+        ("diverse_intersecting_max", Params(n=9, k=4, r=2), "shifted"),
+        ("diverse_intersecting_max", Params(n=8, k=3, r=0), "shifted"),
     ]
     for kind, p, eng in cases:
         solve(Problem(kind, p, eng), backend="python")
     assert {name for name, _, _ in calls} == {"pair_bnb", "clique_bnb", "diversity_bnb"}
+    # the shifted diversity calls count only the members avoiding element 1
+    assert sum(args[5] != (1 << args[0]) - 1 for name, args, _ in calls if name == "pair_bnb") == 3
     for name, args, expected in calls:
         assert getattr(compiled_kernels, name)(*args) == expected, (name, args[0])
 
@@ -453,6 +460,13 @@ def test_labeled_class_sizes_must_be_whole_orbits():
     assert _labeled_classes([MaximizerClass(pair, 6)], 5) == [MaximizerClass(pair, 20)]
     with pytest.raises(AssertionError, match="not a whole orbit"):
         _labeled_classes([MaximizerClass(pair, 1)], 5)  # 10 * 1 / 3 is no class size
+
+
+def test_shifted_diversity_reports_the_backend_that_ran(compiled):
+    problem = Problem("diverse_intersecting_max", Params(n=9, k=4, r=2), "shifted")
+    fast, slow = solve(problem), solve(problem, backend="python")
+    assert (fast.backend, slow.backend) == ("compiled", "python")
+    assert replace(fast, backend="python", elapsed=0) == replace(slow, elapsed=0)
 
 
 def test_compiled_verify_rows_agree_across_threads(compiled):
