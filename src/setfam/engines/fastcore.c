@@ -194,7 +194,7 @@ int pair_bnb(Search *s, int m, const word *compat, const word *pred, const word 
 
 typedef struct {
     Search *s;
-    const word *adj, *vmasks;
+    const word *adj, *sup, *vmasks;
     bits layer;
     int cons, r, nelems;
     int degs[MAXBITS + 1];
@@ -227,13 +227,23 @@ static void clique_expand(Clique *c, bits q, int qcount, int laycount, bits p) {
             avail &= ~c->adj[v];
         }
     }
+    /* Only down-sets are searched: a maximum feasible s-union family Q is
+       one, since for B inside A in Q every B | C lies inside A | C, and both
+       side constraints survive adding B.  Once v is passed over (branched on
+       or skipped), later cliques avoid v, so a maximum one avoids v's
+       supersets (sup[v]) too: they leave the candidates, while v's own
+       subtree keeps them.  The callers number the vertices in descending
+       mask order, so this walk, from the top index down, meets small sets
+       first. */
     bits local_p = p;
     while (n--) {
         int v = order[n];
+        if (!(local_p >> v & 1))
+            continue;
         if (qcount + colour[n] < s->best)
             return;
-        local_p ^= (bits)1 << v;
         bits child_p = local_p & c->adj[v];
+        local_p &= ~(c->sup[v] | (bits)1 << v);
         int in_layer = (int)(c->layer >> v & 1), lay2 = laycount + in_layer;
         int reach = lay2 + pop(child_p & c->layer);
         if (c->cons == 1 && reach < c->r)
@@ -255,9 +265,9 @@ static void clique_expand(Clique *c, bits q, int qcount, int laycount, bits p) {
     }
 }
 
-int clique_bnb(Search *s, int nverts, const word *adj, int cons_kind, const word *layer,
-               const word *vmasks, int nelems, int r) {
-    Clique c = {s, adj, vmasks, layer[0], cons_kind, r, nelems, {0}};
+int clique_bnb(Search *s, int nverts, const word *adj, const word *sup, int cons_kind,
+               const word *layer, const word *vmasks, int nelems, int r) {
+    Clique c = {s, adj, sup, vmasks, layer[0], cons_kind, r, nelems, {0}};
     s->width = 1;
     s->best = -1;
     clique_expand(&c, 0, 0, 0, full(nverts));

@@ -60,7 +60,7 @@ class Kernels:
         search = ctypes.POINTER(_Search)
         signatures = {
             "pair_bnb": [i, w, w, w, i, w, i, i, i, i, ctypes.POINTER(i)],
-            "clique_bnb": [i, w, i, w, w, i, i],
+            "clique_bnb": [i, w, w, i, w, w, i, i],
             "diversity_bnb": [i, w, w, w, i, w, i, i],
         }
         for name, argtypes in signatures.items():
@@ -103,12 +103,12 @@ class Kernels:
             None if cap_excess < 0 else (ctypes.c_int * m)(*_rows(selfpos, m)),
         )
 
-    def clique_bnb(self, nverts, adj, cons_kind, layer, vmasks, nelems, r, deadline=None):
+    def clique_bnb(self, nverts, adj, sup, cons_kind, layer, vmasks, nelems, r, deadline=None):
         """See :func:`setfam.engines.pykern.clique_bnb`."""
         _require_width(nverts, nelems)
         return self._run(
-            self._clique_bnb, deadline, nverts, _words(adj, nverts), cons_kind,
-            _words([layer], 1), _words(vmasks, nverts), nelems, r,
+            self._clique_bnb, deadline, nverts, _words(adj, nverts), _words(sup, nverts),
+            cons_kind, _words([layer], 1), _words(vmasks, nverts), nelems, r,
         )
 
     def diversity_bnb(self, mh, hcompat, hmasks, akill, na, avoid_a, r, nelems,

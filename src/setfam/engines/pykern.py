@@ -166,6 +166,7 @@ def pair_bnb(
 def clique_bnb(
     nverts: int,
     adj: list[int],
+    sup: list[int],
     cons_kind: int,
     layer: int,
     vmasks: list[int],
@@ -182,8 +183,20 @@ def clique_bnb(
                   an nelems-element ground set given by vmasks)
 
     Both constraints survive adding vertices, so maximum feasible cliques
-    are maximal and only leaves need scoring.  Returns (best, maximizers as
-    vertex bitsets, node_count).
+    are maximal and only leaves need scoring.
+
+    sup[v] is the set of vertices whose sets strictly contain v's set, and
+    the search looks only for down-sets: a maximum feasible s-union family Q
+    is one, since for B inside A in Q every union B | C lies inside A | C,
+    so adding B keeps Q s-union and feasible.  Once the walk has passed over
+    v (branched on it or skipped it), every later clique avoids v, so a
+    maximum one avoids v's supersets too, and those leave the candidates at
+    once; v's own subtree keeps them.  The callers number the vertices in
+    descending mask order, so the walk, which goes from the top index down,
+    reaches the small sets first and drops the most supersets.  The set of
+    maximum cliques is unchanged; ``node_count`` counts the pruned search.
+
+    Returns (best, maximizers as vertex bitsets, node_count).
     """
     cap = MAXIMIZER_CAP
     nodes = 0
@@ -191,6 +204,8 @@ def clique_bnb(
     maxers: list[int] = []
     # what may share v's colour class: neither v nor its neighbours
     apart = [~(a | 1 << v) for v, a in enumerate(adj)]
+    # what stays a candidate once v is passed over: neither v nor its supersets
+    keep = [~(u | 1 << v) for v, u in enumerate(sup)]
     elems = [[e + 1 for e in range(nelems) if vm >> e & 1] for vm in vmasks]
     degs = [0] * (nelems + 1)  # degs[e] of element e over chosen layer vertices
 
@@ -233,14 +248,15 @@ def clique_bnb(
                 classes.append(cls)
         local_p = p
         for cls in reversed(classes):
+            cls &= local_p
             while cls:
                 if qcount + colour < best:
                     return
                 v = cls.bit_length() - 1
                 low = 1 << v
-                cls ^= low
-                local_p ^= low
                 child_p = local_p & adj[v]
+                local_p &= keep[v]
+                cls &= local_p
                 in_layer = layer >> v & 1
                 lay2 = laycount + in_layer
                 if cons_kind == 1 and lay2 + (child_p & layer).bit_count() < r:

@@ -19,6 +19,9 @@ The brute pair kinds search only the families that contain the least
 candidate (see :func:`build_pair_tables`), so their ``nodes`` count that
 reduced search; ``maximizer_count`` and the class sizes still count labeled
 families, recovered by double counting (:func:`_labeled_classes`).
+The s-union kinds search only down-sets, which every maximum s-union
+family is (see :func:`setfam.engines.pykern.clique_bnb`), so their
+``nodes`` count that smaller search.
 
 ``shifted`` is valid where every constraint survives the shifting operator
 (sum objectives with (t+1)-intersecting / cross-intersecting constraints);
@@ -287,7 +290,7 @@ def _solve_union(kind: str, p: Params, backend: str, deadline):
         tabs = build_union_tables(n, s, d + 1)
         cons = 1 if s % 2 == 0 else 2
     best, maxers, nodes = kern.clique_bnb(
-        len(tabs.vmasks), tabs.adj, cons, tabs.layer, tabs.vmasks, n, r, deadline
+        len(tabs.vmasks), tabs.adj, tabs.sup, cons, tabs.layer, tabs.vmasks, n, r, deadline
     )
     fams = [
         Family.of_masks(n, [tabs.vmasks[i] for i in _bits(chosen)]) for chosen in maxers
@@ -323,7 +326,7 @@ def _solve_diversity_shifted(p: Params, backend: str, deadline):
     element 1: those candidates are the ones counted toward r.
     """
     (n, k, r) = p.require("n", "k", "r")
-    tabs = build_pair_tables(n, k, k, t_inter=1, shifted=True)
+    tabs = build_pair_tables(n, k, None, t_inter=1, shifted=True)
     avoid_1 = sum(1 << i for i, a in enumerate(tabs.cands) if not a & 1)
     best, maxers, nodes = engines.backend_module(backend).pair_bnb(
         len(tabs.cands), tabs.compat, tabs.pred, tabs.kill, 0, avoid_1,

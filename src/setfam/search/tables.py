@@ -1,15 +1,17 @@
 """Candidate tables consumed by the search kernels.
 
-Candidates are always sorted by numeric bit-vector value; for equal-size
+Layer candidates are sorted by numeric bit-vector value; for equal-size
 sets that order is a linear extension of coordinatewise dominance, which is
 what lets the down-set (shifted family) traversal decide predecessors
-before successors.
+before successors.  The s-union clique vertices run the other way (see
+:func:`build_union_tables`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 from ..errors import InfeasibleInstanceError
 from ..family import elements_of, layer_masks
@@ -93,13 +95,14 @@ class PairTables:
 def build_pair_tables(
     n: int,
     f_size: int,
-    g_size: int,
+    g_size: int | None,
     t_inter: int | None,
     shifted: bool,
     with_selfpos: bool = False,
 ) -> PairTables:
     """F-candidates are the f_size-subsets of [n], partner universe the
-    g_size-subsets.  ``t_inter`` (when given) restricts F to pairwise
+    g_size-subsets, or nothing when g_size is None (every ``kill`` row is
+    then empty).  ``t_inter`` (when given) restricts F to pairwise
     intersections of at least that depth.
 
     ``pred`` makes every candidate but the least one require candidate 0,
@@ -112,7 +115,7 @@ def build_pair_tables(
     families), which already puts candidate 0 below every other candidate.
     """
     cands = layer_masks(n, f_size)
-    gmasks = layer_masks(n, g_size)
+    gmasks = [] if g_size is None else layer_masks(n, g_size)
     m = len(cands)
     _require(m <= MAX_CANDIDATES, f"candidate universe C({n},{f_size}) = {m} exceeds {MAX_CANDIDATES}")
     _require(
@@ -121,7 +124,7 @@ def build_pair_tables(
     )
     compat = overlap_table(cands, cands, n, t_inter) if t_inter is not None else None
     pred = dominance_pred(cands) if shifted else [0] + [1] * (m - 1)
-    kill = disjoint_table(cands, gmasks, n)
+    kill = disjoint_table(cands, gmasks, n) if gmasks else [0] * m
     selfpos = None
     if with_selfpos:
         index = {g: j for j, g in enumerate(gmasks)}
@@ -134,27 +137,39 @@ class CliqueTables:
     n: int
     vmasks: list[int]
     adj: list[int]
+    sup: list[int]        # sup[v]: the vertices whose sets strictly contain v's
     layer: int            # vertex bitset of the constrained layer
 
 
 def build_union_tables(n: int, s: int, constrained_layer: int | None) -> CliqueTables:
     """Vertices are all subsets of [n] with at most s elements; edges join
-    pairs whose union stays within s elements."""
-    _require(1 << n <= MAX_CANDIDATES, f"2^{n} vertices exceed {MAX_CANDIDATES} (need n <= 7)")
-    vmasks = sorted(m for m in range(1 << n) if m.bit_count() <= s)
-    nv = len(vmasks)
+    pairs whose union stays within s elements.
+
+    Vertices are numbered in descending mask order, so the clique kernel,
+    which walks from the top index down, reaches the small sets first.
+    """
+    nv = sum(comb(n, i) for i in range(min(s, n) + 1))
+    _require(
+        nv <= MAX_CANDIDATES,
+        f"the {nv} subsets of [{n}] with at most {s} elements exceed {MAX_CANDIDATES} vertices",
+    )
+    vmasks = sorted((m for i in range(min(s, n) + 1) for m in layer_masks(n, i)), reverse=True)
     adj = [0] * nv
+    sup = [0] * nv
     for i in range(nv):
         for j in range(i + 1, nv):
-            if (vmasks[i] | vmasks[j]).bit_count() <= s:
+            union = vmasks[i] | vmasks[j]
+            if union.bit_count() <= s:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
+                if union == vmasks[i]:  # a strict subset has the smaller mask
+                    sup[j] |= 1 << i
     layer = 0
     if constrained_layer is not None:
         for i, m in enumerate(vmasks):
             if m.bit_count() == constrained_layer:
                 layer |= 1 << i
-    return CliqueTables(n, vmasks, adj, layer)
+    return CliqueTables(n, vmasks, adj, sup, layer)
 
 
 @dataclass(frozen=True)

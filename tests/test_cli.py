@@ -111,7 +111,19 @@ def test_search_json_is_byte_identical(capsys):
 
 def test_search_infeasible_exit_code(capsys):
     code, _, err = run(capsys, "search", "s_union_max", "--n", "8", "--s", "4")
-    assert code == 3 and "infeasible" in err
+    assert code == 3 and "infeasible" in err and "163 subsets" in err
+
+
+def test_katona_verifies_past_n7_while_the_vertices_fit(capsys):
+    # 37 and 93 subsets of [8] with at most s elements: within the 128-vertex width
+    code, out, _ = run(
+        capsys, "verify", "katona", "--grid", "n=8;s=2..3", "--json", "--no-timing"
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(row["params"]["s"], row["bound_ok"], row["classes_ok"]) for row in rows] == [
+        (2, True, True), (3, True, True),
+    ]
 
 
 def test_search_timeout_exit_code(capsys):

@@ -4,9 +4,11 @@ from math import comb
 
 import pytest
 
+from setfam.errors import InfeasibleInstanceError
 from setfam.search.tables import (
     build_diversity_tables,
     build_pair_tables,
+    build_union_tables,
     dominance_pred,
     layer_masks,
 )
@@ -87,3 +89,29 @@ def test_diversity_tables_match_pairwise_definitions(n, k):
         for e in range(1, n + 1)
     ]
 
+
+@pytest.mark.parametrize(
+    "n,s,layer", [(4, 2, None), (5, 3, 2), (6, 4, 3), (7, 5, 3), (8, 3, None), (12, 2, None)]
+)
+def test_union_tables_match_pairwise_definitions(n, s, layer):
+    tabs = build_union_tables(n, s, layer)
+    vmasks = tabs.vmasks
+    # descending masks: the kernel's walk, from the top index down, meets small sets first
+    assert vmasks == sorted((m for m in range(1 << n) if m.bit_count() <= s), reverse=True)
+    assert tabs.adj == [
+        _bitset(j for j, b in enumerate(vmasks) if j != i and (a | b).bit_count() <= s)
+        for i, a in enumerate(vmasks)
+    ]
+    assert tabs.sup == [
+        _bitset(j for j, b in enumerate(vmasks) if a != b and a & b == a) for a in vmasks
+    ]
+    assert tabs.layer == _bitset(i for i, a in enumerate(vmasks) if a.bit_count() == layer)
+
+
+def test_union_tables_count_the_vertices_they_would_hold():
+    # sum_{i <= s} C(n, i) vertices, at most 128 of them
+    for n, s, count in [(7, 7, 128), (8, 3, 93), (15, 2, 121)]:
+        assert len(build_union_tables(n, s, None).vmasks) == count
+    for n, s, count in [(8, 4, 163), (16, 2, 137), (9, 3, 130)]:
+        with pytest.raises(InfeasibleInstanceError, match=f"^the {count} subsets of \\[{n}\\] "):
+            build_union_tables(n, s, None)
