@@ -24,7 +24,7 @@ enum { OK, TIMEOUT, CAP, NOMEM };
 
 typedef struct {
     double deadline;  /* CLOCK_MONOTONIC seconds, as Python's time.monotonic */
-    long long cap;    /* most maximizers a tie may collect */
+    long long cap;    /* most ties of the running incumbent kept */
     long long nodes;
     long long count;  /* maximizers in items */
     long long alloc;  /* entries allocated in items */
@@ -110,7 +110,7 @@ typedef struct {
     const word *compat, *pred, *kill;
     const int *selfpos;
     bits rmask;
-    int r_min, g_min, g_ge_f, cap_excess, collect;
+    int r_min, g_min, g_ge_f, cap_excess;
 } Pair;
 
 /* The score of an admissible family with rc members inside rmask, or -1. */
@@ -141,7 +141,7 @@ static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits 
         int ub = fcount + 1 + pop(p) + gnode;
         if (c->g_ge_f && 2 * gnode < ub)
             ub = 2 * gnode; /* |F| <= |partner| caps the sum at twice the partner */
-        if (ub < s->best || (!c->collect && ub == s->best))
+        if (ub < s->best)
             return;
         if (c->pred[i] & ~chosen)
             continue;
@@ -153,19 +153,16 @@ static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits 
             continue;
         int rc = rcount + (int)(c->rmask >> i & 1);
         int g = pair_score(c, child, fc, rc, gc, child_partner);
-        if (g >= 0) {
-            if (c->collect) {
-                if (g == s->best && push(s, &child))
-                    return;
-            } else if (g > s->best) {
-                s->best = g;
-            }
+        if (g >= 0) { /* -1 marks a skipped family */
+            record(s, g, &child);
+            if (s->status)
+                return;
         }
         bits child_p = c->compat ? p & c->compat[i] : p;
         int child_ub = fc + pop(child_p) + gc;
         if (c->g_ge_f && 2 * gc < child_ub)
             child_ub = 2 * gc;
-        if (child_ub > s->best || (c->collect && child_ub == s->best)) {
+        if (child_ub >= s->best) {
             pair_rec(c, child, fc, rc, child_p, child_partner);
             if (s->status)
                 return;
@@ -178,15 +175,10 @@ static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits 
 int pair_bnb(Search *s, int m, const word *compat, const word *pred, const word *kill,
              int ng, const word *rmask, int r_min, int g_min, int g_ge_f, int cap_excess,
              const int *selfpos) {
-    Pair c = {s, compat, pred, kill, selfpos, rmask[0], r_min, g_min, g_ge_f, cap_excess, 0};
+    Pair c = {s, compat, pred, kill, selfpos, rmask[0], r_min, g_min, g_ge_f, cap_excess};
     s->width = 1;
     s->best = -1;
-    /* pass 1 proves the optimum; pass 2 collects every family tying it */
     pair_rec(&c, 0, 0, 0, full(m), full(ng));
-    if (!s->status && s->best >= 0) {
-        c.collect = 1;
-        pair_rec(&c, 0, 0, 0, full(m), full(ng));
-    }
     return s->status;
 }
 

@@ -21,9 +21,12 @@ entries by the callers, the width of the C kernels' bitsets).
 Soundness notes shared by the kernels:
 
 * Objectives are evaluated at every visited node whose family satisfies the
-  side constraints; a subtree is pruned only when an admissible upper bound
-  is strictly below the incumbent, so ties are always enumerated and the
-  maximizer lists are complete within each engine's documented scope.
+  side constraints.  Each kernel walks its tree once and keeps ties by one
+  rule: a subtree is pruned only when an admissible upper bound is strictly
+  below the incumbent; a family scoring above the incumbent restarts the
+  maximizer list, and one that ties it is appended.  The maximizer lists
+  are therefore complete within each engine's documented scope, and the cap
+  counts the ties of the running incumbent, optimal or not.
 * Partner bitsets only shrink as members are added, which makes
   ``|F| + |remaining| + |partner|`` an admissible bound for the pair kernel.
 """
@@ -81,86 +84,74 @@ def pair_bnb(
     selfpos     position of each candidate inside the partner universe
                 (-1 when absent); required when cap_excess >= 0
 
-    Two passes share the traversal: the first proves the optimum pruning
-    subtrees that cannot strictly improve, the second re-walks collecting
-    every family that ties it (pruning only below the now-known optimum).
-
     Returns (best, maximizers as chosen-index bitsets, node_count).
     """
     cap = MAXIMIZER_CAP
     nodes = 0
+    best = -1
+    maxers: list[int] = []
     keep = [~k for k in kill]
 
-    def run(slack: int, bar: int, sink: list | None) -> int:
-        # bar = best - slack: a bound at or below it prunes.  slack is 0 while
-        # proving (only a strict gain counts) and 1 while collecting ties.
+    def rec(chosen: int, fcount: int, need: int, p: int, pcount: int, partner: int) -> None:
+        nonlocal nodes, best, maxers
+        nodes += 1
+        if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
+            raise _over_time(nodes, best)
+        gnode = partner.bit_count()
+        base = fcount + gnode
+        twice = 2 * gnode  # |F| <= |partner| caps the sum at twice the partner
+        fc = fcount + 1
+        while p:
+            low = p & -p
+            p ^= low
+            # one more member, every remaining candidate, the whole partner
+            if base + pcount < best or (g_ge_f and twice < best):
+                return
+            pcount -= 1
+            i = low.bit_length() - 1
+            if pred[i] & ~chosen:
+                continue
+            if compat is not None and chosen & ~compat[i]:
+                continue
+            child_partner = partner & keep[i]
+            gc = child_partner.bit_count()
+            if gc < g_min or (g_ge_f and gc < fc):
+                continue
+            size = fc + gc
+            # rmask members still missing for r_min; 0 stays 0
+            cneed = need and (need - 1 if low & rmask else need)
+            if not cneed:
+                g = size
+                if cap_excess >= 0:
+                    over = -cap_excess
+                    rest = chosen | low
+                    while rest:
+                        lo2 = rest & -rest
+                        rest ^= lo2
+                        sp = selfpos[lo2.bit_length() - 1]
+                        if sp >= 0 and child_partner >> sp & 1:
+                            over += 1
+                    if over > 0:
+                        g -= over
+                    if g - fc < r_min:
+                        g = -1
+                if g > best:
+                    best = g
+                    maxers = [chosen | low]
+                elif g == best >= 0:  # -1 marks a skipped family
+                    if len(maxers) >= cap:
+                        raise _over_cap(cap)
+                    maxers.append(chosen | low)
+            if compat is None:
+                child_p, child_pcount = p, pcount
+            else:
+                child_p = p & compat[i]
+                child_pcount = child_p.bit_count()
+            if size + child_pcount >= best and not (g_ge_f and 2 * gc < best):
+                rec(chosen | low, fc, cneed, child_p, child_pcount, child_partner)
 
-        def rec(chosen: int, fcount: int, need: int, p: int, pcount: int, partner: int) -> None:
-            nonlocal bar, nodes
-            nodes += 1
-            if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
-                raise _over_time(nodes, bar + slack)
-            gnode = partner.bit_count()
-            base = fcount + gnode
-            twice = 2 * gnode  # |F| <= |partner| caps the sum at twice the partner
-            fc = fcount + 1
-            while p:
-                low = p & -p
-                p ^= low
-                # one more member, every remaining candidate, the whole partner
-                if base + pcount <= bar or (g_ge_f and twice <= bar):
-                    return
-                pcount -= 1
-                i = low.bit_length() - 1
-                if pred[i] & ~chosen:
-                    continue
-                if compat is not None and chosen & ~compat[i]:
-                    continue
-                child_partner = partner & keep[i]
-                gc = child_partner.bit_count()
-                if gc < g_min or (g_ge_f and gc < fc):
-                    continue
-                size = fc + gc
-                # rmask members still missing for r_min; 0 stays 0
-                cneed = need and (need - 1 if low & rmask else need)
-                if not cneed:
-                    g = size
-                    if cap_excess >= 0:
-                        over = -cap_excess
-                        rest = chosen | low
-                        while rest:
-                            lo2 = rest & -rest
-                            rest ^= lo2
-                            sp = selfpos[lo2.bit_length() - 1]
-                            if sp >= 0 and child_partner >> sp & 1:
-                                over += 1
-                        if over > 0:
-                            g -= over
-                        if g - fc < r_min:
-                            g = -1
-                    if g > bar:  # collecting, only a tie: no score beats the proven optimum
-                        if sink is None:
-                            bar = g
-                        else:
-                            if len(sink) >= cap:
-                                raise _over_cap(cap)
-                            sink.append(chosen | low)
-                if compat is None:
-                    child_p, child_pcount = p, pcount
-                else:
-                    child_p = p & compat[i]
-                    child_pcount = child_p.bit_count()
-                if size + child_pcount > bar and not (g_ge_f and 2 * gc <= bar):
-                    rec(chosen | low, fc, cneed, child_p, child_pcount, child_partner)
-
-        rec(0, 0, max(r_min, 0), (1 << m) - 1, m, (1 << ng) - 1)
-        return bar + slack
-
-    optimum = run(0, -1, None)
-    maximizers: list[int] = []
-    if optimum >= 0:
-        run(1, optimum - 1, maximizers)
-    return optimum, maximizers, nodes
+    rec(0, 0, max(r_min, 0), (1 << m) - 1, m, (1 << ng) - 1)
+    return best, maxers, nodes
 
 
 def clique_bnb(

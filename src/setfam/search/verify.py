@@ -13,7 +13,7 @@ from ..bounds import Params
 from ..errors import InfeasibleInstanceError, ParamRangeError, TimeBudgetExceededError
 from ..family import are_isomorphic
 from .expected import expected_classes
-from .problems import Problem, SearchReport, solve
+from .problems import Problem, SearchReport, bound_for, solve
 
 __all__ = ["THEOREMS", "parse_grid", "verify_grid", "VerifyRow", "VerifyResult"]
 
@@ -150,13 +150,16 @@ def _run_row(theorem: str, env: dict[str, int], engine: str, max_seconds) -> Ver
         values[v] = env[v]
     params = Params(**values)
     try:
-        from .problems import bound_for
-
         bound_for(kind, params)
     except ParamRangeError as exc:
         return VerifyRow(params, str(exc), None, None, None)
     try:
         report = solve(Problem(kind, params, engine), max_seconds=max_seconds)
+        # the class check has instance limits of its own (the isomorphism search)
+        expected = expected_classes(kind, params) if mode == "equality" else None
+        classes_ok = None
+        if expected is not None:
+            classes_ok = _classes_match(report.class_representatives, expected)
     except TimeBudgetExceededError as exc:
         return VerifyRow(params, None, None, None, None, timeout=exc.with_traceback(None))
     except InfeasibleInstanceError as exc:
@@ -165,10 +168,6 @@ def _run_row(theorem: str, env: dict[str, int], engine: str, max_seconds) -> Ver
         bound_ok = report.optimum == report.bound.value
     else:
         bound_ok = report.optimum <= report.bound.value
-    classes_ok = None
-    expected = expected_classes(kind, params) if mode == "equality" else None
-    if expected is not None:
-        classes_ok = _classes_match(report.class_representatives, expected)
     return VerifyRow(params, None, report, bound_ok, classes_ok)
 
 

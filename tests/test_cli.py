@@ -333,3 +333,23 @@ def test_verify_reports_infeasible_rows_and_runs_the_rest(capsys):
     assert lines[0].startswith("INFS  ") and lines[0].endswith("exceeded the cap of 200000")
     assert lines[1].startswith("OK  ")
     assert lines[-1] == "INFEASIBLE"
+
+
+def test_verify_reports_a_class_check_past_the_isomorphism_limit_as_infeasible(capsys):
+    # both rows solve; only n=13 is past the isomorphism search's universe limit
+    argv = ("verify", "katona", "--grid", "n=12..13;s=2")
+    code, out, _ = run(capsys, *argv, "--json", "--no-timing")
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["ok"] is False
+    assert obj["rows"][0]["status"] == "ok" and obj["rows"][0]["classes_ok"] is True
+    assert obj["rows"][1] == {
+        "params": {"n": 13, "s": 2},
+        "status": "infeasible",
+        "reason": "isomorphism search supports n <= 12 (got n=13)",
+    }
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0].startswith("OK  ") and lines[1].startswith("INFS  ")
+    assert lines[-1] == "INFEASIBLE"

@@ -28,7 +28,7 @@ from setfam.search import (
 )
 from setfam.search.expected import expected_classes
 from setfam.search.problems import MaximizerClass, _labeled_classes
-from setfam.search.tables import shifted_family_count_reference
+from setfam.search.tables import build_pair_tables, shifted_family_count_reference
 from setfam.search.verify import _classes_match
 from setfam.shifting import is_shifted, max_cross_partner
 
@@ -191,6 +191,21 @@ def test_cross_pair_capped_infeasible_constraints():
     # at r = n-k+1 the cap contradicts the size floors: no admissible pair
     with pytest.raises(InfeasibleInstanceError):
         solve(Problem("cross_pair_capped", Params(n=5, k=2, r=4), "brute"))
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_skipped_capped_families_are_never_maximizers(request, backend):
+    """At (5,2,4) some families pass the size floors but give up too much
+    partner to the cap; such a skipped family never enters the tie list,
+    even while the incumbent is still -1."""
+    kern = request.getfixturevalue("compiled") if backend == "compiled" else pykern
+    tabs = build_pair_tables(5, 2, 2, t_inter=None, shifted=False, with_selfpos=True)
+    m = len(tabs.cands)
+    best, maxers, _ = kern.pair_bnb(
+        m, tabs.compat, tabs.pred, tabs.kill, len(tabs.gmasks), (1 << m) - 1,
+        4, 4, False, 3, tabs.selfpos,
+    )
+    assert (best, maxers) == (-1, [])
 
 
 def test_diversity_r0_reproduces_unconstrained_classic():
