@@ -5,13 +5,14 @@
  * Every index set is one 128-bit word, so candidate universes hold at most
  * 128 entries.  Tables arrive as arrays of 16-byte little-endian words taken
  * from Python bytes objects.  Each kernel fills a Search record and returns
- * its status; the maximizers go into a realloc-grown array that the caller
- * releases with fastcore_free.  No kernel touches a Python object, so the
- * calls run without the interpreter lock.
+ * its status.  A maximizer is one word, the index set of the chosen
+ * candidates; what the tables fix (a pair's partner, a diversity family's A
+ * side) is rebuilt by the caller.  The maximizers go into a realloc-grown
+ * array that the caller releases with fastcore_free.  No kernel touches a
+ * Python object, so the calls run without the interpreter lock.
  */
 
 #include <stdlib.h>
-#include <string.h>
 #include <time.h>
 
 typedef unsigned __int128 bits;
@@ -27,9 +28,8 @@ typedef struct {
     long long cap;    /* most ties of the running incumbent kept */
     long long nodes;
     long long count;  /* maximizers in items */
-    long long alloc;  /* entries allocated in items */
-    bits *items;      /* count entries of width words each */
-    int width;
+    long long alloc;  /* words allocated in items */
+    bits *items;      /* count maximizers, one index-set word each */
     int best;
     int status;
 } Search;
@@ -63,25 +63,24 @@ static int tick(Search *s) {
     return s->status;
 }
 
-/* Append one maximizer of s->width words; nonzero once the search must stop. */
-static int push(Search *s, const bits *item) {
+/* Append one maximizer; nonzero once the search must stop. */
+static int push(Search *s, bits item) {
     if (s->count >= s->cap)
         return s->status = CAP;
     if (s->count == s->alloc) {
         long long n = s->alloc ? 2 * s->alloc : 64;
-        bits *grown = realloc(s->items, (size_t)n * s->width * sizeof(bits));
+        bits *grown = realloc(s->items, (size_t)n * sizeof(bits));
         if (!grown)
             return s->status = NOMEM;
         s->items = grown;
         s->alloc = n;
     }
-    memcpy(s->items + s->count * s->width, item, s->width * sizeof(bits));
-    s->count++;
+    s->items[s->count++] = item;
     return 0;
 }
 
 /* A better value restarts the maximizer list, a tie extends it. */
-static void record(Search *s, int value, const bits *item) {
+static void record(Search *s, int value, bits item) {
     if (value > s->best) {
         s->best = value;
         s->count = 0;
@@ -108,23 +107,18 @@ static int max_degree(const int *degs, int nelems) {
 typedef struct {
     Search *s;
     const word *compat, *pred, *kill;
-    const int *selfpos;
     bits rmask;
     int r_min, g_min, g_ge_f, cap_excess;
 } Pair;
 
-/* The score of an admissible family with rc members inside rmask, or -1. */
+/* The score of an admissible family with rc members inside rmask, or -1.
+   By pair_bnb's precondition, the capped members are child & partner. */
 static int pair_score(const Pair *c, bits child, int fc, int rc, int gc, bits partner) {
     if (rc < c->r_min)
         return -1;
     if (c->cap_excess < 0)
         return fc + gc;
-    int shared = 0;
-    for (bits rest = child; rest; rest &= rest - 1) {
-        int sp = c->selfpos[low_index(rest)];
-        if (sp >= 0 && sp < MAXBITS && (partner >> sp & 1))
-            shared++;
-    }
+    int shared = pop(child & partner);
     int over = shared > c->cap_excess ? shared - c->cap_excess : 0;
     return gc - over < c->r_min ? -1 : fc + gc - over;
 }
@@ -154,7 +148,7 @@ static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits 
         int rc = rcount + (int)(c->rmask >> i & 1);
         int g = pair_score(c, child, fc, rc, gc, child_partner);
         if (g >= 0) { /* -1 marks a skipped family */
-            record(s, g, &child);
+            record(s, g, child);
             if (s->status)
                 return;
         }
@@ -171,12 +165,12 @@ static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits 
 }
 
 /* rmask holds the candidates that count toward r_min: all of them for the
-   pair kinds, those avoiding element 1 for shifted diversity. */
+   pair kinds, those avoiding element 1 for shifted diversity.
+   Precondition with a cap (cap_excess >= 0): the partner universe is the
+   candidate universe, index for index. */
 int pair_bnb(Search *s, int m, const word *compat, const word *pred, const word *kill,
-             int ng, const word *rmask, int r_min, int g_min, int g_ge_f, int cap_excess,
-             const int *selfpos) {
-    Pair c = {s, compat, pred, kill, selfpos, rmask[0], r_min, g_min, g_ge_f, cap_excess};
-    s->width = 1;
+             int ng, const word *rmask, int r_min, int g_min, int g_ge_f, int cap_excess) {
+    Pair c = {s, compat, pred, kill, rmask[0], r_min, g_min, g_ge_f, cap_excess};
     s->best = -1;
     pair_rec(&c, 0, 0, 0, full(m), full(ng));
     return s->status;
@@ -201,7 +195,7 @@ static void clique_expand(Clique *c, bits q, int qcount, int laycount, bits p) {
             return;
         if (c->cons == 2 && laycount - max_degree(c->degs, c->nelems) < c->r)
             return;
-        record(s, qcount, &q);
+        record(s, qcount, q);
         return;
     }
     /* greedy colouring: a clique inside a prefix of the order has at most
@@ -260,7 +254,6 @@ static void clique_expand(Clique *c, bits q, int qcount, int laycount, bits p) {
 int clique_bnb(Search *s, int nverts, const word *adj, const word *sup, int cons_kind,
                const word *layer, const word *vmasks, int nelems, int r) {
     Clique c = {s, adj, sup, vmasks, layer[0], cons_kind, r, nelems, {0}};
-    s->width = 1;
     s->best = -1;
     clique_expand(&c, 0, 0, 0, full(nverts));
     return s->status;
@@ -296,15 +289,15 @@ static void diversity_rec(Diversity *c, bits chosen, int hcount, bits p, bits am
             return;
         if (chosen & ~c->hcompat[i])
             continue;
-        bits item[2] = {chosen | low, amask & ~c->akill[i]};
+        bits child = chosen | low, child_a = amask & ~c->akill[i];
         int hc2 = hcount + 1;
         add_degrees(c->degs, c->hmasks[i], 1);
-        if (diversity_feasible(c, item[1])) {
+        if (diversity_feasible(c, child_a)) {
             if (hc2 >= c->r)
-                record(s, hc2 + pop(item[1]), item);
+                record(s, hc2 + pop(child_a), child);
             bits child_p = p & c->hcompat[i];
-            if (!s->status && hc2 + pop(child_p) + pop(item[1]) >= s->best)
-                diversity_rec(c, item[0], hc2, child_p, item[1]);
+            if (!s->status && hc2 + pop(child_p) + pop(child_a) >= s->best)
+                diversity_rec(c, child, hc2, child_p, child_a);
         }
         add_degrees(c->degs, c->hmasks[i], -1);
         if (s->status)
@@ -315,12 +308,9 @@ static void diversity_rec(Diversity *c, bits chosen, int hcount, bits p, bits am
 int diversity_bnb(Search *s, int mh, const word *hcompat, const word *hmasks,
                   const word *akill, int na, const word *avoid_a, int r, int nelems) {
     Diversity c = {s, hcompat, hmasks, akill, avoid_a, r, nelems, {0}};
-    s->width = 2;
     s->best = -1;
-    if (r <= 0) {
-        bits item[2] = {0, full(na)};
-        record(s, na, item);
-    }
+    if (r <= 0)
+        record(s, na, 0);
     if (!s->status)
         diversity_rec(&c, 0, 0, full(mh), full(na));
     return s->status;

@@ -3,8 +3,10 @@
 :class:`Kernels` loads one build of the C file and exposes ``pair_bnb``,
 ``clique_bnb`` and ``diversity_bnb`` with pykern's signatures, results and
 errors; see pykern for what each argument means.  Index sets travel as
-16-byte little-endian words, so no universe may exceed 128 entries.  ctypes
-releases the interpreter lock for the length of each call.
+16-byte little-endian words, tables and maximizers alike (every kernel
+returns its maximizers as one index set each), so no universe may exceed
+128 entries.  ctypes releases the interpreter lock for the length of each
+call.
 """
 
 from __future__ import annotations
@@ -28,22 +30,16 @@ class _Search(ctypes.Structure):
         ("count", ctypes.c_longlong),
         ("alloc", ctypes.c_longlong),
         ("items", ctypes.c_void_p),
-        ("width", ctypes.c_int),
         ("best", ctypes.c_int),
         ("status", ctypes.c_int),
     ]
 
 
-def _rows(values, count: int):
-    """The first ``count`` rows of a kernel table."""
-    if len(values) < count:
-        raise ValueError(f"table has {len(values)} rows where {count} are needed")
-    return values[:count]
-
-
 def _words(values, count: int) -> bytes:
     """The first ``count`` bitsets of ``values`` as 16-byte words."""
-    return b"".join(v.to_bytes(_WORD, "little") for v in _rows(values, count))
+    if len(values) < count:
+        raise ValueError(f"table has {len(values)} rows where {count} are needed")
+    return b"".join(v.to_bytes(_WORD, "little") for v in values[:count])
 
 
 def _require_width(*sizes: int) -> None:
@@ -59,7 +55,7 @@ class Kernels:
         i, w = ctypes.c_int, ctypes.c_char_p
         search = ctypes.POINTER(_Search)
         signatures = {
-            "pair_bnb": [i, w, w, w, i, w, i, i, i, i, ctypes.POINTER(i)],
+            "pair_bnb": [i, w, w, w, i, w, i, i, i, i],
             "clique_bnb": [i, w, w, i, w, w, i, i],
             "diversity_bnb": [i, w, w, w, i, w, i, i],
         }
@@ -73,12 +69,12 @@ class Kernels:
         self._free.restype = None
 
     def _run(self, fn, deadline, *args):
-        """Call one kernel; returns (best, maximizers as word tuples, nodes)."""
+        """Call one kernel; returns (best, maximizers as int bitsets, nodes)."""
         cap = pykern.MAXIMIZER_CAP
         s = _Search(deadline=math.inf if deadline is None else deadline, cap=cap)
         status = fn(ctypes.byref(s), *args)
         try:
-            raw = ctypes.string_at(s.items, s.count * s.width * _WORD) if s.count else b""
+            raw = ctypes.string_at(s.items, s.count * _WORD) if s.count else b""
         finally:
             self._free(s.items)
         if status == _TIMEOUT:
@@ -88,11 +84,10 @@ class Kernels:
         if status == _NOMEM:
             raise MemoryError("compiled kernel ran out of memory")
         words = [int.from_bytes(raw[j:j + _WORD], "little") for j in range(0, len(raw), _WORD)]
-        items = list(zip(words[::2], words[1::2])) if s.width == 2 else words
-        return s.best, items, s.nodes
+        return s.best, words, s.nodes
 
     def pair_bnb(self, m, compat, pred, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess,
-                 selfpos, deadline=None):
+                 deadline=None):
         """See :func:`setfam.engines.pykern.pair_bnb`."""
         _require_width(m, ng)
         return self._run(
@@ -100,7 +95,6 @@ class Kernels:
             None if compat is None else _words(compat, m),
             _words(pred, m),
             _words(kill, m), ng, _words([rmask], 1), r_min, g_min, bool(g_ge_f), cap_excess,
-            None if cap_excess < 0 else (ctypes.c_int * m)(*_rows(selfpos, m)),
         )
 
     def clique_bnb(self, nverts, adj, sup, cons_kind, layer, vmasks, nelems, r, deadline=None):

@@ -5,7 +5,9 @@ Both implement the same three entry points, and these must match exactly:
 
 * the traversal: the same nodes, visited in the same order, so ``nodes``
   agrees;
-* the result: the optimum and the maximizers in the same order;
+* the result: the optimum and the maximizers in the same order, each
+  maximizer one index bitset (what the tables fix, such as a pair's
+  partner, the callers rebuild);
 * the errors: the timeout message with its ``best_so_far``, and the cap
   ``MAXIMIZER_CAP`` (read at each call), hold for both backends.
 
@@ -60,7 +62,6 @@ def pair_bnb(
     g_min: int,
     g_ge_f: bool,
     cap_excess: int,
-    selfpos: list[int] | None,
     deadline: float | None = None,
 ):
     """Maximize |F| + |partner(F)| over families drawn from an m-candidate
@@ -81,8 +82,10 @@ def pair_bnb(
                 the partner; the score drops by one per member over the cap
                 (the partner gives up exactly its overlap excess), and
                 families whose reduced partner falls below r_min are skipped
-    selfpos     position of each candidate inside the partner universe
-                (-1 when absent); required when cap_excess >= 0
+
+    Precondition with a cap (cap_excess >= 0): the partner universe is the
+    candidate universe, index for index, so the chosen members inside the
+    partner are the bits of F & partner.
 
     Returns (best, maximizers as chosen-index bitsets, node_count).
     """
@@ -123,14 +126,7 @@ def pair_bnb(
             if not cneed:
                 g = size
                 if cap_excess >= 0:
-                    over = -cap_excess
-                    rest = chosen | low
-                    while rest:
-                        lo2 = rest & -rest
-                        rest ^= lo2
-                        sp = selfpos[lo2.bit_length() - 1]
-                        if sp >= 0 and child_partner >> sp & 1:
-                            over += 1
+                    over = ((chosen | low) & child_partner).bit_count() - cap_excess
                     if over > 0:
                         g -= over
                     if g - fc < r_min:
@@ -292,12 +288,13 @@ def diversity_bnb(
     the search, so its violation prunes the subtree.  Diversity of a
     feasible family equals |H|.
 
-    Returns (best, maximizers as (H-bitset, A-bitset) pairs, node_count).
+    Returns (best, maximizers as H bitsets, node_count); each maximizer's A
+    is every A candidate outside the ``akill`` rows of its H members.
     """
     cap = MAXIMIZER_CAP
     nodes = 0
     best = -1
-    maxers: list = []
+    maxers: list[int] = []
     full_a = (1 << na) - 1
     # degs[j] and avoid[j] belong to element j + 2: the cap binds every
     # element but 1, which no H member contains
@@ -306,7 +303,7 @@ def diversity_bnb(
     elems = [[j for j in range(nelems - 1) if hm >> j + 1 & 1] for hm in hmasks]
 
     if r <= 0:
-        best, maxers = na, [(0, full_a)]
+        best, maxers = na, [0]
 
     def rec(chosen: int, hcount: int, p: int, pcount: int, amask: int, acount: int) -> None:
         nonlocal nodes, best, maxers
@@ -344,11 +341,11 @@ def diversity_bnb(
                         value = hc2 + ac2
                         if value > best:
                             best = value
-                            maxers = [(child, am2)]
+                            maxers = [child]
                         elif value == best:
                             if len(maxers) >= cap:
                                 raise _over_cap(cap)
-                            maxers.append((child, am2))
+                            maxers.append(child)
                     child_p = p & hcompat[i]
                     child_pcount = child_p.bit_count()
                     if hc2 + child_pcount + ac2 >= best:

@@ -129,9 +129,6 @@ class Family:
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(elements_of(m) for m in self.members)
 
-    def subsets(self) -> tuple[Subset, ...]:
-        return tuple(Subset(m, self.n) for m in self.members)
-
     def uniform_size(self) -> Optional[int]:
         """Common cardinality if the family is uniform, else None.
         The empty family is vacuously uniform of any size; returns None."""
@@ -139,9 +136,6 @@ class Family:
             return None
         k = self.members[0].bit_count()
         return k if all(m.bit_count() == k for m in self.members) else None
-
-    def is_k_uniform(self, k: int) -> bool:
-        return all(m.bit_count() == k for m in self.members)
 
     def layer(self, i: int) -> "Family":
         """Subfamily of members with cardinality exactly i."""

@@ -174,11 +174,6 @@ def bound_for(kind: str, p: Params) -> BoundValue:
     raise ParamRangeError(f"unknown problem kind {kind!r}")
 
 
-def _validate(kind: str, p: Params) -> None:
-    # parameter ranges are exactly the bound's theorem ranges
-    bound_for(kind, p)
-
-
 # --------------------------------------------------------------- maximizers
 
 
@@ -251,29 +246,23 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
         rules = (r, r, True, -1)
     else:  # cross_pair_capped
         (n, k, r) = p.require("n", "k", "r")
-        tabs = build_pair_tables(n, k, k, t_inter=None, shifted=False, with_selfpos=True)
+        # the partner universe is the candidate universe, as the cap requires
+        tabs = build_pair_tables(n, k, k, t_inter=None, shifted=False)
         rules = (r, r, False, r - 1)
     m = len(tabs.cands)
     best, maxers, nodes = kern.pair_bnb(
-        m, tabs.compat, tabs.pred, tabs.kill, len(tabs.gmasks), (1 << m) - 1,
-        *rules, tabs.selfpos, deadline,
+        m, tabs.compat, tabs.pred, tabs.kill, len(tabs.gmasks), (1 << m) - 1, *rules, deadline,
     )
     pairs = []
-    full_g = (1 << len(tabs.gmasks)) - 1
     for chosen in maxers:
-        chosen_idx = list(_bits(chosen))
-        fmasks = [tabs.cands[i] for i in chosen_idx]
-        partner = full_g
-        for i in chosen_idx:
-            partner &= ~tabs.kill[i]
-        gm = [tabs.gmasks[j] for j in _bits(partner)]
+        fmasks, partner = _members_and_partner(chosen, tabs.cands, tabs.kill, len(tabs.gmasks))
         if kind == "cross_pair_capped":
             # drop the overlap excess deterministically: lowest shared first
-            fset = set(fmasks)
-            shared = [g for g in gm if g in fset]
-            over = max(0, len(shared) - (p.r - 1))
-            drop = set(shared[:over])
-            gm = [g for g in gm if g not in drop]
+            shared = chosen & partner
+            for _ in range(shared.bit_count() - (p.r - 1)):
+                partner ^= shared & -shared
+                shared &= shared - 1
+        gm = [tabs.gmasks[j] for j in _bits(partner)]
         pairs.append((Family.of_masks(p.n, fmasks), Family.of_masks(p.n, gm)))
     return best, pairs, nodes
 
@@ -307,8 +296,8 @@ def _solve_diversity_clique(p: Params, backend: str, deadline):
         len(tabs.amasks), tabs.avoid_a, r, n, deadline,
     )
     fams = []
-    for hbits, abits in maxers:
-        masks = [tabs.hmasks[i] for i in _bits(hbits)]
+    for hbits in maxers:
+        masks, abits = _members_and_partner(hbits, tabs.hmasks, tabs.akill, len(tabs.amasks))
         masks += [tabs.amasks[i] for i in _bits(abits)]
         fams.append(Family.of_masks(n, masks))
     return best, fams, nodes
@@ -330,10 +319,22 @@ def _solve_diversity_shifted(p: Params, backend: str, deadline):
     avoid_1 = sum(1 << i for i, a in enumerate(tabs.cands) if not a & 1)
     best, maxers, nodes = engines.backend_module(backend).pair_bnb(
         len(tabs.cands), tabs.compat, tabs.pred, tabs.kill, 0, avoid_1,
-        r, 0, False, -1, None, deadline,
+        r, 0, False, -1, deadline,
     )
     fams = [Family.of_masks(n, [tabs.cands[i] for i in _bits(c)]) for c in maxers]
     return best, fams, nodes
+
+
+def _members_and_partner(chosen: int, masks: list[int], kill: list[int], width: int):
+    """The masks of the chosen candidates, and their partner: the bitset of
+    the width-entry universe that no chosen candidate kills (a pair's G, or
+    the A side of a diversity family).  One walk over the bits of ``chosen``."""
+    members = []
+    partner = (1 << width) - 1
+    for i in _bits(chosen):
+        members.append(masks[i])
+        partner &= ~kill[i]
+    return members, partner
 
 
 def _bits(x: int) -> Iterator[int]:
@@ -362,7 +363,7 @@ _NOTES = {
 def solve(problem: Problem, max_seconds: float | None = None, backend: str | None = None) -> SearchReport:
     """Run the exact search for a problem and report it against its bound."""
     p = problem.params
-    _validate(problem.kind, p)
+    bound = bound_for(problem.kind, p)  # parameter ranges are the bound's theorem ranges
     engine = _resolve_engine(problem.kind, problem.engine)
     backend_name = backend or engines.DEFAULT_BACKEND
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
@@ -381,7 +382,6 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
         raise InfeasibleInstanceError(
             "no admissible family satisfies the side constraints at these parameters"
         )
-    bound = bound_for(problem.kind, p)
     classes = classify_maximizers(maxers)
     if engine == "brute" and problem.kind in _PAIR_KINDS:
         classes = _labeled_classes(classes, p.n)

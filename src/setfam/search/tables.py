@@ -89,7 +89,6 @@ class PairTables:
     compat: list[int] | None
     pred: list[int]
     kill: list[int]
-    selfpos: list[int] | None
 
 
 def build_pair_tables(
@@ -98,7 +97,6 @@ def build_pair_tables(
     g_size: int | None,
     t_inter: int | None,
     shifted: bool,
-    with_selfpos: bool = False,
 ) -> PairTables:
     """F-candidates are the f_size-subsets of [n], partner universe the
     g_size-subsets, or nothing when g_size is None (every ``kill`` row is
@@ -125,11 +123,7 @@ def build_pair_tables(
     compat = overlap_table(cands, cands, n, t_inter) if t_inter is not None else None
     pred = dominance_pred(cands) if shifted else [0] + [1] * (m - 1)
     kill = disjoint_table(cands, gmasks, n) if gmasks else [0] * m
-    selfpos = None
-    if with_selfpos:
-        index = {g: j for j, g in enumerate(gmasks)}
-        selfpos = [index.get(a, -1) for a in cands]
-    return PairTables(n, cands, gmasks, compat, pred, kill, selfpos)
+    return PairTables(n, cands, gmasks, compat, pred, kill)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ _TERM = re.compile(r"([+-]?)\s*(\d+)?\s*([a-z]?)\s*", re.ASCII)
 
 def _eval_expr(expr: str, env: dict[str, int]) -> int:
     """Affine integer expressions over previously bound grid variables:
-    e.g. '2k+t+2'.  A bare coefficient next to a variable multiplies it."""
+    e.g. '2k+t+2'.  A bare coefficient next to a variable multiplies it;
+    every later term needs its own sign, so 'k2' or '2 3' is an error."""
     pos = 0
     total = 0
     expr = expr.strip()
@@ -45,7 +46,7 @@ def _eval_expr(expr: str, env: dict[str, int]) -> int:
         raise ParamRangeError("empty expression in grid spec")
     while pos < len(expr):
         m = _TERM.match(expr, pos)
-        if not m or m.end() == pos:
+        if not m or m.end() == pos or (pos and not m.group(1)):
             raise ParamRangeError(f"bad grid expression {expr!r}")
         sign = -1 if m.group(1) == "-" else 1
         coef = int(m.group(2)) if m.group(2) else 1
@@ -65,7 +66,8 @@ def _eval_expr(expr: str, env: dict[str, int]) -> int:
 def parse_grid(spec: str) -> list[dict[str, int]]:
     """Expand a grid spec like 'k=2;t=0,1;n=2k+t..2k+t+2' into assignments.
     Clauses are evaluated left to right; ranges and values may reference
-    variables bound by earlier clauses."""
+    variables bound by earlier clauses.  Each variable is bound once, and a
+    grid must give at least one row."""
     clauses = []
     for part in spec.split(";"):
         part = part.strip()
@@ -77,6 +79,8 @@ def parse_grid(spec: str) -> list[dict[str, int]]:
         name = name.strip()
         if len(name) != 1 or not name.isalpha():
             raise ParamRangeError(f"grid variable must be a single letter: {name!r}")
+        if any(name == bound for bound, _ in clauses):
+            raise ParamRangeError(f"grid variable {name!r} is bound twice")
         clauses.append((name, rhs.strip()))
     rows: list[dict[str, int]] = [{}]
     for name, rhs in clauses:
@@ -94,6 +98,8 @@ def parse_grid(spec: str) -> list[dict[str, int]]:
                 e2[name] = v
                 new_rows.append(e2)
         rows = new_rows
+    if not rows:
+        raise ParamRangeError(f"grid {spec!r} has no rows")
     return rows
 
 

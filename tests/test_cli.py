@@ -217,6 +217,10 @@ def test_grid_parser():
         parse_grid("nn=4")
     with pytest.raises(ParamRangeError):
         parse_grid("k=;n=4")
+    # juxtaposed terms, a rebound variable and an empty grid
+    for spec in ("k=2;n=k2", "n=2 3", "k=2;t=1;n=2kt", "k=3;n=k..k+1;k=4", "n=5..3"):
+        with pytest.raises(ParamRangeError):
+            parse_grid(spec)
 
 
 def test_threads_flag_gives_identical_results(capsys):

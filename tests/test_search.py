@@ -199,11 +199,11 @@ def test_skipped_capped_families_are_never_maximizers(request, backend):
     partner to the cap; such a skipped family never enters the tie list,
     even while the incumbent is still -1."""
     kern = request.getfixturevalue("compiled") if backend == "compiled" else pykern
-    tabs = build_pair_tables(5, 2, 2, t_inter=None, shifted=False, with_selfpos=True)
+    tabs = build_pair_tables(5, 2, 2, t_inter=None, shifted=False)
     m = len(tabs.cands)
     best, maxers, _ = kern.pair_bnb(
         m, tabs.compat, tabs.pred, tabs.kill, len(tabs.gmasks), (1 << m) - 1,
-        4, 4, False, 3, tabs.selfpos,
+        4, 4, False, 3,
     )
     assert (best, maxers) == (-1, [])
 

@@ -58,7 +58,7 @@ PAIR_CASES = [
 
 @pytest.mark.parametrize("n,f_size,g_size,t_inter", PAIR_CASES)
 def test_pair_tables_match_pairwise_definitions(n, f_size, g_size, t_inter):
-    tabs = build_pair_tables(n, f_size, g_size, t_inter, shifted=False, with_selfpos=True)
+    tabs = build_pair_tables(n, f_size, g_size, t_inter, shifted=False)
     cands, gmasks = tabs.cands, tabs.gmasks
     assert tabs.kill == [
         _bitset(j for j, g in enumerate(gmasks) if not a & g) for a in cands
@@ -70,7 +70,8 @@ def test_pair_tables_match_pairwise_definitions(n, f_size, g_size, t_inter):
             _bitset(j for j, b in enumerate(cands) if (a & b).bit_count() >= t_inter)
             for a in cands
         ]
-    assert tabs.selfpos == [gmasks.index(a) if a in gmasks else -1 for a in cands]
+    if f_size == g_size:  # a capped search needs the partner universe to be the candidates
+        assert tabs.cands == tabs.gmasks
     assert tabs.pred == [0] + [1] * (len(cands) - 1)  # every family contains candidate 0
 
 
