@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 
 from .bounds import (
     Params,
@@ -41,9 +42,27 @@ from .family import (
     read_family,
     write_family,
 )
-from .search import KINDS, Problem, solve
-from .search.verify import THEOREMS, verify_grid
+from .search import KINDS, THEOREMS
 from .shifting import is_shifted
+
+# Loaded with their search layers on first access (PEP 562), so that bound,
+# construct and check never import them.
+_LAZY = {"solve": ".search.problems", "verify_grid": ".search.verify"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_LAZY[name], __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _layer(name: str):
+    """This module's attribute ``name`` as it stands: what a test or a
+    tracer set there is what runs."""
+    return getattr(sys.modules[__name__], name)
+
 
 # Each bound name maps to the bounds function that evaluates it.
 _BOUNDS = {
@@ -213,8 +232,10 @@ def _report_json(report, with_timing: bool) -> dict:
 
 
 def _cmd_search(args) -> int:
+    from .search.problems import Problem
+
     p = _params_from(args)
-    report = solve(
+    report = _layer("solve")(
         Problem(args.kind, p, args.engine),
         max_seconds=args.max_seconds,
         backend=args.backend,
@@ -241,7 +262,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    res = verify_grid(
+    res = _layer("verify_grid")(
         args.theorem, args.grid, engine=args.engine,
         threads=args.threads, max_seconds=args.max_seconds,
     )

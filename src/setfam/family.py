@@ -14,7 +14,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, TextIO
 
-from .errors import FamilyFormatError, InfeasibleInstanceError, UniverseMismatchError
+from .errors import (
+    FamilyFormatError,
+    InfeasibleInstanceError,
+    ParamRangeError,
+    UniverseMismatchError,
+)
 
 __all__ = [
     "MAX_UNIVERSE",
@@ -180,7 +185,7 @@ def is_t_intersecting(F: Family, t: int) -> bool:
     vacuously t-intersecting.
     """
     if t < 0:
-        raise ValueError(f"t must be >= 0 (got {t})")
+        raise ParamRangeError(f"t must be >= 0 (got {t})")
     ms = F.members
     if any(m.bit_count() < t for m in ms):
         return False
@@ -208,7 +213,7 @@ def is_s_union(F: Family, s: int) -> bool:
     """True iff |A | B| <= s for all members A, B, including A = B
     (so every member has cardinality at most s)."""
     if s < 0:
-        raise ValueError(f"s must be >= 0 (got {s})")
+        raise ParamRangeError(f"s must be >= 0 (got {s})")
     ms = F.members
     if any(m.bit_count() > s for m in ms):
         return False

@@ -54,6 +54,7 @@ from ..errors import InfeasibleInstanceError, ParamRangeError
 from ..family import Family, are_isomorphic, is_s_union, iso_invariant, layer_masks
 from .. import engines
 from ..engines import pykern
+from . import KINDS
 from .tables import (
     MAX_CANDIDATES,
     build_diversity_tables,
@@ -74,15 +75,6 @@ __all__ = [
     "LayerBound",
     "check_layer_inequality",
 ]
-
-KINDS = (
-    "hemibundled_max",
-    "cross_pair_max",
-    "cross_pair_capped",
-    "diverse_intersecting_max",
-    "s_union_max",
-    "s_union_conditioned_max",
-)
 
 _PAIR_KINDS = ("hemibundled_max", "cross_pair_max", "cross_pair_capped")
 

@@ -5,32 +5,18 @@ classes against the expected equality families."""
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from ..bounds import Params
 from ..errors import InfeasibleInstanceError, ParamRangeError, TimeBudgetExceededError
 from ..family import are_isomorphic
+from . import THEOREMS
 from .expected import expected_classes
 from .problems import Problem, SearchReport, bound_for, solve
 
 __all__ = ["THEOREMS", "parse_grid", "verify_grid", "VerifyRow", "VerifyResult"]
 
-
-# theorem id -> (problem kind, grid variables, fixed params, assert mode)
-# assert mode "equality": optimum must equal the bound; "upper": optimum
-# must not exceed it (stated as an inequality only).
-THEOREMS = {
-    "f16": ("hemibundled_max", ("n", "k", "t"), {"r": 1}, "equality"),
-    "w23": ("hemibundled_max", ("n", "k", "t"), {"r": 2}, "equality"),
-    "main1": ("hemibundled_max", ("n", "k", "t", "r"), {}, "equality"),
-    "f24": ("cross_pair_max", ("n", "k", "r"), {}, "equality"),
-    "main3": ("cross_pair_capped", ("n", "k", "r"), {}, "upper"),
-    "diversity": ("diverse_intersecting_max", ("n", "k", "r"), {}, "equality"),
-    "katona": ("s_union_max", ("n", "s"), {}, "equality"),
-    "main5": ("s_union_conditioned_max", ("n", "s", "r"), {}, "equality"),
-}
 
 _TERM = re.compile(r"([+-]?)\s*(\d+)?\s*([a-z]?)\s*", re.ASCII)
 
@@ -190,6 +176,8 @@ def verify_grid(
     if threads <= 1:
         rows = [_run_row(theorem, env, engine, max_seconds) for env in envs]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only for a thread pool
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda e: _run_row(theorem, e, engine, max_seconds), envs))
     return VerifyResult(theorem, rows)

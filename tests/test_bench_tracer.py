@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import setfam.cli
 from setfam import engines
 from setfam.search.verify import verify_grid
 
@@ -43,3 +44,21 @@ def test_benchmark_tracer_sees_every_layer(request, monkeypatch, backend):
         "search.problems.classify",
         "search.expected",
     } <= names
+
+
+def test_benchmark_tracer_sees_the_cli_layers(monkeypatch, tmp_path, capsys):
+    """The tracer wraps ``setfam.cli.solve``, ``verify_grid`` and ``construct``
+    by name, and the handlers must call them through those attributes."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from spans import Tracer
+
+    tracer = Tracer()
+    with tracer.installed():
+        for argv in (
+            ["search", "s_union_max", "--n", "5", "--s", "2", "--json"],
+            ["verify", "katona", "--grid", "n=5;s=2", "--json"],
+            ["construct", "full_star", "--n", "5", "--k", "2", "--out", str(tmp_path / "star.fam")],
+        ):
+            assert setfam.cli.main(argv) == 0
+    top = [rec["name"] for rec in tracer.spans if rec["parent"] is None]
+    assert top == ["search.problems.solve", "search.verify", "constructions.construct"]

@@ -84,6 +84,14 @@ def test_check_malformed_family(tmp_path, capsys):
     assert code == 2 and "header" in err
 
 
+@pytest.mark.parametrize("pred, flag, value", [("t-intersecting", "--t", "-1"), ("s-union", "--s", "-3")])
+def test_check_negative_parameter_is_a_usage_error(tmp_path, capsys, pred, flag, value):
+    star = tmp_path / "star.fam"
+    run(capsys, "construct", "full_star", "--n", "5", "--k", "2", "--out", str(star))
+    code, out, err = run(capsys, "check", "--pred", pred, flag, value, "--family", str(star))
+    assert (code, out, err) == (2, "", f"error: {flag[2:]} must be >= 0 (got {value})\n")
+
+
 def test_search_json_schema(capsys):
     code, out, _ = run(
         capsys, "search", "hemibundled_max", "--n", "5", "--k", "2", "--t", "0", "--r", "1",

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import os
 import re
@@ -505,6 +506,70 @@ def test_missing_library_names_the_reason():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "False\n"  # ctypes is loaded only with a library
+
+
+def test_cli_loads_the_search_layers_only_when_a_subcommand_runs_them():
+    code = (
+        "import sys, setfam.cli\n"
+        "LAZY = ('concurrent.futures', 'setfam.engines', 'setfam.search.problems',"
+        " 'setfam.search.verify')\n"
+        "print([m for m in LAZY if m in sys.modules])\n"
+        "setfam.cli.main(['bound', 'main1', '--n', '7', '--k', '3', '--t', '0', '--r', '2'])\n"
+        "print('setfam.search.problems' in sys.modules)\n"
+        "setfam.cli.main(['verify', 'f16', '--grid', 'k=2;t=0;n=5', '--threads', '1'])\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(engines.__file__).parents[2])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    lines = out.stdout.splitlines()
+    assert lines[:3] == ["[]", "30", "False"]  # bound loads no search layer
+    assert lines[-2:] == ["verified", "False"]  # a thread pool only for --threads > 1
+
+
+# every public name of the package and of its search subpackage, by the
+# module that defines it
+EXPORTS = {
+    "setfam": {
+        "setfam.bounds": (
+            "BoundValue", "Params", "binomial", "bound_classic", "bound_diversity",
+            "bound_hemibundled", "bound_pairs", "bound_union",
+        ),
+        "setfam.constructions": ("ConstructionId", "construct", "expected_size"),
+        "setfam.family": (
+            "Family", "IsoCertificate", "Subset", "are_cross_intersecting", "are_isomorphic",
+            "complement_family", "degree_profile", "is_s_union", "is_t_intersecting",
+            "read_family", "restrict", "write_family",
+        ),
+        "setfam.search.problems": (
+            "Problem", "SearchReport", "check_layer_inequality", "enumerate_shifted", "solve",
+        ),
+        "setfam.shifting": (
+            "disjointness_family", "dominance_closure_check", "fully_shift", "is_shifted",
+            "lex_family", "max_cross_partner", "shift_once",
+        ),
+    },
+    "setfam.search": {
+        "setfam.search.problems": (
+            "KINDS", "LayerBound", "MaximizerClass", "Problem", "SearchReport", "bound_for",
+            "check_layer_inequality", "classify_maximizers", "enumerate_shifted", "solve",
+        ),
+        "setfam.search.verify": ("THEOREMS",),
+    },
+}
+
+
+@pytest.mark.parametrize("package", sorted(EXPORTS))
+def test_lazy_package_names_are_the_defining_modules_objects(package):
+    pkg = importlib.import_module(package)
+    for module, names in EXPORTS[package].items():
+        defining = importlib.import_module(module)
+        for name in names:
+            assert getattr(pkg, name) is getattr(defining, name), f"{package}.{name}"
+    assert sorted(pkg.__all__) == sorted(n for names in EXPORTS[package].values() for n in names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pkg.no_such_name
 
 
 def test_infeasible_instances_are_rejected():
