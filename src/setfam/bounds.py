@@ -9,8 +9,8 @@ the raw expression anyway and labels the result as unchecked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import ParamRangeError
 
 __all__ = [
@@ -25,18 +25,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Record):
     """Named integer parameters.  Each evaluator reads the fields it needs
     and rejects out-of-range values with the violated constraint named."""
 
-    n: int | None = None
-    k: int | None = None
-    l: int | None = None
-    t: int | None = None
-    r: int | None = None
-    s: int | None = None
-    d: int | None = None
+    __slots__ = ("n", "k", "l", "t", "r", "s", "d")
+
+    n: int | None
+    k: int | None
+    l: int | None
+    t: int | None
+    r: int | None
+    s: int | None
+    d: int | None
+
+    def __init__(self, n=None, k=None, l=None, t=None, r=None, s=None, d=None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "d", d)
 
     def require(self, *names: str) -> tuple[int, ...]:
         vals = []
@@ -48,10 +58,15 @@ class Params:
         return tuple(vals)
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(Record):
+    __slots__ = ("value", "regime")
+
     value: int
-    regime: str = ""
+    regime: str
+
+    def __init__(self, value: int, regime: str = ""):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "regime", regime)
 
     def __int__(self) -> int:
         return self.value

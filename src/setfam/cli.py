@@ -393,7 +393,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParamRangeError, FamilyFormatError, FileNotFoundError) as exc:
+    except (ParamRangeError, FamilyFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleInstanceError as exc:

@@ -10,8 +10,7 @@ constructed families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .bounds import Params, BoundValue, _ball, _c
 from .errors import ParamRangeError
 from .family import Family, layer_masks
@@ -40,15 +39,19 @@ TAGS = (
 _PAIR_TAGS = ("main1_pair_r_sets", "main1_pair_star_kr1", "main1_pair_k3")
 
 
-@dataclass(frozen=True)
-class ConstructionId:
-    tag: str
-    params: Params = field(default_factory=Params)
-    y: int = 1  # distinguished element of the odd Katona family
+class ConstructionId(Record):
+    __slots__ = ("tag", "params", "y")
 
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ParamRangeError(f"unknown construction tag {self.tag!r}")
+    tag: str
+    params: Params
+    y: int  # distinguished element of the odd Katona family
+
+    def __init__(self, tag: str, params: Params = Params(), y: int = 1):
+        if tag not in TAGS:
+            raise ParamRangeError(f"unknown construction tag {tag!r}")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "y", y)
 
 
 def is_pair_tag(tag: str) -> bool:

@@ -11,15 +11,19 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, TextIO
 
+from ._record import Record
 from .errors import (
     FamilyFormatError,
     InfeasibleInstanceError,
     ParamRangeError,
     UniverseMismatchError,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names used only in annotations, never imported at run time
+    from collections.abc import Iterable, Iterator
+    from typing import TextIO
 
 __all__ = [
     "MAX_UNIVERSE",
@@ -76,17 +80,28 @@ def _check_universe(n: int) -> None:
         raise ValueError(f"universe size must satisfy 2 <= n <= {MAX_UNIVERSE} (got {n})")
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Record):
     """One member set: a bit vector of width n."""
+
+    __slots__ = ("bits", "n")
 
     bits: int
     n: int
 
-    def __post_init__(self):
-        _check_universe(self.n)
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"bit vector {self.bits:#x} has bits outside universe [1,{self.n}]")
+    def __init__(self, bits: int, n: int):
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "n", n)
+        _check_universe(n)
+        if bits < 0 or bits >> n:
+            raise ValueError(f"bit vector {bits:#x} has bits outside universe [1,{n}]")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.bits, self.n) == (other.bits, other.n)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.n))
 
     @classmethod
     def of(cls, elements: Iterable[int], n: int) -> "Subset":
@@ -106,22 +121,33 @@ class Subset:
         return "{" + ",".join(map(str, self.elements())) + "}"
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """Deduplicated family of subsets of [n], sorted by bit-vector value."""
+
+    __slots__ = ("n", "members")
 
     n: int
     members: tuple[int, ...]
 
-    def __post_init__(self):
-        _check_universe(self.n)
+    def __init__(self, n: int, members: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
+        _check_universe(n)
         prev = -1
-        for m in self.members:
-            if m < 0 or m >> self.n:
-                raise ValueError(f"member {m:#x} has bits outside universe [1,{self.n}]")
+        for m in members:
+            if m < 0 or m >> n:
+                raise ValueError(f"member {m:#x} has bits outside universe [1,{n}]")
             if m <= prev:
                 raise ValueError("members must be strictly increasing (sorted, deduplicated)")
             prev = m
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.members) == (other.n, other.members)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.members))
 
     @classmethod
     def of_masks(cls, n: int, masks: Iterable[int]) -> "Family":
@@ -134,7 +160,7 @@ class Family:
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(elements_of(m) for m in self.members)
 
-    def uniform_size(self) -> Optional[int]:
+    def uniform_size(self) -> int | None:
         """Common cardinality if the family is uniform, else None.
         The empty family is vacuously uniform of any size; returns None."""
         if not self.members:
@@ -162,12 +188,16 @@ class Family:
         return f"Family(n={self.n}, {{{body}}})"
 
 
-@dataclass(frozen=True)
-class IsoCertificate:
+class IsoCertificate(Record):
     """Witnessing permutation, as a tuple sigma with sigma[i-1] = image of i,
     or None when the families are not isomorphic."""
 
-    permutation: Optional[tuple[int, ...]]
+    __slots__ = ("permutation",)
+
+    permutation: tuple[int, ...] | None
+
+    def __init__(self, permutation: tuple[int, ...] | None):
+        object.__setattr__(self, "permutation", permutation)
 
     def __bool__(self) -> bool:
         return self.permutation is not None

@@ -37,10 +37,9 @@ The overlap cap of cross_pair_capped can grow under joint shifts, so only
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from math import comb
-from typing import Callable, Iterator, Optional
 
+from .._record import Record
 from ..bounds import (
     BoundValue,
     Params,
@@ -62,6 +61,10 @@ from .tables import (
     build_union_tables,
     dominance_pred,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names used only in annotations, never imported at run time
+    from collections.abc import Callable, Iterator
 
 __all__ = [
     "KINDS",
@@ -88,27 +91,41 @@ _ENGINES = {
 }
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
+    __slots__ = ("kind", "params", "engine")
+
     kind: str
     params: Params
-    engine: str = "auto"
+    engine: str
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParamRangeError(f"unknown problem kind {self.kind!r}")
-        if self.engine not in ("auto", "brute", "shifted", "clique"):
-            raise ParamRangeError(f"unknown engine {self.engine!r}")
+    def __init__(self, kind: str, params: Params, engine: str = "auto"):
+        if kind not in KINDS:
+            raise ParamRangeError(f"unknown problem kind {kind!r}")
+        if engine not in ("auto", "brute", "shifted", "clique"):
+            raise ParamRangeError(f"unknown engine {engine!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "engine", engine)
 
 
-@dataclass(frozen=True)
-class MaximizerClass:
+class MaximizerClass(Record):
+    __slots__ = ("representative", "size")
+
     representative: object  # Family, or (Family, Family) for pair kinds
     size: int
 
+    def __init__(self, representative: object, size: int):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "size", size)
 
-@dataclass(frozen=True)
-class SearchReport:
+
+class SearchReport(Record):
+    __slots__ = (
+        "kind", "params", "engine", "backend", "optimum", "bound", "matches_bound",
+        "maximizer_count", "classes", "nodes", "elapsed", "note",
+    )
+    _defaults = {"note": None}
+
     kind: str
     params: Params
     engine: str
@@ -120,7 +137,7 @@ class SearchReport:
     classes: tuple[MaximizerClass, ...]
     nodes: int
     elapsed: float
-    note: Optional[str] = None
+    note: str | None
 
     @property
     def class_representatives(self) -> list:
@@ -158,11 +175,11 @@ def bound_for(kind: str, p: Params) -> BoundValue:
     if kind == "s_union_max":
         (n, s) = p.require("n", "s")
         which = "katona_even" if s % 2 == 0 else "katona_odd"
-        return bound_union(which, replace(p, d=s // 2))
+        return bound_union(which, Params(n=n, d=s // 2))
     if kind == "s_union_conditioned_max":
         (n, s, r) = p.require("n", "s", "r")
         which = "main5_even" if s % 2 == 0 else "main5_odd"
-        return bound_union(which, replace(p, d=s // 2))
+        return bound_union(which, Params(n=n, d=s // 2, r=r))
     raise ParamRangeError(f"unknown problem kind {kind!r}")
 
 
@@ -352,8 +369,15 @@ _NOTES = {
 }
 
 
+def _check_budget(max_seconds: float | None) -> None:
+    # NaN fails the comparison too: a deadline of NaN would never pass
+    if max_seconds is not None and not max_seconds >= 0:
+        raise ParamRangeError(f"max_seconds must be a number >= 0 (got {max_seconds})")
+
+
 def solve(problem: Problem, max_seconds: float | None = None, backend: str | None = None) -> SearchReport:
     """Run the exact search for a problem and report it against its bound."""
+    _check_budget(max_seconds)
     p = problem.params
     bound = bound_for(problem.kind, p)  # parameter ranges are the bound's theorem ranges
     engine = _resolve_engine(problem.kind, problem.engine)
@@ -396,7 +420,7 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
 # ------------------------------------------------- shifted-family streaming
 
 
-def enumerate_shifted(n: int, k: int, predicate: Optional[Callable[[Family], bool]] = None) -> Iterator[Family]:
+def enumerate_shifted(n: int, k: int, predicate: Callable[[Family], bool] | None = None) -> Iterator[Family]:
     """Yield every shifted k-uniform family on [n] (the down-sets of the
     coordinatewise dominance order), each exactly once, in a deterministic
     depth-first order starting from the empty family.  ``predicate`` filters
@@ -424,8 +448,9 @@ def enumerate_shifted(n: int, k: int, predicate: Optional[Callable[[Family], boo
 # ----------------------------------------------------- layer-pair invariant
 
 
-@dataclass(frozen=True)
-class LayerBound:
+class LayerBound(Record):
+    __slots__ = ("i", "lhs", "rhs", "tight", "equality_form_ok")
+
     i: int
     lhs: int
     rhs: int

@@ -10,9 +10,9 @@ before successors.  The s-union clique vertices run the other way (see
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
+from .._record import Record
 from ..errors import InfeasibleInstanceError
 from ..family import elements_of, layer_masks
 from ..shifting import dominates
@@ -81,8 +81,9 @@ def disjoint_table(masks: list[int], others: list[int], n: int) -> list[int]:
     return [full ^ bits for bits in overlap_table(masks, others, n, 1)]
 
 
-@dataclass(frozen=True)
-class PairTables:
+class PairTables(Record):
+    __slots__ = ("n", "cands", "gmasks", "compat", "pred", "kill")
+
     n: int
     cands: list[int]       # F-side candidate masks
     gmasks: list[int]      # partner universe masks
@@ -126,8 +127,9 @@ def build_pair_tables(
     return PairTables(n, cands, gmasks, compat, pred, kill)
 
 
-@dataclass(frozen=True)
-class CliqueTables:
+class CliqueTables(Record):
+    __slots__ = ("n", "vmasks", "adj", "sup", "layer")
+
     n: int
     vmasks: list[int]
     adj: list[int]
@@ -166,8 +168,9 @@ def build_union_tables(n: int, s: int, constrained_layer: int | None) -> CliqueT
     return CliqueTables(n, vmasks, adj, sup, layer)
 
 
-@dataclass(frozen=True)
-class DiversityTables:
+class DiversityTables(Record):
+    __slots__ = ("n", "hmasks", "amasks", "hcompat", "akill", "avoid_a")
+
     n: int
     hmasks: list[int]     # candidates avoiding element 1
     amasks: list[int]     # candidates containing element 1

@@ -5,15 +5,14 @@ classes against the expected equality families."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
 
+from .._record import Record
 from ..bounds import Params
 from ..errors import InfeasibleInstanceError, ParamRangeError, TimeBudgetExceededError
 from ..family import are_isomorphic
 from . import THEOREMS
 from .expected import expected_classes
-from .problems import Problem, SearchReport, bound_for, solve
+from .problems import Problem, SearchReport, _check_budget, bound_for, solve
 
 __all__ = ["THEOREMS", "parse_grid", "verify_grid", "VerifyRow", "VerifyResult"]
 
@@ -89,19 +88,22 @@ def parse_grid(spec: str) -> list[dict[str, int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(Record):
+    __slots__ = ("params", "skipped", "report", "bound_ok", "classes_ok", "timeout", "infeasible")
+    _defaults = {"timeout": None, "infeasible": None}
+
     params: Params
-    skipped: Optional[str]  # out-of-range reason, or None
-    report: Optional[SearchReport]
-    bound_ok: Optional[bool]
-    classes_ok: Optional[bool]  # None when no characterization is asserted
-    timeout: Optional[TimeBudgetExceededError] = None  # the search ran out of time
-    infeasible: Optional[InfeasibleInstanceError] = None  # an instance limit stopped it
+    skipped: str | None  # out-of-range reason, or None
+    report: SearchReport | None
+    bound_ok: bool | None
+    classes_ok: bool | None  # None when no characterization is asserted
+    timeout: TimeBudgetExceededError | None  # the search ran out of time
+    infeasible: InfeasibleInstanceError | None  # an instance limit stopped it
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(Record):
+    __slots__ = ("theorem", "rows")
+
     theorem: str
     rows: list[VerifyRow]
 
@@ -172,6 +174,9 @@ def verify_grid(
 ) -> VerifyResult:
     if theorem not in THEOREMS:
         raise ParamRangeError(f"unknown theorem id {theorem!r} (known: {', '.join(THEOREMS)})")
+    if threads < 1:
+        raise ParamRangeError(f"threads must be >= 1 (got {threads})")
+    _check_budget(max_seconds)
     envs = parse_grid(grid)
     if threads <= 1:
         rows = [_run_row(theorem, env, engine, max_seconds) for env in envs]

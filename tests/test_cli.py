@@ -92,6 +92,45 @@ def test_check_negative_parameter_is_a_usage_error(tmp_path, capsys, pred, flag,
     assert (code, out, err) == (2, "", f"error: {flag[2:]} must be >= 0 (got {value})\n")
 
 
+def test_an_unusable_path_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "check", "--pred", "shifted", "--family", str(tmp_path))
+    assert (code, out) == (2, "") and err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    code, out, err = run(
+        capsys, "construct", "J_kr", "--n", "9", "--k", "4", "--r", "2", "--out", str(tmp_path)
+    )
+    assert (code, out) == (2, "") and err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_an_unwritable_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def refuse(path, *args):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr("setfam.cli.open", refuse, raising=False)
+    out_f = str(tmp_path / "star.fam")
+    code, out, err = run(capsys, "construct", "full_star", "--n", "5", "--k", "2", "--out", out_f)
+    assert (code, out) == (2, "") and err == f"error: [Errno 13] Permission denied: '{out_f}'\n"
+    code, out, err = run(capsys, "check", "--pred", "shifted", "--family", out_f)
+    assert (code, out) == (2, "") and err == f"error: [Errno 13] Permission denied: '{out_f}'\n"
+
+
+SEARCH = ("search", "s_union_max", "--n", "5", "--s", "2")
+VERIFY = ("verify", "katona", "--grid", "n=5;s=2")
+
+
+@pytest.mark.parametrize("argv", [SEARCH, VERIFY], ids=["search", "verify"])
+@pytest.mark.parametrize("value", ["nan", "-1", "-0.5", "-inf"])
+def test_a_budget_that_is_no_number_of_seconds_is_a_usage_error(capsys, argv, value):
+    code, out, err = run(capsys, *argv, f"--max-seconds={value}")
+    shown = float(value)
+    assert (code, out, err) == (2, "", f"error: max_seconds must be a number >= 0 (got {shown})\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_thread(capsys, value):
+    code, out, err = run(capsys, *VERIFY, "--threads", value)
+    assert (code, out, err) == (2, "", f"error: threads must be >= 1 (got {value})\n")
+
+
 def test_search_json_schema(capsys):
     code, out, _ = run(
         capsys, "search", "hemibundled_max", "--n", "5", "--k", "2", "--t", "0", "--r", "1",

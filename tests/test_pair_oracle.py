@@ -9,7 +9,6 @@ must agree with the oracle on every backend, and, on larger instances, with
 the search over every labeled family.
 """
 
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -149,8 +148,8 @@ def test_reduced_brute_search_matches_the_unreduced_one(compiled, monkeypatch, k
     reduced = solve(Problem(kind, p, "brute"))
 
     def unreduced_tables(*args, **kwargs):
-        tabs = tables.build_pair_tables(*args, **kwargs)
-        return replace(tabs, pred=[0] * len(tabs.cands))
+        t = tables.build_pair_tables(*args, **kwargs)
+        return tables.PairTables(t.n, t.cands, t.gmasks, t.compat, [0] * len(t.cands), t.kill)
 
     monkeypatch.setattr(problems, "build_pair_tables", unreduced_tables)
     monkeypatch.setattr(problems, "_labeled_classes", lambda classes, n: classes)

@@ -10,7 +10,6 @@ members.  The optimum, ``maximizer_count`` and the set of maximizer
 families must agree with the oracle on every backend.
 """
 
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -86,8 +85,8 @@ def _ascending(tabs: tables.CliqueTables) -> tables.CliqueTables:
     def flip(x: int) -> int:
         return sum(1 << top - i for i in range(top + 1) if x >> i & 1)
 
-    return replace(
-        tabs,
+    return tables.CliqueTables(
+        n=tabs.n,
         vmasks=tabs.vmasks[::-1],
         adj=[flip(a) for a in reversed(tabs.adj)],
         sup=[flip(u) for u in reversed(tabs.sup)],
