@@ -105,6 +105,43 @@ def _fail(which: str, constraint: str) -> None:
     raise ParamRangeError(f"{which} requires {constraint}")
 
 
+# Theorem hypotheses shared by bounds and constructions; ``which`` is the
+# bound name or construction tag that the error message names.
+
+
+def _check_layers(which: str, n: int, k: int, t: int, k_min: int = 2) -> None:
+    """Layers k+t and k of the hemibundled bounds (f16, w23, main1)."""
+    if k < k_min:
+        _fail(which, f"k >= {k_min} (got k={k})")
+    if t < 0:
+        _fail(which, f"t >= 0 (got t={t})")
+    if n < 2 * k + t:
+        _fail(which, f"n >= 2k+t (got n={n}, k={k}, t={t})")
+
+
+def _check_main1_range(which: str, n: int, k: int, t: int, r: int) -> None:
+    """Main Theorem 1: the layer conditions and 1 <= r <= n-k-t+1."""
+    _check_layers(which, n, k, t)
+    if not 1 <= r <= n - k - t + 1:
+        _fail(which, f"1 <= r <= n-k-t+1 (got r={r}, n-k-t+1={n - k - t + 1})")
+
+
+def _check_ekr(which: str, n: int, k: int) -> None:
+    """Erdos-Ko-Rado range: k >= 2, n >= 2k."""
+    if k < 2:
+        _fail(which, f"k >= 2 (got k={k})")
+    if n < 2 * k:
+        _fail(which, f"n >= 2k (got n={n}, k={k})")
+
+
+def _check_diversity(which: str, n: int, k: int) -> None:
+    """Kupavskii's diversity range: k >= 3, n > 2k."""
+    if k < 3:
+        _fail(which, f"k >= 3 (got k={k})")
+    if n <= 2 * k:
+        _fail(which, f"n > 2k (got n={n}, k={k})")
+
+
 def _label(regime: str, unchecked: bool) -> str:
     return f"{regime} (unchecked)" if unchecked else regime
 
@@ -120,10 +157,7 @@ def bound_classic(which: str, p: Params, unchecked: bool = False) -> BoundValue:
     if which == "ekr":
         (n, k) = p.require("n", "k")
         if not unchecked:
-            if k < 2:
-                _fail(which, f"k >= 2 (got k={k})")
-            if n < 2 * k:
-                _fail(which, f"n >= 2k (got n={n}, k={k})")
+            _check_ekr(which, n, k)
         return BoundValue(_c(n - 1, k - 1), _label("ekr", unchecked))
     if which == "hm":
         (n, k) = p.require("n", "k")
@@ -161,35 +195,18 @@ def bound_hemibundled(which: str, p: Params, unchecked: bool = False) -> BoundVa
     if which == "f16":
         (n, k, t) = p.require("n", "k", "t")
         if not unchecked:
-            if k < 2:
-                _fail(which, f"k >= 2 (got k={k})")
-            if t < 0:
-                _fail(which, f"t >= 0 (got t={t})")
-            if n < 2 * k + t:
-                _fail(which, f"n >= 2k+t (got n={n}, k={k}, t={t})")
+            _check_layers(which, n, k, t)
         return BoundValue(_c(n, k) - _c(n - k - t, k) + 1, _label("f16", unchecked))
     if which == "w23":
         (n, k, t) = p.require("n", "k", "t")
         if not unchecked:
-            if k < 3:
-                _fail(which, f"k >= 3 (got k={k})")
-            if t < 0:
-                _fail(which, f"t >= 0 (got t={t})")
-            if n < 2 * k + t:
-                _fail(which, f"n >= 2k+t (got n={n}, k={k}, t={t})")
+            _check_layers(which, n, k, t, k_min=3)
         v = _c(n, k) - _c(n - k - t, k) - _c(n - k - t - 1, k - 1) + 2
         return BoundValue(v, _label("w23", unchecked))
     if which == "main1":
         (n, k, t, r) = p.require("n", "k", "t", "r")
         if not unchecked:
-            if k < 2:
-                _fail(which, f"k >= 2 (got k={k})")
-            if t < 0:
-                _fail(which, f"t >= 0 (got t={t})")
-            if n < 2 * k + t:
-                _fail(which, f"n >= 2k+t (got n={n}, k={k}, t={t})")
-            if not 1 <= r <= n - k - t + 1:
-                _fail(which, f"1 <= r <= n-k-t+1 (got r={r}, n-k-t+1={n - k - t + 1})")
+            _check_main1_range(which, n, k, t, r)
         if r <= k - 1:
             v = _c(n, k) - _c(n - k - t + 1, k) + _c(n - k - t - r + 1, k - r) + r
             return BoundValue(v, _label("i", unchecked))
@@ -245,10 +262,7 @@ def bound_diversity(p: Params, unchecked: bool = False) -> BoundValue:
     """
     (n, k, r) = p.require("n", "k", "r")
     if not unchecked:
-        if k < 3:
-            _fail("diversity", f"k >= 3 (got k={k})")
-        if n <= 2 * k:
-            _fail("diversity", f"n > 2k (got n={n}, k={k})")
+        _check_diversity("diversity", n, k)
         if not 1 <= r <= n - k:
             _fail("diversity", f"1 <= r <= n-k (got r={r}, n-k={n - k})")
     if r <= k - 2:

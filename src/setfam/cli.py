@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import import_module
 
@@ -33,16 +32,14 @@ from .errors import (
     TimeBudgetExceededError,
 )
 from .family import (
-    Family,
     are_cross_intersecting,
     degree_profile,
-    elements_of,
     is_s_union,
     is_t_intersecting,
     read_family,
     write_family,
 )
-from .search import KINDS, THEOREMS
+from .search import ENGINES, KINDS, THEOREMS
 from .shifting import is_shifted
 
 # Loaded with their search layers on first access (PEP 562), so that bound,
@@ -92,27 +89,18 @@ def _params_dict(p: Params) -> dict:
             if getattr(p, name) is not None}
 
 
-def _family_lists(fam: Family) -> list[list[int]]:
-    return [list(elements_of(m)) for m in fam.members]
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SETFAM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _cmd_bound(args) -> int:
     p = _params_from(args)
-    if args.which.startswith(("katona", "main5")) and p.d is None and p.s is not None:
+    if args.which.startswith(("katona", "main5")) and p.s is not None:
         odd = args.which.endswith("odd")
         if p.s % 2 != (1 if odd else 0):
             raise ParamRangeError(f"{args.which} needs s of matching parity (got s={p.s})")
+        if p.d not in (None, p.s // 2):
+            raise ParamRangeError(f"{args.which} needs d = s // 2 (got s={p.s}, d={p.d})")
         p = Params(n=p.n, k=p.k, l=p.l, t=p.t, r=p.r, s=p.s, d=p.s // 2)
     fn = _BOUNDS[args.which]
     if fn is binomial:
@@ -205,12 +193,12 @@ def _report_json(report, with_timing: bool) -> dict:
         rep = cls.representative
         if isinstance(rep, tuple):
             entry = {
-                "representative": _family_lists(rep[0]),
-                "partner": _family_lists(rep[1]),
+                "representative": rep[0].sets(),
+                "partner": rep[1].sets(),
                 "size": cls.size,
             }
         else:
-            entry = {"representative": _family_lists(rep), "size": cls.size}
+            entry = {"representative": rep.sets(), "size": cls.size}
         classes.append(entry)
     out = {
         "kind": report.kind,
@@ -364,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("search", help="run an exact search oracle")
     s.add_argument("kind", choices=KINDS)
     _add_param_flags(s)
-    s.add_argument("--engine", default="auto", choices=("auto", "brute", "shifted", "clique"))
+    s.add_argument("--engine", default="auto", choices=ENGINES)
     s.add_argument("--backend", default=None, choices=("compiled", "python"))
     s.add_argument("--max-seconds", type=float, default=None)
     s.add_argument("--json", action="store_true")
@@ -379,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("theorem", choices=sorted(THEOREMS))
     v.add_argument("--grid", required=True)
-    v.add_argument("--engine", default="auto", choices=("auto", "brute", "shifted", "clique"))
-    v.add_argument("--threads", type=int, default=_default_threads())
+    v.add_argument("--engine", default="auto", choices=ENGINES)
+    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--max-seconds", type=float, default=None)
     v.add_argument("--json", action="store_true")
     v.add_argument("--no-timing", action="store_true")

@@ -11,7 +11,9 @@ constructed families.
 from __future__ import annotations
 
 from ._record import Record
-from .bounds import Params, BoundValue, _ball, _c
+from .bounds import (
+    Params, BoundValue, _ball, _c, _check_diversity, _check_ekr, _check_main1_range, _fail,
+)
 from .errors import ParamRangeError
 from .family import Family, layer_masks
 
@@ -73,10 +75,6 @@ def _ball_masks(n: int, d: int) -> list[int]:
     return [m for m in range(1 << n) if m.bit_count() <= d]
 
 
-def _fail(tag: str, constraint: str) -> None:
-    raise ParamRangeError(f"{tag} requires {constraint}")
-
-
 def _j_family_masks(n: int, k: int, r: int) -> list[int]:
     """r sets [2,k]+{k+j} together with the 1-containing k-sets meeting all
     of them."""
@@ -111,17 +109,14 @@ def construct(cid: ConstructionId):
     if tag in ("full_star", "ekr_extremal"):
         (n, k) = p.require("n", "k")
         if tag == "ekr_extremal":
-            if k < 2:
-                _fail(tag, f"k >= 2 (got k={k})")
-            if n < 2 * k:
-                _fail(tag, f"n >= 2k (got n={n}, k={k})")
+            _check_ekr(tag, n, k)
         elif not 1 <= k <= n:
             _fail(tag, f"1 <= k <= n (got k={k}, n={n})")
         return Family.of_masks(n, _layer(n, k, lambda m: m & 1))
 
     if tag == "main1_pair_r_sets":
         (n, k, t, r) = p.require("n", "k", "t", "r")
-        _check_main1(tag, n, k, t, r)
+        _check_main1_range(tag, n, k, t, r)
         core = _interval_mask(1, k + t - 1)
         fs = [core | (1 << (k + t - 1 + i - 1)) for i in range(1, r + 1)]
         F = Family.of_masks(n, fs)
@@ -130,7 +125,7 @@ def construct(cid: ConstructionId):
 
     if tag == "main1_pair_star_kr1":
         (n, k, t, r) = p.require("n", "k", "t", "r")
-        _check_main1(tag, n, k, t, r)
+        _check_main1_range(tag, n, k, t, r)
         if k != r + 1:
             _fail(tag, f"k = r+1 (got k={k}, r={r})")
         core = _interval_mask(1, t + r)
@@ -154,14 +149,14 @@ def construct(cid: ConstructionId):
 
     if tag == "J_kr":
         (n, k, r) = p.require("n", "k", "r")
-        _check_diversity_range(tag, n, k)
+        _check_diversity(tag, n, k)
         if not 1 <= r <= k - 2:
             _fail(tag, f"1 <= r <= k-2 (got r={r}, k={k})")
         return Family.of_masks(n, _j_family_masks(n, k, r))
 
     if tag == "H_k":
         (n, k) = p.require("n", "k")
-        _check_diversity_range(tag, n, k)
+        _check_diversity(tag, n, k)
         return Family.of_masks(n, _h_family_masks(n, k))
 
     if tag == "G_4":
@@ -232,24 +227,6 @@ def construct(cid: ConstructionId):
         return Family.of_masks(n, _ball_masks(n, 3) + _g4_masks(n))
 
     raise ParamRangeError(f"unknown construction tag {tag!r}")
-
-
-def _check_main1(tag: str, n: int, k: int, t: int, r: int) -> None:
-    if k < 2:
-        _fail(tag, f"k >= 2 (got k={k})")
-    if t < 0:
-        _fail(tag, f"t >= 0 (got t={t})")
-    if n < 2 * k + t:
-        _fail(tag, f"n >= 2k+t (got n={n}, k={k}, t={t})")
-    if not 1 <= r <= n - k - t + 1:
-        _fail(tag, f"1 <= r <= n-k-t+1 (got r={r}, n-k-t+1={n - k - t + 1})")
-
-
-def _check_diversity_range(tag: str, n: int, k: int) -> None:
-    if k < 3:
-        _fail(tag, f"k >= 3 (got k={k})")
-    if n <= 2 * k:
-        _fail(tag, f"n > 2k (got n={n}, k={k})")
 
 
 def _check_w(tag: str, n: int, s: int, d: int) -> None:

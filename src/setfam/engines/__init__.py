@@ -17,6 +17,11 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from ..errors import InfeasibleInstanceError
 from . import pykern
 
+# The width of the compiled kernels' index sets (MAXBITS in fastcore.c): no
+# table universe may hold more entries.  Set before fastcore loads, which
+# reads it.
+MAX_BITS = 128
+
 
 def _load_compiled():
     """(the compiled kernels, None), or (None, why they are missing)."""

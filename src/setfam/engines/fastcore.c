@@ -21,7 +21,7 @@ typedef bits word __attribute__((aligned(8)));
 
 enum { OK, TIMEOUT, CAP, NOMEM };
 #define CHECK_MASK 0x1FFF /* read the clock every 8192 nodes */
-#define MAXBITS 128
+#define MAXBITS 128 /* setfam.engines.MAX_BITS, which fastcore.py checks */
 
 typedef struct {
     double deadline;  /* CLOCK_MONOTONIC seconds, as Python's time.monotonic */

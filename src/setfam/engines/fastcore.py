@@ -15,9 +15,8 @@ import ctypes
 import math
 
 from ..errors import InfeasibleInstanceError
-from . import pykern
+from . import MAX_BITS, pykern
 
-MAX_BITS = 128
 _WORD = 16
 _OK, _TIMEOUT, _CAP, _NOMEM = range(4)
 

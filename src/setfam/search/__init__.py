@@ -1,8 +1,9 @@
 """Exact search oracles: problem kinds, ``solve`` and grid verification.
 
-``KINDS`` and ``THEOREMS`` are defined here, so that the command-line
-parser can list them without importing the search layers.  Every other
-name is defined in ``problems`` and loads it on first access (PEP 562).
+``KINDS``, ``ENGINES`` and ``THEOREMS`` are defined here, so that the
+command-line parser can list them without importing the search layers.
+Every other name is defined in ``problems`` and loads it on first access
+(PEP 562).
 """
 
 KINDS = (
@@ -13,6 +14,10 @@ KINDS = (
     "s_union_max",
     "s_union_conditioned_max",
 )
+
+# The engines a Problem can name; which of them each kind runs, and the note
+# each one's report carries, is the engine table of ``problems``.
+ENGINES = ("auto", "brute", "shifted", "clique")
 
 # theorem id -> (problem kind, grid variables, fixed params, assert mode)
 # assert mode "equality": optimum must equal the bound; "upper": optimum
@@ -40,7 +45,7 @@ _FROM_PROBLEMS = (
     "solve",
 )
 
-__all__ = ["KINDS", "THEOREMS", *_FROM_PROBLEMS]
+__all__ = ["KINDS", "ENGINES", "THEOREMS", *_FROM_PROBLEMS]
 
 
 def __getattr__(name):

@@ -6,19 +6,11 @@ partner family is always the largest family cross-intersecting with F (the
 full layer minus the disjointness family), so the search ranges over F
 only.
 
-Engine/kind matrix (auto picks the first listed):
-
-    hemibundled_max          shifted, brute
-    cross_pair_max           shifted, brute
-    cross_pair_capped        brute
-    diverse_intersecting_max clique (alias brute), shifted (lower bound)
-    s_union_max              clique (alias brute)
-    s_union_conditioned_max  clique (alias brute)
-
-The brute pair kinds search only the families that contain the least
-candidate (see :func:`build_pair_tables`), so their ``nodes`` count that
-reduced search; ``maximizer_count`` and the class sizes still count labeled
-families, recovered by double counting (:func:`_labeled_classes`).
+``_KIND_ENGINES`` lists the engines each kind runs.  The brute pair kinds
+search only the families that contain the least candidate (see
+:func:`build_pair_tables`), so their ``nodes`` count that reduced search;
+``maximizer_count`` and the class sizes still count labeled families,
+recovered by double counting (:func:`_labeled_classes`).
 The s-union kinds search only down-sets, which every maximum s-union
 family is (see :func:`setfam.engines.pykern.clique_bnb`), so their
 ``nodes`` count that smaller search.
@@ -53,9 +45,8 @@ from ..errors import InfeasibleInstanceError, ParamRangeError
 from ..family import Family, are_isomorphic, is_s_union, iso_invariant, layer_masks
 from .. import engines
 from ..engines import pykern
-from . import KINDS
+from . import ENGINES, KINDS
 from .tables import (
-    MAX_CANDIDATES,
     build_diversity_tables,
     build_pair_tables,
     build_union_tables,
@@ -81,13 +72,23 @@ __all__ = [
 
 _PAIR_KINDS = ("hemibundled_max", "cross_pair_max", "cross_pair_capped")
 
-_ENGINES = {
-    "hemibundled_max": ("shifted", "brute"),
-    "cross_pair_max": ("shifted", "brute"),
-    "cross_pair_capped": ("brute",),
-    "diverse_intersecting_max": ("clique", "shifted"),
-    "s_union_max": ("clique",),
-    "s_union_conditioned_max": ("clique",),
+_SHIFTED_SCOPE = "maximizer scope: shifted families only"
+
+# kind -> {engine it runs: the note its reports carry}; auto runs the first.
+# ``brute`` also names the clique engine of the graph-shaped kinds.
+_KIND_ENGINES = {
+    "hemibundled_max": {"shifted": _SHIFTED_SCOPE, "brute": None},
+    "cross_pair_max": {"shifted": _SHIFTED_SCOPE, "brute": None},
+    "cross_pair_capped": {"brute": "partner shown with the lowest-indexed overlap members dropped"},
+    "diverse_intersecting_max": {
+        "clique": "maximizer scope: families with maximum degree at element 1",
+        "shifted": (
+            "lower-bound engine: optimum certified over shifted families only; "
+            "validate with the clique engine"
+        ),
+    },
+    "s_union_max": {"clique": None},
+    "s_union_conditioned_max": {"clique": None},
 }
 
 
@@ -101,8 +102,9 @@ class Problem(Record):
     def __init__(self, kind: str, params: Params, engine: str = "auto"):
         if kind not in KINDS:
             raise ParamRangeError(f"unknown problem kind {kind!r}")
-        if engine not in ("auto", "brute", "shifted", "clique"):
+        if engine not in ENGINES:
             raise ParamRangeError(f"unknown engine {engine!r}")
+        _resolve_engine(kind, engine)  # rejects an engine the kind does not run
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "engine", engine)
@@ -145,10 +147,10 @@ class SearchReport(Record):
 
 
 def _resolve_engine(kind: str, engine: str) -> str:
-    allowed = _ENGINES[kind]
+    allowed = _KIND_ENGINES[kind]
     if engine == "auto":
-        return allowed[0]
-    if engine == "brute" and "brute" not in allowed and "clique" in allowed:
+        return next(iter(allowed))
+    if engine == "brute" and "clique" in allowed:
         return "clique"  # exhaustive engine for graph-shaped kinds
     if engine == "clique" and kind in _PAIR_KINDS:
         raise ParamRangeError(f"engine 'clique' does not apply to kind {kind!r}")
@@ -353,22 +355,6 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-_NOTES = {
-    ("hemibundled_max", "shifted"): "maximizer scope: shifted families only",
-    ("cross_pair_max", "shifted"): "maximizer scope: shifted families only",
-    ("diverse_intersecting_max", "shifted"): (
-        "lower-bound engine: optimum certified over shifted families only; "
-        "validate with the clique engine"
-    ),
-    ("diverse_intersecting_max", "clique"): (
-        "maximizer scope: families with maximum degree at element 1"
-    ),
-    ("cross_pair_capped", "brute"): (
-        "partner shown with the lowest-indexed overlap members dropped"
-    ),
-}
-
-
 def _check_budget(max_seconds: float | None) -> None:
     # NaN fails the comparison too: a deadline of NaN would never pass
     if max_seconds is not None and not max_seconds >= 0:
@@ -413,7 +399,7 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
         classes=tuple(classes),
         nodes=nodes,
         elapsed=elapsed,
-        note=_NOTES.get((problem.kind, engine)),
+        note=_KIND_ENGINES[problem.kind][engine],
     )
 
 
@@ -427,9 +413,9 @@ def enumerate_shifted(n: int, k: int, predicate: Callable[[Family], bool] | None
     the stream without affecting traversal."""
     masks = layer_masks(n, k)
     m = len(masks)
-    if m > MAX_CANDIDATES:
+    if m > engines.MAX_BITS:
         raise InfeasibleInstanceError(
-            f"C({n},{k}) = {m} exceeds the enumeration limit of {MAX_CANDIDATES}"
+            f"C({n},{k}) = {m} exceeds the enumeration limit of {engines.MAX_BITS}"
         )
     pred = dominance_pred(masks)
 

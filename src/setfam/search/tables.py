@@ -13,12 +13,12 @@ import itertools
 from math import comb
 
 from .._record import Record
+from ..engines import MAX_BITS
 from ..errors import InfeasibleInstanceError
 from ..family import elements_of, layer_masks
 from ..shifting import dominates
 
-MAX_CANDIDATES = 128  # the width of the C kernels' bitsets
-# Lower than the bitset width on purpose: at 128, the diversity clique rows
+# Lower than MAX_BITS on purpose: at 128, the diversity clique rows
 # k=4, n=10, r=1..3 (84 star members) each ran out of a 60 s budget after
 # over 100M compiled-kernel nodes instead of failing at once.
 MAX_AMEMBERS = 64
@@ -116,10 +116,10 @@ def build_pair_tables(
     cands = layer_masks(n, f_size)
     gmasks = [] if g_size is None else layer_masks(n, g_size)
     m = len(cands)
-    _require(m <= MAX_CANDIDATES, f"candidate universe C({n},{f_size}) = {m} exceeds {MAX_CANDIDATES}")
+    _require(m <= MAX_BITS, f"candidate universe C({n},{f_size}) = {m} exceeds {MAX_BITS}")
     _require(
-        len(gmasks) <= MAX_CANDIDATES,
-        f"partner universe C({n},{g_size}) = {len(gmasks)} exceeds {MAX_CANDIDATES}",
+        len(gmasks) <= MAX_BITS,
+        f"partner universe C({n},{g_size}) = {len(gmasks)} exceeds {MAX_BITS}",
     )
     compat = overlap_table(cands, cands, n, t_inter) if t_inter is not None else None
     pred = dominance_pred(cands) if shifted else [0] + [1] * (m - 1)
@@ -146,8 +146,8 @@ def build_union_tables(n: int, s: int, constrained_layer: int | None) -> CliqueT
     """
     nv = sum(comb(n, i) for i in range(min(s, n) + 1))
     _require(
-        nv <= MAX_CANDIDATES,
-        f"the {nv} subsets of [{n}] with at most {s} elements exceed {MAX_CANDIDATES} vertices",
+        nv <= MAX_BITS,
+        f"the {nv} subsets of [{n}] with at most {s} elements exceed {MAX_BITS} vertices",
     )
     vmasks = sorted((m for i in range(min(s, n) + 1) for m in layer_masks(n, i)), reverse=True)
     adj = [0] * nv
@@ -184,8 +184,8 @@ def build_diversity_tables(n: int, k: int) -> DiversityTables:
     hmasks = [m for m in layer if not m & 1]
     amasks = [m for m in layer if m & 1]
     _require(
-        len(hmasks) <= MAX_CANDIDATES,
-        f"C({n - 1},{k}) = {len(hmasks)} candidates exceed {MAX_CANDIDATES}",
+        len(hmasks) <= MAX_BITS,
+        f"C({n - 1},{k}) = {len(hmasks)} candidates exceed {MAX_BITS}",
     )
     _require(
         len(amasks) <= MAX_AMEMBERS,

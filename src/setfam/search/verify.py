@@ -142,13 +142,15 @@ def _run_row(theorem: str, env: dict[str, int], engine: str, max_seconds) -> Ver
         if v not in env:
             raise ParamRangeError(f"theorem {theorem} needs grid variable {v!r}")
         values[v] = env[v]
-    params = Params(**values)
+    # built before the range check, so that skipped rows check the engine too
+    problem = Problem(kind, Params(**values), engine)
+    params = problem.params
     try:
         bound_for(kind, params)
     except ParamRangeError as exc:
         return VerifyRow(params, str(exc), None, None, None)
     try:
-        report = solve(Problem(kind, params, engine), max_seconds=max_seconds)
+        report = solve(problem, max_seconds=max_seconds)
         # the class check has instance limits of its own (the isomorphism search)
         expected = expected_classes(kind, params) if mode == "equality" else None
         classes_ok = None

@@ -241,16 +241,114 @@ def test_bound_union_accepts_s_or_d(capsys):
     assert code == 2 and "parity" in err
 
 
-def test_threads_default_from_environment(capsys, monkeypatch):
+def test_bound_rejects_s_and_d_that_disagree(capsys):
+    code, out, err = run(capsys, "bound", "katona_even", "--n", "8", "--s", "4", "--d", "1", "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: katona_even needs d = s // 2 (got s=4, d=1)\n"
+    code, out, _ = run(capsys, "bound", "katona_even", "--n", "8", "--s", "4", "--d", "2", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "which": "katona_even", "params": {"d": 2, "n": 8, "s": 4}, "regime": "even", "value": "37",
+    }
+    code, _, err = run(capsys, "bound", "main5_odd", "--n", "9", "--s", "5", "--d", "3", "--r", "1")
+    assert code == 2 and "(got s=5, d=3)" in err
+
+
+# Every bound name and construction tag at a point outside its theorem's
+# range, with the message it gives; the shared hypotheses at each of their
+# conditions.
+OUT_OF_RANGE = [
+    ("bound ekr --n 5 --k 1", "ekr requires k >= 2 (got k=1)"),
+    ("bound ekr --n 5 --k 3", "ekr requires n >= 2k (got n=5, k=3)"),
+    ("bound hm --n 5 --k 3", "hm requires n >= 2k (got n=5, k=3)"),
+    ("bound ft --n 6 --k 3 --l 1", "ft requires 2 <= l <= k (got l=1, k=3)"),
+    ("bound ft_nontrivial --n 4 --k 3 --l 2", "ft_nontrivial requires n >= k+l (got n=4, k=3, l=2)"),
+    ("bound f16 --n 6 --k 1 --t 0", "f16 requires k >= 2 (got k=1)"),
+    ("bound f16 --n 6 --k 2 --t -1", "f16 requires t >= 0 (got t=-1)"),
+    ("bound f16 --n 5 --k 3 --t 0", "f16 requires n >= 2k+t (got n=5, k=3, t=0)"),
+    ("bound w23 --n 8 --k 2 --t 0", "w23 requires k >= 3 (got k=2)"),
+    ("bound w23 --n 8 --k 3 --t -1", "w23 requires t >= 0 (got t=-1)"),
+    ("bound w23 --n 6 --k 3 --t 1", "w23 requires n >= 2k+t (got n=6, k=3, t=1)"),
+    ("bound main1 --n 6 --k 1 --t 0 --r 1", "main1 requires k >= 2 (got k=1)"),
+    ("bound main1 --n 6 --k 2 --t -1 --r 1", "main1 requires t >= 0 (got t=-1)"),
+    ("bound main1 --n 6 --k 3 --t 1 --r 1", "main1 requires n >= 2k+t (got n=6, k=3, t=1)"),
+    ("bound main1 --n 7 --k 3 --t 0 --r 0",
+     "main1 requires 1 <= r <= n-k-t+1 (got r=0, n-k-t+1=5)"),
+    ("bound main1 --n 7 --k 3 --t 0 --r 6",
+     "main1 requires 1 <= r <= n-k-t+1 (got r=6, n-k-t+1=5)"),
+    ("bound f24_i --n 7 --k 3 --r 3", "f24_i requires r <= k-1 (got r=3, k=3)"),
+    ("bound f24_ii --n 7 --k 3 --r 6", "f24_ii requires k <= r <= n-k+1 (got r=6)"),
+    ("bound main3_i --n 6 --k 3 --r 1", "main3_i requires n >= 2k+1 (got n=6, k=3)"),
+    ("bound main3_ii --n 7 --k 3 --r 2", "main3_ii requires k <= r <= n-k+1 (got r=2)"),
+    ("bound diversity --n 7 --k 2 --r 1", "diversity requires k >= 3 (got k=2)"),
+    ("bound diversity --n 6 --k 3 --r 1", "diversity requires n > 2k (got n=6, k=3)"),
+    ("bound diversity --n 7 --k 3 --r 5", "diversity requires 1 <= r <= n-k (got r=5, n-k=4)"),
+    ("bound katona_even --n 5 --d 2", "katona_even requires 2 <= s <= n-2 (got s=4, n=5)"),
+    ("bound katona_odd --n 6 --d 2", "katona_odd requires 2 <= s <= n-2 (got s=5, n=6)"),
+    ("bound main5_even --n 7 --d 1 --r 1", "main5_even requires d >= 2 (got d=1)"),
+    ("bound main5_odd --n 8 --d 2 --r 6", "main5_odd requires 1 <= r <= 5 (got r=6)"),
+    ("bound binomial --n -1 --k 0", "binomial requires n >= 0 (got n=-1)"),
+    ("construct full_star --n 5 --k 0", "full_star requires 1 <= k <= n (got k=0, n=5)"),
+    ("construct ekr_extremal --n 5 --k 1", "ekr_extremal requires k >= 2 (got k=1)"),
+    ("construct ekr_extremal --n 5 --k 3", "ekr_extremal requires n >= 2k (got n=5, k=3)"),
+    ("construct main1_pair_r_sets --n 6 --k 1 --t 0 --r 1",
+     "main1_pair_r_sets requires k >= 2 (got k=1)"),
+    ("construct main1_pair_r_sets --n 6 --k 2 --t -1 --r 1",
+     "main1_pair_r_sets requires t >= 0 (got t=-1)"),
+    ("construct main1_pair_r_sets --n 6 --k 3 --t 1 --r 1",
+     "main1_pair_r_sets requires n >= 2k+t (got n=6, k=3, t=1)"),
+    ("construct main1_pair_r_sets --n 7 --k 3 --t 0 --r 6",
+     "main1_pair_r_sets requires 1 <= r <= n-k-t+1 (got r=6, n-k-t+1=5)"),
+    ("construct main1_pair_star_kr1 --n 7 --k 3 --t 0 --r 0",
+     "main1_pair_star_kr1 requires 1 <= r <= n-k-t+1 (got r=0, n-k-t+1=5)"),
+    ("construct main1_pair_star_kr1 --n 7 --k 3 --t 0 --r 1",
+     "main1_pair_star_kr1 requires k = r+1 (got k=3, r=1)"),
+    ("construct main1_pair_k3 --n 6 --t 1", "main1_pair_k3 requires n >= 2k+t = 7 (got n=6)"),
+    ("construct J_kr --n 7 --k 2 --r 1", "J_kr requires k >= 3 (got k=2)"),
+    ("construct J_kr --n 6 --k 3 --r 1", "J_kr requires n > 2k (got n=6, k=3)"),
+    ("construct J_kr --n 7 --k 3 --r 2", "J_kr requires 1 <= r <= k-2 (got r=2, k=3)"),
+    ("construct H_k --n 7 --k 2", "H_k requires k >= 3 (got k=2)"),
+    ("construct H_k --n 6 --k 3", "H_k requires n > 2k (got n=6, k=3)"),
+    ("construct G_4 --n 8", "G_4 requires n > 2k = 8 (got n=8)"),
+    ("construct katona_even --n 5 --d 2", "katona_even requires 2 <= s = 2d <= n-2 (got d=2, n=5)"),
+    ("construct katona_odd --n 6 --d 2",
+     "katona_odd requires 2 <= s = 2d+1 <= n-2 (got d=2, n=6)"),
+    ("construct katona_odd --n 7 --d 2 --y 8", "katona_odd requires 1 <= y <= n (got y=8)"),
+    ("construct W_r_even --n 6 --d 2 --r 2", "W_r_even requires 1 <= r <= d-1 (got r=2, d=2)"),
+    ("construct W_star_even --n 5 --d 2", "W_star_even requires n >= s+2 (got n=5, s=4)"),
+    ("construct W_sharp_6 --n 7", "W_sharp_6 requires s = 6 <= n-2 (got n=7)"),
+    ("construct W_r_odd --n 8 --d 1 --r 1", "W_r_odd requires s >= 4 (got s=3)"),
+    ("construct W_star_odd --n 8 --d 3", "W_star_odd requires n >= s+2 (got n=8, s=7)"),
+    ("construct W_sharp_7 --n 8", "W_sharp_7 requires s = 7 <= n-2 (got n=8)"),
+]
+
+
+@pytest.mark.parametrize("call,message", OUT_OF_RANGE, ids=[c for c, _ in OUT_OF_RANGE])
+def test_out_of_range_messages(capsys, tmp_path, call, message):
+    from setfam.cli import _BOUNDS
+    from setfam.constructions import TAGS
+
+    assert {c.split()[1] for c, _ in OUT_OF_RANGE} == set(_BOUNDS) | set(TAGS)
+    argv = call.split()
+    if argv[0] == "construct":
+        argv += ["--out", str(tmp_path / "a.fam"), "--out2", str(tmp_path / "b.fam")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_checks_the_engine_on_skipped_rows(capsys):
+    code, out, err = run(capsys, "verify", "katona", "--grid", "n=3;s=2", "--engine", "shifted")
+    assert (code, out) == (2, "")
+    assert err == "error: engine 'shifted' is not valid for kind 's_union_max'\n"
+
+
+def test_threads_default_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("SETFAM_THREADS", "3")
     from setfam.cli import build_parser
 
     args = build_parser().parse_args(["verify", "katona", "--grid", "n=5;s=2"])
-    assert args.threads == 3
-    args = build_parser().parse_args(
-        ["verify", "katona", "--grid", "n=5;s=2", "--threads", "2"]
-    )
-    assert args.threads == 2
+    assert args.threads == 1
 
 
 def test_grid_parser():

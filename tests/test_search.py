@@ -585,8 +585,9 @@ EXPORTS = {
     },
     "setfam.search": {
         "setfam.search.problems": (
-            "KINDS", "LayerBound", "MaximizerClass", "Problem", "SearchReport", "bound_for",
-            "check_layer_inequality", "classify_maximizers", "enumerate_shifted", "solve",
+            "ENGINES", "KINDS", "LayerBound", "MaximizerClass", "Problem", "SearchReport",
+            "bound_for", "check_layer_inequality", "classify_maximizers", "enumerate_shifted",
+            "solve",
         ),
         "setfam.search.verify": ("THEOREMS",),
     },
@@ -621,6 +622,78 @@ def test_engine_kind_validation():
         Problem("no_such_kind", Params(n=5))
     with pytest.raises(ParamRangeError):
         Problem("s_union_max", Params(n=5, s=2), "warp")
+
+
+# kind -> the engines it runs; brute names the clique engine where there is one
+ALLOWED_ENGINES = {
+    "hemibundled_max": {"auto", "shifted", "brute"},
+    "cross_pair_max": {"auto", "shifted", "brute"},
+    "cross_pair_capped": {"auto", "brute"},
+    "diverse_intersecting_max": {"auto", "clique", "brute", "shifted"},
+    "s_union_max": {"auto", "clique", "brute"},
+    "s_union_conditioned_max": {"auto", "clique", "brute"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ALLOWED_ENGINES))
+def test_problem_rejects_exactly_the_engines_its_kind_does_not_run(kind):
+    from setfam.search import ENGINES, KINDS
+
+    assert sorted(KINDS) == sorted(ALLOWED_ENGINES)
+    p = Params(n=3, s=2)  # out of every theorem's range: the engine is checked first
+    for engine in ENGINES:
+        if engine in ALLOWED_ENGINES[kind]:
+            assert Problem(kind, p, engine).engine == engine
+        else:
+            with pytest.raises(ParamRangeError, match=f"engine '{engine}'"):
+                Problem(kind, p, engine)
+
+
+# kind, engine asked for, engine that runs, the note of its report
+ENGINE_NOTES = [
+    ("hemibundled_max", "auto", "shifted", "maximizer scope: shifted families only"),
+    ("hemibundled_max", "brute", "brute", None),
+    ("hemibundled_max", "shifted", "shifted", "maximizer scope: shifted families only"),
+    ("cross_pair_max", "auto", "shifted", "maximizer scope: shifted families only"),
+    ("cross_pair_max", "brute", "brute", None),
+    ("cross_pair_max", "shifted", "shifted", "maximizer scope: shifted families only"),
+    ("cross_pair_capped", "auto", "brute",
+     "partner shown with the lowest-indexed overlap members dropped"),
+    ("cross_pair_capped", "brute", "brute",
+     "partner shown with the lowest-indexed overlap members dropped"),
+    ("diverse_intersecting_max", "auto", "clique",
+     "maximizer scope: families with maximum degree at element 1"),
+    ("diverse_intersecting_max", "brute", "clique",
+     "maximizer scope: families with maximum degree at element 1"),
+    ("diverse_intersecting_max", "shifted", "shifted",
+     "lower-bound engine: optimum certified over shifted families only; "
+     "validate with the clique engine"),
+    ("diverse_intersecting_max", "clique", "clique",
+     "maximizer scope: families with maximum degree at element 1"),
+    ("s_union_max", "auto", "clique", None),
+    ("s_union_max", "brute", "clique", None),
+    ("s_union_max", "clique", "clique", None),
+    ("s_union_conditioned_max", "auto", "clique", None),
+    ("s_union_conditioned_max", "brute", "clique", None),
+    ("s_union_conditioned_max", "clique", "clique", None),
+]
+NOTE_POINTS = {
+    "hemibundled_max": Params(n=5, k=2, t=0, r=1),
+    "cross_pair_max": Params(n=5, k=2, r=1),
+    "cross_pair_capped": Params(n=5, k=2, r=1),
+    "diverse_intersecting_max": Params(n=7, k=3, r=1),
+    "s_union_max": Params(n=5, s=2),
+    "s_union_conditioned_max": Params(n=6, s=4, r=1),
+}
+
+
+@pytest.mark.parametrize("kind,asked,runs,note", ENGINE_NOTES)
+def test_every_allowed_engine_reports_its_note(kind, asked, runs, note):
+    assert {(k, e) for k, e, _, _ in ENGINE_NOTES} == {
+        (k, e) for k, engines in ALLOWED_ENGINES.items() for e in engines
+    }
+    rep = solve(Problem(kind, NOTE_POINTS[kind], asked))
+    assert (rep.engine, rep.note) == (runs, note)
 
 
 def test_param_validation_matches_theorem_ranges():
