@@ -10,6 +10,11 @@
  * side) is rebuilt by the caller.  The maximizers go into a realloc-grown
  * array that the caller releases with fastcore_free.  No kernel touches a
  * Python object, so the calls run without the interpreter lock.
+ *
+ * Precondition: the compat (pair) and hcompat (diversity) tables are
+ * symmetric.  Each descent narrows the candidates to the new member's row,
+ * so every remaining candidate is compatible with every chosen member, and
+ * neither kernel tests that again.
  */
 
 #include <stdlib.h>
@@ -139,8 +144,6 @@ static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits 
             return;
         if (c->pred[i] & ~chosen)
             continue;
-        if (c->compat && (chosen & ~c->compat[i]))
-            continue;
         bits child = chosen | low, child_partner = partner & ~c->kill[i];
         int fc = fcount + 1, gc = pop(child_partner);
         if (gc < c->g_min || (c->g_ge_f && gc < fc))
@@ -190,11 +193,8 @@ static void clique_expand(Clique *c, bits q, int qcount, int laycount, bits p) {
     Search *s = c->s;
     if (tick(s))
         return;
-    if (!p) {
-        if (c->cons == 1 && laycount < c->r)
-            return;
-        if (c->cons == 2 && laycount - max_degree(c->degs, c->nelems) < c->r)
-            return;
+    if (!p) { /* feasible: its parent's child test was its own, and the root,
+                 holding the empty set, is never a leaf */
         record(s, qcount, q);
         return;
     }
@@ -287,8 +287,6 @@ static void diversity_rec(Diversity *c, bits chosen, int hcount, bits p, bits am
         p ^= low;
         if (hcount + 1 + pop(p) + pop(amask) < s->best)
             return;
-        if (chosen & ~c->hcompat[i])
-            continue;
         bits child = chosen | low, child_a = amask & ~c->akill[i];
         int hc2 = hcount + 1;
         add_degrees(c->degs, c->hmasks[i], 1);

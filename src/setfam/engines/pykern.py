@@ -31,6 +31,11 @@ Soundness notes shared by the kernels:
   counts the ties of the running incumbent, optimal or not.
 * Partner bitsets only shrink as members are added, which makes
   ``|F| + |remaining| + |partner|`` an admissible bound for the pair kernel.
+* Precondition: ``compat`` (pair kernel) and ``hcompat`` (diversity
+  kernel) are symmetric, j in row i exactly when i in row j.  Each descent
+  narrows the candidates to the new member's row, so every remaining
+  candidate is compatible with every chosen member, and neither kernel
+  tests that again.
 """
 
 from __future__ import annotations
@@ -114,8 +119,6 @@ def pair_bnb(
             i = low.bit_length() - 1
             if pred[i] & ~chosen:
                 continue
-            if compat is not None and chosen & ~compat[i]:
-                continue
             child_partner = partner & keep[i]
             gc = child_partner.bit_count()
             if gc < g_min or (g_ge_f and gc < fc):
@@ -170,7 +173,10 @@ def clique_bnb(
                   an nelems-element ground set given by vmasks)
 
     Both constraints survive adding vertices, so maximum feasible cliques
-    are maximal and only leaves need scoring.
+    are maximal and only leaves need scoring.  A child is entered only when
+    it and its candidates can still meet the constraint; at a leaf there
+    are none left, so that test was the leaf's own, and every leaf is
+    feasible.  The root is never a leaf: the empty set is a vertex.
 
     sup[v] is the set of vertices whose sets strictly contain v's set, and
     the search looks only for down-sets: a maximum feasible s-union family Q
@@ -202,10 +208,6 @@ def clique_bnb(
         if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
             raise _over_time(nodes, best)
         if not p:
-            if cons_kind == 1 and laycount < r:
-                return
-            if cons_kind == 2 and laycount - max(degs) < r:
-                return
             if qcount > best:
                 best = qcount
                 maxers = [q]
@@ -318,8 +320,6 @@ def diversity_bnb(
             if hc2 + pcount + acount < best:
                 return
             i = low.bit_length() - 1
-            if chosen & ~hcompat[i]:
-                continue
             am2 = amask & ~akill[i]
             # the chosen H members containing e are at most the A members
             # avoiding it: deg_e(F) <= |A| = deg_1(F).  Member i raises the

@@ -77,7 +77,7 @@ def layer_masks(n: int, k: int) -> list[int]:
 
 def _check_universe(n: int) -> None:
     if not 2 <= n <= MAX_UNIVERSE:
-        raise ValueError(f"universe size must satisfy 2 <= n <= {MAX_UNIVERSE} (got {n})")
+        raise ParamRangeError(f"universe size must satisfy 2 <= n <= {MAX_UNIVERSE} (got {n})")
 
 
 class Subset(Record):

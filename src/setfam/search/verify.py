@@ -135,15 +135,22 @@ def _classes_match(found: list, expected: list) -> bool:
     return all(taken)
 
 
-def _run_row(theorem: str, env: dict[str, int], engine: str, max_seconds) -> VerifyRow:
-    kind, variables, fixed, mode = THEOREMS[theorem]
+def _row_values(theorem: str, env: dict[str, int]) -> tuple:
+    """The parameters of grid row ``env`` that the theorem reads, its fixed
+    ones included, as (name, value) pairs."""
+    _, variables, fixed, _ = THEOREMS[theorem]
     values = dict(fixed)
     for v in variables:
         if v not in env:
             raise ParamRangeError(f"theorem {theorem} needs grid variable {v!r}")
         values[v] = env[v]
+    return tuple(values.items())
+
+
+def _run_row(theorem: str, values: tuple, engine: str, max_seconds) -> VerifyRow:
+    kind, _, _, mode = THEOREMS[theorem]
     # built before the range check, so that skipped rows check the engine too
-    problem = Problem(kind, Params(**values), engine)
+    problem = Problem(kind, Params(**dict(values)), engine)
     params = problem.params
     try:
         bound_for(kind, params)
@@ -179,12 +186,13 @@ def verify_grid(
     if threads < 1:
         raise ParamRangeError(f"threads must be >= 1 (got {threads})")
     _check_budget(max_seconds)
-    envs = parse_grid(grid)
+    # grid rows that differ only in variables the theorem does not read run once
+    keys = list(dict.fromkeys(_row_values(theorem, env) for env in parse_grid(grid)))
     if threads <= 1:
-        rows = [_run_row(theorem, env, engine, max_seconds) for env in envs]
+        rows = [_run_row(theorem, key, engine, max_seconds) for key in keys]
     else:
         from concurrent.futures import ThreadPoolExecutor  # loaded only for a thread pool
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda e: _run_row(theorem, e, engine, max_seconds), envs))
+            rows = list(pool.map(lambda key: _run_row(theorem, key, engine, max_seconds), keys))
     return VerifyResult(theorem, rows)

@@ -1,8 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import setfam
 from setfam.cli import main
 from setfam.errors import ParamRangeError
 from setfam.search.verify import parse_grid
@@ -77,6 +82,41 @@ def test_construct_pair_files(tmp_path, capsys):
     assert code == 2 and "out2" in err
 
 
+def _cli_process(cwd, *argv, before: str = "") -> subprocess.CompletedProcess:
+    """One CLI call in its own interpreter, after the code ``before``;
+    stopped after 20 s."""
+    code = f"{before}\nimport sys, setfam.cli\nsys.exit(setfam.cli.main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(setfam.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=20,
+    )
+
+
+@pytest.mark.parametrize("call,n", [("full_star --n 1 --k 1", 1), ("katona_even --n 64 --d 31", 64)])
+def test_construct_rejects_a_universe_outside_2_to_63(tmp_path, call, n):
+    # the check comes before any layer is built: the ball of radius 31 in
+    # [64] would not fit in memory
+    refuse = (
+        "import setfam.constructions as c\n"
+        "def refuse(*args): raise AssertionError('a layer was built')\n"
+        "c.layer_masks = refuse"
+    )
+    proc = _cli_process(tmp_path, "construct", *call.split(), "--out", "a.fam", before=refuse)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: universe size must satisfy 2 <= n <= 63 (got {n})\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_construct_builds_a_ball_from_its_layers_alone(tmp_path):
+    # 41 members of 2^40 subsets: walking every subset would not end in time
+    proc = _cli_process(tmp_path, "construct", "katona_even", "--n", "40", "--d", "1",
+                        "--out", "a.fam", "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["size"] == "41"
+    assert len((tmp_path / "a.fam").read_text().splitlines()) == 42  # the header and 41 sets
+
+
 def test_check_malformed_family(tmp_path, capsys):
     bad = tmp_path / "bad.fam"
     bad.write_text("{1,2}\n")
@@ -144,6 +184,49 @@ def test_search_json_schema(capsys):
     assert obj["maximizer_count"] == 15
     assert {"representative", "partner", "size"} <= set(obj["classes"][0])
     assert "elapsed_ms" not in obj
+
+
+SEARCH_TEXT = [
+    (
+        "cross_pair_capped --n 6 --k 2 --r 2 --engine brute",
+        "kind      : cross_pair_capped\n"
+        "params    : {'n': 6, 'k': 2, 'r': 2}\n"
+        "engine    : brute (python)\n"
+        "optimum   : 7\n"
+        "bound     : 9 [ii]\n"
+        "matches   : False\n"
+        "maximizers: 180 in 2 classes\n"
+        "  class x60: Family(n=6, {{1,2} {1,3}})\n"
+        "  class x120: Family(n=6, {{1,2} {1,3} {1,4} {1,5} {2,6}})\n"
+        "note      : partner shown with the lowest-indexed overlap members dropped\n",
+        364,
+    ),
+    (
+        "s_union_conditioned_max --n 6 --s 4 --r 1 --engine clique",
+        "kind      : s_union_conditioned_max\n"
+        "params    : {'n': 6, 'r': 1, 's': 4}\n"
+        "engine    : clique (python)\n"
+        "optimum   : 20\n"
+        "bound     : 20 [i]\n"
+        "matches   : True\n"
+        "maximizers: 35 in 2 classes\n"
+        "  class x15: Family(n=6, {{} {1} {2} {1,2} {3} {1,3} {2,3} {1,2,3} {4} {1,4} {2,4} "
+        "{1,2,4} {5} {1,5} {2,5} {1,2,5} {6} {1,6} {2,6} {1,2,6}})\n"
+        "  class x20: Family(n=6, {{} {1} {2} {1,2} {3} {1,3} {2,3} {1,2,3} {4} {1,4} {2,4} "
+        "{3,4} {5} {1,5} {2,5} {3,5} {6} {1,6} {2,6} {3,6}})\n",
+        677,
+    ),
+]
+
+
+@pytest.mark.parametrize("args,text,nodes", SEARCH_TEXT, ids=[a.split()[0] for a, _, _ in SEARCH_TEXT])
+def test_search_text_output(capsys, args, text, nodes):
+    argv = ("search", *args.split(), "--backend", "python")
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert (code, out, err) == (0, text, "")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith(text)
+    assert re.fullmatch(rf"elapsed   : \d+\.\d{{3}}s \({nodes} nodes\)\n", out[len(text):])
 
 
 def test_search_json_is_byte_identical(capsys):
@@ -366,6 +449,22 @@ def test_grid_parser():
     for spec in ("k=2;n=k2", "n=2 3", "k=2;t=1;n=2kt", "k=3;n=k..k+1;k=4", "n=5..3"):
         with pytest.raises(ParamRangeError):
             parse_grid(spec)
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_verify_runs_each_parameter_set_once(capsys, threads):
+    def params(grid):
+        code, out, _ = run(capsys, "verify", "katona", "--grid", grid, "--threads", threads,
+                           "--json", "--no-timing")
+        assert code == 0
+        return [row["params"] for row in json.loads(out)["rows"]]
+
+    # katona does not read k: six grid rows, two parameter sets, in grid order
+    assert params("n=6,5,6;s=2;k=1..2") == [{"n": 6, "s": 2}, {"n": 5, "s": 2}]
+    # a helper variable gives one row per value it feeds
+    assert params("d=2,1;s=2d;n=7") == [{"n": 7, "s": 4}, {"n": 7, "s": 2}]
+    code, out, err = run(capsys, "verify", "katona", "--grid", "n=6;k=1..2", "--threads", threads)
+    assert (code, out, err) == (2, "", "error: theorem katona needs grid variable 's'\n")
 
 
 def test_threads_flag_gives_identical_results(capsys):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from setfam.bounds import (
@@ -6,7 +9,7 @@ from setfam.bounds import (
     bound_hemibundled,
     bound_union,
 )
-from setfam.constructions import ConstructionId, construct, expected_size
+from setfam.constructions import TAGS, ConstructionId, construct, expected_size, is_pair_tag
 from setfam.errors import ParamRangeError
 from setfam.family import (
     are_cross_intersecting,
@@ -175,3 +178,17 @@ def test_katona_odd_y_parameter():
     from setfam.family import are_isomorphic
 
     assert are_isomorphic(f1, f3)
+
+
+# every tag's family at one in-range point, as sorted masks (both sides of a pair)
+PINNED = json.loads((Path(__file__).parent / "data" / "construct_masks.json").read_text())
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_each_tag_builds_its_pinned_family(tag):
+    point = dict(PINNED[tag]["params"])
+    y = point.pop("y", 1)
+    built = construct(ConstructionId(tag, Params(**point), y))
+    fams = built if is_pair_tag(tag) else (built,)
+    assert [list(f.members) for f in fams] == PINNED[tag]["masks"]
+    assert set(PINNED) == set(TAGS)

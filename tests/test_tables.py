@@ -116,3 +116,28 @@ def test_union_tables_count_the_vertices_they_would_hold():
     for n, s, count in [(8, 4, 163), (16, 2, 137), (9, 3, 130)]:
         with pytest.raises(InfeasibleInstanceError, match=f"^the {count} subsets of \\[{n}\\] "):
             build_union_tables(n, s, None)
+
+
+def _symmetric(rows: list[int]) -> bool:
+    return all(
+        (row >> j & 1) == (rows[j] >> i & 1) for i, row in enumerate(rows) for j in range(len(rows))
+    )
+
+
+def test_compatibility_rows_are_symmetric():
+    # pair_bnb and diversity_bnb narrow the candidates to the new member's
+    # row and never test a chosen member against a later one
+    checked = 0
+    for n in range(2, 10):
+        for f in range(1, n + 1):
+            if comb(n, f) > 128:
+                continue
+            for t_inter in range(1, f + 1):
+                tabs = build_pair_tables(n, f, None, t_inter, shifted=False)
+                assert _symmetric(tabs.compat), (n, f, t_inter)
+                checked += 1
+        for k in range(2, n):
+            if comb(n - 1, k) <= 128 and comb(n - 1, k - 1) <= 64:
+                assert _symmetric(build_diversity_tables(n, k).hcompat), (n, k)
+                checked += 1
+    assert checked > 100
