@@ -15,6 +15,14 @@
  * symmetric.  Each descent narrows the candidates to the new member's row,
  * so every remaining candidate is compatible with every chosen member, and
  * neither kernel tests that again.
+ *
+ * pair_bnb and diversity_bnb test each node on entry against the deficiency
+ * bound of pykern's module docstring: |F| + |partner| + |p| - nu, nu the
+ * size of a maximum matching from the remaining candidates p into the
+ * partner along the kill rows.  nu depends on the node alone, so the cut
+ * does not depend on how either twin grows its matching.  pair_bnb also
+ * takes succ, pred transposed: once its walk has passed over candidate i,
+ * the later siblings drop the candidates that require i.
  */
 
 #include <stdlib.h>
@@ -107,11 +115,74 @@ static int max_degree(const int *degs, int nelems) {
     return d;
 }
 
+/* Whether the candidates in p match into right with want pairs, candidate i
+   to a member of rows[i] & right: a greedy pass, then one augmenting path
+   (Kuhn) per candidate left over, each found breadth-first in layers of
+   bitsets.  It stops once want pairs are made, or once want exceeds the
+   members that any candidate reaches, or the pairs made plus the candidates
+   not yet tried: a candidate that finds no augmenting path never finds one
+   after other paths are augmented. */
+static int matching(bits p, const word *rows, bits right, int want) {
+    unsigned char owner[MAXBITS]; /* owner[j]: the candidate matched to member j */
+    bits layers[MAXBITS];         /* layers[d]: matched members first reached through d others */
+    bits avail = right;           /* the members not yet matched */
+    bits covered = 0;             /* the members some candidate reaches */
+    bits rest = 0;                /* the candidates the greedy pass left unmatched */
+    int size = 0;
+    for (; p; p &= p - 1) {
+        int i = low_index(p);
+        bits reach = rows[i] & right, free = reach & avail;
+        covered |= reach;
+        if (free) {
+            free &= -free;
+            avail ^= free;
+            owner[low_index(free)] = (unsigned char)i;
+            if (++size >= want)
+                return 1;
+        } else if (reach) {
+            rest |= (bits)1 << i;
+        }
+    }
+    if (pop(covered) < want)
+        return 0;
+    for (int left = pop(rest); rest; rest &= rest - 1, left--) {
+        if (size + left < want)
+            return 0;
+        int i = low_index(rest), depth = 0;
+        bits seen = rows[i] & right, frontier = seen, free = 0;
+        while (frontier && !free) {
+            layers[depth++] = frontier;
+            bits next = 0;
+            for (; frontier; frontier &= frontier - 1)
+                next |= rows[owner[low_index(frontier)]];
+            frontier = next & right & ~seen;
+            seen |= frontier;
+            free = frontier & avail;
+        }
+        if (!free)
+            continue;
+        bits f = free & -free;
+        avail ^= f;
+        while (depth--) { /* walk the path back, shifting each owner along it */
+            bits j = layers[depth];
+            while (!(rows[owner[low_index(j)]] & f))
+                j &= j - 1;
+            j &= -j;
+            owner[low_index(f)] = owner[low_index(j)];
+            f = j;
+        }
+        owner[low_index(f)] = (unsigned char)i;
+        if (++size >= want)
+            return 1;
+    }
+    return 0;
+}
+
 /* ------------------------------------------------------------ pair BnB */
 
 typedef struct {
     Search *s;
-    const word *compat, *pred, *kill;
+    const word *compat, *pred, *succ, *kill;
     bits rmask;
     int r_min, g_min, g_ge_f, cap_excess;
 } Pair;
@@ -132,7 +203,11 @@ static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits 
     Search *s = c->s;
     if (tick(s))
         return;
-    int gnode = pop(partner);
+    int gnode = pop(partner), pcount = pop(p);
+    /* the deficiency bound: cut when nu >= want */
+    int want = fcount + gnode + pcount - s->best + 1;
+    if (want <= gnode && want <= pcount && matching(p, c->kill, partner, want))
+        return;
     while (p) {
         int i = low_index(p);
         bits low = (bits)1 << i;
@@ -142,6 +217,8 @@ static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits 
             ub = 2 * gnode; /* |F| <= |partner| caps the sum at twice the partner */
         if (ub < s->best)
             return;
+        bits here = p; /* i's own subtree keeps the candidates that require i */
+        p &= ~c->succ[i];
         if (c->pred[i] & ~chosen)
             continue;
         bits child = chosen | low, child_partner = partner & ~c->kill[i];
@@ -155,7 +232,7 @@ static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits 
             if (s->status)
                 return;
         }
-        bits child_p = c->compat ? p & c->compat[i] : p;
+        bits child_p = c->compat ? here & c->compat[i] : here;
         int child_ub = fc + pop(child_p) + gc;
         if (c->g_ge_f && 2 * gc < child_ub)
             child_ub = 2 * gc;
@@ -168,12 +245,14 @@ static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits 
 }
 
 /* rmask holds the candidates that count toward r_min: all of them for the
-   pair kinds, those avoiding element 1 for shifted diversity.
+   pair kinds, those avoiding element 1 for shifted diversity.  succ[i] holds
+   the candidates whose pred row holds i.
    Precondition with a cap (cap_excess >= 0): the partner universe is the
    candidate universe, index for index. */
-int pair_bnb(Search *s, int m, const word *compat, const word *pred, const word *kill,
-             int ng, const word *rmask, int r_min, int g_min, int g_ge_f, int cap_excess) {
-    Pair c = {s, compat, pred, kill, rmask[0], r_min, g_min, g_ge_f, cap_excess};
+int pair_bnb(Search *s, int m, const word *compat, const word *pred, const word *succ,
+             const word *kill, int ng, const word *rmask, int r_min, int g_min, int g_ge_f,
+             int cap_excess) {
+    Pair c = {s, compat, pred, succ, kill, rmask[0], r_min, g_min, g_ge_f, cap_excess};
     s->best = -1;
     pair_rec(&c, 0, 0, 0, full(m), full(ng));
     return s->status;
@@ -281,11 +360,16 @@ static void diversity_rec(Diversity *c, bits chosen, int hcount, bits p, bits am
     Search *s = c->s;
     if (tick(s))
         return;
+    int acount = pop(amask), pcount = pop(p);
+    /* the deficiency bound: cut when nu >= want */
+    int want = hcount + acount + pcount - s->best + 1;
+    if (want <= acount && want <= pcount && matching(p, c->akill, amask, want))
+        return;
     while (p) {
         int i = low_index(p);
         bits low = (bits)1 << i;
         p ^= low;
-        if (hcount + 1 + pop(p) + pop(amask) < s->best)
+        if (hcount + 1 + pop(p) + acount < s->best)
             return;
         bits child = chosen | low, child_a = amask & ~c->akill[i];
         int hc2 = hcount + 1;

@@ -54,7 +54,7 @@ class Kernels:
         i, w = ctypes.c_int, ctypes.c_char_p
         search = ctypes.POINTER(_Search)
         signatures = {
-            "pair_bnb": [i, w, w, w, i, w, i, i, i, i],
+            "pair_bnb": [i, w, w, w, w, i, w, i, i, i, i],
             "clique_bnb": [i, w, w, i, w, w, i, i],
             "diversity_bnb": [i, w, w, w, i, w, i, i],
         }
@@ -85,14 +85,14 @@ class Kernels:
         words = [int.from_bytes(raw[j:j + _WORD], "little") for j in range(0, len(raw), _WORD)]
         return s.best, words, s.nodes
 
-    def pair_bnb(self, m, compat, pred, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess,
+    def pair_bnb(self, m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess,
                  deadline=None):
         """See :func:`setfam.engines.pykern.pair_bnb`."""
         _require_width(m, ng)
         return self._run(
             self._pair_bnb, deadline, m,
             None if compat is None else _words(compat, m),
-            _words(pred, m),
+            _words(pred, m), _words(succ, m),
             _words(kill, m), ng, _words([rmask], 1), r_min, g_min, bool(g_ge_f), cap_excess,
         )
 

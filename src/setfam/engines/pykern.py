@@ -31,6 +31,18 @@ Soundness notes shared by the kernels:
   counts the ties of the running incumbent, optimal or not.
 * Partner bitsets only shrink as members are added, which makes
   ``|F| + |remaining| + |partner|`` an admissible bound for the pair kernel.
+* The deficiency bound (``pair_bnb`` and ``diversity_bnb``, at node entry):
+  adding a set S of the remaining candidates p removes from the partner P
+  every member that a member of S kills, its neighbourhood N(S), so every
+  descendant scores at most |F| + |P| + max over S of (|S| - |N(S)|).  By
+  the deficiency form of Hall's theorem (Ore, 1955) that maximum is
+  |p| - nu, where nu is the size of a maximum matching from p into P along
+  the kill rows.  A capped score is at most the size, and every side
+  constraint only removes families, so the bound holds for every kind, and
+  a node is cut when it is strictly below the incumbent.  nu is a property
+  of the node alone, not of the matching found, so the twins may grow their
+  matchings differently (:func:`_matching` stops as soon as the cut is
+  decided) and still cut the same nodes.
 * Precondition: ``compat`` (pair kernel) and ``hcompat`` (diversity
   kernel) are symmetric, j in row i exactly when i in row j.  Each descent
   narrows the candidates to the new member's row, so every remaining
@@ -56,10 +68,85 @@ def _over_cap(cap: int) -> InfeasibleInstanceError:
     return InfeasibleInstanceError(f"maximizer enumeration exceeded the cap of {cap}")
 
 
+def _matching(p: int, rows: list[int], right: int, want: int, owner: list[int]) -> int:
+    """Grow a matching of the candidates in ``p`` into ``right``, candidate i
+    to a member of ``rows[i] & right``, until it has ``want`` pairs: first
+    greedily, then by augmenting paths (Kuhn), each one found breadth-first
+    in layers of bitsets.
+
+    Returns ``want`` once it has them.  Otherwise returns a number below
+    ``want`` that bounds the maximum matching from above: the members that
+    any candidate reaches, or the pairs made plus the candidates not yet
+    tried, since a candidate that finds no augmenting path never finds one
+    after other paths are augmented.  ``owner`` is scratch space with a
+    slot per member of ``right``: owner[j] is the candidate matched to j.
+    """
+    size = 0
+    avail = right  # the members not yet matched
+    covered = 0  # the members some candidate reaches
+    rest = 0  # the candidates the greedy pass left unmatched
+    while p:
+        low = p & -p
+        p ^= low
+        i = low.bit_length() - 1
+        reach = rows[i] & right
+        covered |= reach
+        free = reach & avail
+        if free:
+            free &= -free
+            avail ^= free
+            owner[free.bit_length() - 1] = i
+            size += 1
+            if size >= want:
+                return want
+        elif reach:
+            rest |= low
+    if covered.bit_count() < want:
+        return covered.bit_count()
+    left = rest.bit_count()
+    while rest:
+        if size + left < want:
+            return size + left
+        low = rest & -rest
+        rest ^= low
+        left -= 1
+        # every member in reach is matched: search breadth-first, layers[d]
+        # holding the matched members first reached through d others
+        layers = []
+        seen = frontier = rows[low.bit_length() - 1] & right
+        free = 0
+        while frontier and not free:
+            layers.append(frontier)
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                nxt |= rows[owner[b.bit_length() - 1]]
+            frontier = nxt & right & ~seen
+            seen |= frontier
+            free = frontier & avail
+        if not free:
+            continue
+        f = free & -free
+        avail ^= f
+        for j in reversed(layers):  # walk the path back, shifting each owner along it
+            while not rows[owner[(j & -j).bit_length() - 1]] & f:
+                j &= j - 1
+            j &= -j
+            owner[f.bit_length() - 1] = owner[j.bit_length() - 1]
+            f = j
+        owner[f.bit_length() - 1] = low.bit_length() - 1
+        size += 1
+        if size >= want:
+            return want
+    return size
+
+
 def pair_bnb(
     m: int,
     compat: list[int] | None,
     pred: list[int],
+    succ: list[int],
     kill: list[int],
     ng: int,
     rmask: int,
@@ -75,6 +162,11 @@ def pair_bnb(
 
     compat[i]   candidates allowed together with i (None: no self constraint)
     pred[i]     candidates that must already be chosen before i
+    succ[i]     the candidates whose pred row holds i (pred transposed):
+                once the walk has passed over i, branched on it or skipped
+                it, the later siblings avoid i and so every candidate in
+                succ[i], which leaves their candidates.  The pred test stays,
+                because compat can remove a predecessor without passing it.
     rmask       candidates that count toward r_min: all of them for the pair
                 kinds, those avoiding element 1 for shifted diversity
     r_min       minimum number of chosen members inside rmask for a family
@@ -92,6 +184,9 @@ def pair_bnb(
     candidate universe, index for index, so the chosen members inside the
     partner are the bits of F & partner.
 
+    Each node is first tested against the deficiency bound (module
+    docstring), with the kill rows as the matching's edges.
+
     Returns (best, maximizers as chosen-index bitsets, node_count).
     """
     cap = MAXIMIZER_CAP
@@ -99,6 +194,7 @@ def pair_bnb(
     best = -1
     maxers: list[int] = []
     keep = [~k for k in kill]
+    owner = [0] * ng
 
     def rec(chosen: int, fcount: int, need: int, p: int, pcount: int, partner: int) -> None:
         nonlocal nodes, best, maxers
@@ -107,6 +203,10 @@ def pair_bnb(
             raise _over_time(nodes, best)
         gnode = partner.bit_count()
         base = fcount + gnode
+        # cut when |F| + |partner| + |p| - nu < best, that is nu >= want
+        want = base + pcount - best + 1
+        if want <= gnode and want <= pcount and _matching(p, kill, partner, want, owner) >= want:
+            return
         twice = 2 * gnode  # |F| <= |partner| caps the sum at twice the partner
         fc = fcount + 1
         while p:
@@ -117,6 +217,10 @@ def pair_bnb(
                 return
             pcount -= 1
             i = low.bit_length() - 1
+            here, here_count = p, pcount  # i's own subtree keeps succ[i]
+            if p & succ[i]:
+                p &= ~succ[i]
+                pcount = p.bit_count()
             if pred[i] & ~chosen:
                 continue
             child_partner = partner & keep[i]
@@ -142,9 +246,9 @@ def pair_bnb(
                         raise _over_cap(cap)
                     maxers.append(chosen | low)
             if compat is None:
-                child_p, child_pcount = p, pcount
+                child_p, child_pcount = here, here_count
             else:
-                child_p = p & compat[i]
+                child_p = here & compat[i]
                 child_pcount = child_p.bit_count()
             if size + child_pcount >= best and not (g_ge_f and 2 * gc < best):
                 rec(chosen | low, fc, cneed, child_p, child_pcount, child_partner)
@@ -290,6 +394,10 @@ def diversity_bnb(
     the search, so its violation prunes the subtree.  Diversity of a
     feasible family equals |H|.
 
+    Each node is first tested against the deficiency bound (module
+    docstring), with the H candidates on one side and the A candidates
+    still in on the other, joined by the ``akill`` rows.
+
     Returns (best, maximizers as H bitsets, node_count); each maximizer's A
     is every A candidate outside the ``akill`` rows of its H members.
     """
@@ -303,6 +411,7 @@ def diversity_bnb(
     degs = [0] * max(nelems - 1, 0)
     avoid = avoid_a[2:nelems + 1]
     elems = [[j for j in range(nelems - 1) if hm >> j + 1 & 1] for hm in hmasks]
+    owner = [0] * na
 
     if r <= 0:
         best, maxers = na, [0]
@@ -312,6 +421,10 @@ def diversity_bnb(
         nodes += 1
         if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
             raise _over_time(nodes, best)
+        # cut when |H| + |A| + |p| - nu < best, that is nu >= want
+        want = hcount + acount + pcount - best + 1
+        if want <= acount and want <= pcount and _matching(p, akill, amask, want, owner) >= want:
+            return
         hc2 = hcount + 1
         while p:
             low = p & -p

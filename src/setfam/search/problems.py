@@ -13,7 +13,10 @@ search only the families that contain the least candidate (see
 recovered by double counting (:func:`_labeled_classes`).
 The s-union kinds search only down-sets, which every maximum s-union
 family is (see :func:`setfam.engines.pykern.clique_bnb`), so their
-``nodes`` count that smaller search.
+``nodes`` count that smaller search.  The pair kernel and the diversity
+clique kernel cut every node whose deficiency bound (the module docstring
+of :mod:`setfam.engines.pykern`) falls below the incumbent, and ``nodes``
+counts such a node once, as it is cut.
 
 ``shifted`` is valid where every constraint survives the shifting operator
 (sum objectives with (t+1)-intersecting / cross-intersecting constraints);
@@ -262,7 +265,8 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
         rules = (r, r, False, r - 1)
     m = len(tabs.cands)
     best, maxers, nodes = kern.pair_bnb(
-        m, tabs.compat, tabs.pred, tabs.kill, len(tabs.gmasks), (1 << m) - 1, *rules, deadline,
+        m, tabs.compat, tabs.pred, tabs.succ, tabs.kill, len(tabs.gmasks), (1 << m) - 1, *rules,
+        deadline,
     )
     pairs = []
     for chosen in maxers:
@@ -329,7 +333,7 @@ def _solve_diversity_shifted(p: Params, backend: str, deadline):
     tabs = build_pair_tables(n, k, None, t_inter=1, shifted=True)
     avoid_1 = sum(1 << i for i, a in enumerate(tabs.cands) if not a & 1)
     best, maxers, nodes = engines.backend_module(backend).pair_bnb(
-        len(tabs.cands), tabs.compat, tabs.pred, tabs.kill, 0, avoid_1,
+        len(tabs.cands), tabs.compat, tabs.pred, tabs.succ, tabs.kill, 0, avoid_1,
         r, 0, False, -1, deadline,
     )
     fams = [Family.of_masks(n, [tabs.cands[i] for i in _bits(c)]) for c in maxers]

@@ -52,6 +52,31 @@ def dominance_pred(masks: list[int]) -> list[int]:
     return pred
 
 
+def dominance_succ(masks: list[int]) -> list[int]:
+    """succ[i] is the bitset of the indices j != i whose set coordinatewise
+    dominates masks[i]: :func:`dominance_pred` transposed, for the same
+    full layer sorted by value.
+
+    Built the same way from the top of the order down: a one-move successor
+    (x -> x+1 onto a free element) raises the mask value, so succ[i] is the
+    union of succ[j] | 1 << j over the at most k one-move successors j.
+    """
+    index = {a: i for i, a in enumerate(masks)}
+    succ = [0] * len(masks)
+    for i in range(len(masks) - 1, -1, -1):
+        a = masks[i]
+        bits = 0
+        movable = a & ~(a >> 1)  # elements x in a with x+1 free
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            j = index.get(a + low)
+            if j is not None:  # x+1 lies in the universe
+                bits |= succ[j] | 1 << j
+        succ[i] = bits
+    return succ
+
+
 def overlap_table(masks: list[int], others: list[int], n: int, t: int) -> list[int]:
     """Row i is the bitset of the indices j with |masks[i] & others[j]| >= t.
 
@@ -82,13 +107,14 @@ def disjoint_table(masks: list[int], others: list[int], n: int) -> list[int]:
 
 
 class PairTables(Record):
-    __slots__ = ("n", "cands", "gmasks", "compat", "pred", "kill")
+    __slots__ = ("n", "cands", "gmasks", "compat", "pred", "succ", "kill")
 
     n: int
     cands: list[int]       # F-side candidate masks
     gmasks: list[int]      # partner universe masks
     compat: list[int] | None
     pred: list[int]
+    succ: list[int]        # pred transposed
     kill: list[int]
 
 
@@ -112,6 +138,8 @@ def build_pair_tables(
     callers recover labeled maximizer counts by double counting.  With
     ``shifted`` it is the dominance order instead (down-sets, the shifted
     families), which already puts candidate 0 below every other candidate.
+    ``succ`` is ``pred`` transposed: the other candidates under candidate 0,
+    or the dominance successors.
     """
     cands = layer_masks(n, f_size)
     gmasks = [] if g_size is None else layer_masks(n, g_size)
@@ -121,10 +149,20 @@ def build_pair_tables(
         len(gmasks) <= MAX_BITS,
         f"partner universe C({n},{g_size}) = {len(gmasks)} exceeds {MAX_BITS}",
     )
+    full = (1 << m) - 1
     compat = overlap_table(cands, cands, n, t_inter) if t_inter is not None else None
-    pred = dominance_pred(cands) if shifted else [0] + [1] * (m - 1)
-    kill = disjoint_table(cands, gmasks, n) if gmasks else [0] * m
-    return PairTables(n, cands, gmasks, compat, pred, kill)
+    if shifted:
+        pred, succ = dominance_pred(cands), dominance_succ(cands)
+    else:
+        pred, succ = [0] + [1] * (m - 1), [full & ~1] + [0] * (m - 1)
+    if not gmasks:
+        kill = [0] * m
+    elif t_inter == 1 and g_size == f_size:
+        # one layer on both sides, compat "meets": kill, "misses", is its complement
+        kill = [full ^ row for row in compat]
+    else:
+        kill = disjoint_table(cands, gmasks, n)
+    return PairTables(n, cands, gmasks, compat, pred, succ, kill)
 
 
 class CliqueTables(Record):

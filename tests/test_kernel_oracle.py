@@ -1,0 +1,172 @@
+"""The pair and diversity kernels against exhaustive enumeration.
+
+Both kernels cut a node by the deficiency bound |F| + |partner| + |p| - nu,
+where nu is the size of a maximum matching from the remaining candidates p
+into the partner (see :mod:`setfam.engines.pykern`).  The matching helper is
+checked against the deficiency form of Hall's theorem, and each kernel, on
+random small tables, against a plain loop over every family: the optimum and
+the maximizer set must be the enumeration's, and the compiled twin must give
+the same optimum, maximizers and ``nodes``.
+"""
+
+import random
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from setfam.engines import pykern
+
+
+def _members(bits: int) -> list[int]:
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def _deficiency(p: int, rows: list[int], right: int) -> int:
+    """max over S inside p of |S| - |N(S)|, N(S) the members of ``right``
+    that the rows of S reach; S = {} gives 0."""
+    best = 0
+    members = _members(p)
+    for s in range(1 << len(members)):
+        reached = 0
+        for b, i in enumerate(members):
+            if s >> b & 1:
+                reached |= rows[i]
+        best = max(best, s.bit_count() - (reached & right).bit_count())
+    return best
+
+
+def test_matching_decides_the_deficiency_bound():
+    """nu = |p| - max |S| - |N(S)| (Ore): for every want, the helper reaches
+    want exactly when nu does, and otherwise returns a bound on nu below it."""
+    rng = random.Random(1955)
+    owner = [0] * 8
+    for _ in range(1500):
+        nl, nr = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.choice((0.15, 0.3, 0.5, 0.8))
+        rows = [sum(1 << j for j in range(nr) if rng.random() < density) for _ in range(nl)]
+        p = rng.randint(1, (1 << nl) - 1)
+        right = rng.randint(0, (1 << nr) - 1)
+        nu = p.bit_count() - _deficiency(p, rows, right)
+        for want in range(1, p.bit_count() + 1):
+            got = pykern._matching(p, rows, right, want, owner)
+            if nu >= want:
+                assert got == want, (p, rows, right, want)
+            else:
+                assert nu <= got < want, (p, rows, right, want)
+
+
+def _symmetric(draw, m: int) -> list[int]:
+    rows = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if draw(st.booleans()):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def _closed_pred(draw, m: int) -> tuple[list[int], list[int]]:
+    """A transitively closed pred, every row below its own index (the walk
+    meets predecessors first), and its transpose succ."""
+    pred = []
+    for i in range(m):
+        direct = draw(st.integers(0, (1 << i) - 1))
+        row = direct
+        for j in _members(direct):
+            row |= pred[j]
+        pred.append(row)
+    succ = [sum(1 << j for j in range(m) if pred[j] >> i & 1) for i in range(m)]
+    return pred, succ
+
+
+@st.composite
+def pair_instances(draw):
+    m = draw(st.integers(1, 7))
+    ng = draw(st.integers(0, 7))
+    compat = _symmetric(draw, m) if draw(st.booleans()) else None
+    pred, succ = _closed_pred(draw, m)
+    kill = [draw(st.integers(0, (1 << ng) - 1)) for _ in range(m)]
+    rmask = draw(st.integers(0, (1 << m) - 1))
+    r_min, g_min = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    g_ge_f = draw(st.booleans())
+    # a cap needs the partner universe to be the candidate universe
+    cap_excess = draw(st.integers(0, 3)) if ng == m and draw(st.booleans()) else -1
+    return m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess
+
+
+def _pair_oracle(m, compat, pred, _succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess):
+    best, found = -1, []
+    for fam in range(1, 1 << m):
+        members = _members(fam)
+        if compat is not None and any(fam & ~compat[i] & ~(1 << i) for i in members):
+            continue
+        if any(pred[i] & ~fam for i in members):
+            continue
+        partner = (1 << ng) - 1
+        for i in members:
+            partner &= ~kill[i]
+        f, g = len(members), partner.bit_count()
+        if g < g_min or (g_ge_f and g < f) or (fam & rmask).bit_count() < r_min:
+            continue
+        if cap_excess >= 0:
+            g -= max(0, (fam & partner).bit_count() - cap_excess)
+            if g < r_min:
+                continue
+        if f + g > best:
+            best, found = f + g, []
+        if f + g == best:
+            found.append(fam)
+    return best, found
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_instances())
+def test_pair_kernel_matches_exhaustive_enumeration(compiled_kernels, args):
+    best, maxers, nodes = pykern.pair_bnb(*args)
+    assert (best, sorted(maxers)) == _pair_oracle(*args)
+    assert compiled_kernels.pair_bnb(*args) == (best, maxers, nodes)
+
+
+@st.composite
+def diversity_instances(draw):
+    mh = draw(st.integers(1, 7))
+    na = draw(st.integers(0, 7))
+    nelems = draw(st.integers(1, 5))
+    hcompat = _symmetric(draw, mh)
+    # H members avoid element 1, the bit 0
+    hmasks = [draw(st.integers(0, (1 << nelems - 1) - 1)) << 1 for _ in range(mh)]
+    akill = [draw(st.integers(0, (1 << na) - 1)) for _ in range(mh)]
+    avoid_a = [0] + [draw(st.integers(0, (1 << na) - 1)) for _ in range(nelems)]
+    r = draw(st.integers(0, 3))
+    return mh, hcompat, hmasks, akill, na, avoid_a, r, nelems
+
+
+def _diversity_oracle(mh, hcompat, hmasks, akill, na, avoid_a, r, nelems):
+    best, found = -1, []
+    for h in range(1 << mh):
+        members = _members(h)
+        if len(members) < r or any(h & ~hcompat[i] & ~(1 << i) for i in members):
+            continue
+        amask = (1 << na) - 1
+        for i in members:
+            amask &= ~akill[i]
+        # the degree cap deg_e(F) <= deg_1(F) = |A|, for every element e > 1
+        if any(
+            sum(hmasks[i] >> e - 1 & 1 for i in members) > (amask & avoid_a[e]).bit_count()
+            for e in range(2, nelems + 1)
+        ):
+            continue
+        value = len(members) + amask.bit_count()
+        if value > best:
+            best, found = value, []
+        if value == best:
+            found.append(h)
+    return best, found
+
+
+@settings(max_examples=300, deadline=None)
+@given(diversity_instances())
+def test_diversity_kernel_matches_exhaustive_enumeration(compiled_kernels, args):
+    best, maxers, nodes = pykern.diversity_bnb(*args)
+    assert (best, sorted(maxers)) == _diversity_oracle(*args)
+    assert compiled_kernels.diversity_bnb(*args) == (best, maxers, nodes)

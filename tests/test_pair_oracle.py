@@ -149,7 +149,8 @@ def test_reduced_brute_search_matches_the_unreduced_one(compiled, monkeypatch, k
 
     def unreduced_tables(*args, **kwargs):
         t = tables.build_pair_tables(*args, **kwargs)
-        return tables.PairTables(t.n, t.cands, t.gmasks, t.compat, [0] * len(t.cands), t.kill)
+        none = [0] * len(t.cands)
+        return tables.PairTables(t.n, t.cands, t.gmasks, t.compat, none, none, t.kill)
 
     monkeypatch.setattr(problems, "build_pair_tables", unreduced_tables)
     monkeypatch.setattr(problems, "_labeled_classes", lambda classes, n: classes)

@@ -203,7 +203,7 @@ def test_skipped_capped_families_are_never_maximizers(request, backend):
     tabs = build_pair_tables(5, 2, 2, t_inter=None, shifted=False)
     m = len(tabs.cands)
     best, maxers, _ = kern.pair_bnb(
-        m, tabs.compat, tabs.pred, tabs.kill, len(tabs.gmasks), (1 << m) - 1,
+        m, tabs.compat, tabs.pred, tabs.succ, tabs.kill, len(tabs.gmasks), (1 << m) - 1,
         4, 4, False, 3,
     )
     assert (best, maxers) == (-1, [])
@@ -385,7 +385,7 @@ def test_compiled_kernels_replay_every_pykern_call(compiled_kernels, monkeypatch
         solve(Problem(kind, p, eng), backend="python")
     assert {name for name, _, _ in calls} == {"pair_bnb", "clique_bnb", "diversity_bnb"}
     # the shifted diversity calls count only the members avoiding element 1
-    assert sum(args[5] != (1 << args[0]) - 1 for name, args, _ in calls if name == "pair_bnb") == 3
+    assert sum(args[6] != (1 << args[0]) - 1 for name, args, _ in calls if name == "pair_bnb") == 3
     for name, args, expected in calls:
         assert getattr(compiled_kernels, name)(*args) == expected, (name, args[0])
 
@@ -415,7 +415,7 @@ def test_time_budget_raises_cleanly_on_compiled(compiled):
     [
         ("cross_pair_max", Params(n=8, k=3, r=2), "brute", 42),
         ("s_union_conditioned_max", Params(n=7, s=5, r=1), "clique", 42),
-        ("diverse_intersecting_max", Params(n=9, k=3, r=1), "clique", 19),
+        ("diverse_intersecting_max", Params(n=10, k=3, r=1), "clique", 22),
     ],
 )
 def test_zero_budget_stops_every_kernel_at_the_first_clock_check(

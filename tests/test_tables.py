@@ -10,6 +10,7 @@ from setfam.search.tables import (
     build_pair_tables,
     build_union_tables,
     dominance_pred,
+    dominance_succ,
     layer_masks,
 )
 from setfam.shifting import dominates
@@ -37,6 +38,17 @@ def test_dominance_pred_matches_pairwise_definition(n, k):
         for i, a in enumerate(masks)
     ]
     assert dominance_pred(masks) == expected
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in DOMINANCE_CASES if n <= 10])
+def test_dominance_succ_is_pred_transposed(n, k):
+    masks = layer_masks(n, k)
+    pred = dominance_pred(masks)
+    assert dominance_succ(masks) == [
+        _bitset(j for j in range(len(masks)) if pred[j] >> i & 1) for i in range(len(masks))
+    ]
+    tabs = build_pair_tables(n, k, None, None, shifted=True)
+    assert (tabs.pred, tabs.succ) == (pred, dominance_succ(masks))
 
 
 PAIR_CASES = [
@@ -73,6 +85,7 @@ def test_pair_tables_match_pairwise_definitions(n, f_size, g_size, t_inter):
     if f_size == g_size:  # a capped search needs the partner universe to be the candidates
         assert tabs.cands == tabs.gmasks
     assert tabs.pred == [0] + [1] * (len(cands) - 1)  # every family contains candidate 0
+    assert tabs.succ == [(1 << len(cands)) - 2] + [0] * (len(cands) - 1)  # pred transposed
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3), (8, 3), (8, 4), (9, 3)])
