@@ -27,6 +27,16 @@ toward r only the members that avoid element 1, so like every engine it
 runs on either backend and its report names the backend that ran.
 The overlap cap of cross_pair_capped can grow under joint shifts, so only
 ``brute`` applies.
+
+Classification (:func:`classify_maximizers`) lists each class as an orbit
+where the engine's maximizer scope is closed under a known permutation
+group: the s-union kinds return every maximum family, so their scope is
+closed under S_n, and the diversity ``clique`` engine returns every maximum
+family whose maximum degree is at element 1, a scope closed under the
+stabilizer of 1 and under the swaps (1 x) of the elements x of maximum
+degree.  The ``shifted`` scopes are not closed under relabeling, and the
+brute pair kinds keep only the families that contain candidate 0, so those
+classify by ``are_isomorphic``.
 """
 
 from __future__ import annotations
@@ -197,16 +207,30 @@ def _family_sort_key(item):
     return item.members
 
 
-def classify_maximizers(families: list) -> list[MaximizerClass]:
+def classify_maximizers(families: list, generators: Callable | None = None) -> list[MaximizerClass]:
     """Partition maximizers into isomorphism classes.
 
-    Pair maximizers are classified by their F side: the partner is a
-    function of F, so a relabeling carries one pair onto another exactly
-    when it carries the F sides onto each other.  Classes are bucketed by
-    :func:`iso_invariant`, so ``are_isomorphic`` only runs within a bucket.
     Representatives are the lexicographically least members of their
     classes, and classes are listed in the order of their representatives.
+
+    Without ``generators``, pair maximizers are classified by their F side:
+    the partner is a function of F, so a relabeling carries one pair onto
+    another exactly when it carries the F sides onto each other.  Classes
+    are bucketed by :func:`iso_invariant`, so ``are_isomorphic`` only runs
+    within a bucket.  This serves the scopes that are not closed under
+    relabeling: the shifted engines, and the brute pair kinds.
+
+    ``generators`` maps a family's sorted member-mask tuple to permutations
+    of [n] (``perm[i-1]`` the image of i) for a list that holds every
+    maximizer of a scope closed under relabeling, so that each class is an
+    orbit and is listed by walking it instead of being found again pair by
+    pair: the least unclassified family is the representative, and the
+    number of families the walk reaches is the class size.  Every relabeled
+    image must be in the list; one that is not means the list or the
+    generators are wrong, and raises ``AssertionError``.
     """
+    if generators is not None:
+        return _orbit_classes(families, generators)
     classes: list[list] = []  # [representative, its F side, size]
     buckets: dict[tuple, list[list]] = {}
     for item in sorted(families, key=_family_sort_key):
@@ -221,6 +245,110 @@ def classify_maximizers(families: list) -> list[MaximizerClass]:
             bucket.append(cls)
             classes.append(cls)
     return [MaximizerClass(rep, size) for rep, _, size in classes]
+
+
+def _orbit_classes(families: list[Family], generators: Callable) -> list[MaximizerClass]:
+    """The orbits of ``families`` under ``generators``, walked from the
+    least family not yet reached (see :func:`classify_maximizers`)."""
+    by_members = {F.members: F for F in families}
+    n = families[0].n if families else 0
+    tables: dict[tuple[int, ...], list[list[int]]] = {}  # perm -> its chunk tables
+    reached: set[tuple[int, ...]] = set()
+    classes = []
+    for least in sorted(by_members):
+        if least in reached:
+            continue
+        reached.add(least)
+        stack = [least]
+        size = 0
+        while stack:
+            members = stack.pop()
+            size += 1
+            for perm in generators(members):
+                tab = tables.get(perm)
+                if tab is None:
+                    tab = tables[perm] = _chunk_tables(perm, n)
+                image = tuple(sorted(_images(members, tab)))
+                if image not in reached:
+                    if image not in by_members:
+                        raise AssertionError(
+                            f"relabeling {perm} carries maximizer {by_members[members]} "
+                            f"onto {Family(n, image)}, which is not a maximizer"
+                        )
+                    reached.add(image)
+                    stack.append(image)
+        classes.append(MaximizerClass(by_members[least], size))
+    return classes
+
+
+def _chunk_tables(perm: tuple[int, ...], n: int) -> list[list[int]]:
+    """The relabeling ``perm`` of [n] as one table per 8-bit chunk of a mask:
+    entry b of table c is the image of the bits b << 8c.  A table has 256
+    entries, or fewer in the last chunk, whose mask bits stop at n."""
+    tables = []
+    for base in range(0, n, 8):
+        table = [0]
+        for e in range(base, min(base + 8, n)):
+            image = 1 << perm[e] - 1
+            table += [t | image for t in table]
+        tables.append(table)
+    return tables
+
+
+def _images(members: tuple[int, ...], tables: list[list[int]]) -> list[int]:
+    """Each member mapped through the chunk tables of :func:`_chunk_tables`."""
+    if len(tables) == 1:
+        table = tables[0]
+        return [table[m] for m in members]
+    out = []
+    for m in members:
+        image = 0
+        for table in tables:
+            image |= table[m & 255]
+            m >>= 8
+        out.append(image)
+    return out
+
+
+def _cycle(n: int, elements) -> tuple[int, ...]:
+    """The cyclic permutation of [n] taking each of ``elements`` to the next."""
+    perm = list(range(1, n + 1))
+    elements = list(elements)
+    for a, b in zip(elements, elements[1:] + elements[:1]):
+        perm[a - 1] = b
+    return tuple(perm)
+
+
+def _symmetric_generators(n: int) -> Callable:
+    """S_n, generated by (1 2) and (1 2 ... n).  The s-union kinds return
+    every maximum family, and their side constraints ignore labels, so
+    their maximizer lists are closed under S_n."""
+    gens = [_cycle(n, (1, 2)), _cycle(n, range(1, n + 1))]
+    return lambda members: gens
+
+
+def _max_degree_generators(n: int) -> Callable:
+    """The relabelings that keep a family with maximum degree at element 1
+    in that scope: the stabilizer of 1, generated by (2 3) and (2 ... n),
+    and the swap (1 x) for each element x whose degree equals element 1's.
+
+    They reach every relabeled copy in the scope: if G = pi F and both lie
+    in it, x = pi^-1(1) has maximum degree in F, and pi (1 x) fixes 1.
+    """
+    stab = [_cycle(n, (2, 3)), _cycle(n, range(2, n + 1))] if n >= 3 else []
+    swaps = [(x, _cycle(n, (1, x))) for x in range(2, n + 1)]
+    # element x to a counter field of n + 1 bits, wide enough for any degree,
+    # so that the spread members sum to every degree at once
+    w = n + 1
+    field = (1 << w) - 1
+    spread = _chunk_tables(tuple((x - 1) * w + 1 for x in range(1, n + 1)), n)
+
+    def generators(members: tuple[int, ...]) -> list[tuple[int, ...]]:
+        degs = sum(_images(members, spread))
+        deg_1 = degs & field
+        return stab + [swap for x, swap in swaps if degs >> (x - 1) * w & field == deg_1]
+
+    return generators
 
 
 def _labeled_classes(classes: list[MaximizerClass], n: int) -> list[MaximizerClass]:
@@ -374,6 +502,7 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
     backend_name = backend or engines.DEFAULT_BACKEND
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     start = time.monotonic()
+    generators = None  # set where the maximizer scope is closed under them
     if problem.kind in _PAIR_KINDS:
         optimum, maxers, nodes = _solve_pair(problem.kind, p, engine, backend_name, deadline)
     elif problem.kind == "diverse_intersecting_max":
@@ -381,14 +510,16 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
             optimum, maxers, nodes = _solve_diversity_shifted(p, backend_name, deadline)
         else:
             optimum, maxers, nodes = _solve_diversity_clique(p, backend_name, deadline)
+            generators = _max_degree_generators(p.n)
     else:
         optimum, maxers, nodes = _solve_union(problem.kind, p, backend_name, deadline)
+        generators = _symmetric_generators(p.n)
     elapsed = time.monotonic() - start
     if optimum < 0:
         raise InfeasibleInstanceError(
             "no admissible family satisfies the side constraints at these parameters"
         )
-    classes = classify_maximizers(maxers)
+    classes = classify_maximizers(maxers, generators)
     if engine == "brute" and problem.kind in _PAIR_KINDS:
         classes = _labeled_classes(classes, p.n)
     return SearchReport(

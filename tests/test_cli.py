@@ -468,10 +468,16 @@ def test_verify_runs_each_parameter_set_once(capsys, threads):
 
 
 def test_threads_flag_gives_identical_results(capsys):
-    argv = ("verify", "katona", "--grid", "n=4..6;s=2..2", "--json", "--no-timing")
-    _, out1, _ = run(capsys, *argv, "--threads", "1")
-    _, out2, _ = run(capsys, *argv, "--threads", "4")
-    assert out1 == out2
+    for theorem, grid, engine in (
+        ("katona", "n=4..6;s=2..2", "auto"),
+        ("diversity", "k=3;n=7..8;r=1..n-k", "clique"),
+        ("main5", "n=7;s=4;r=1..2", "clique"),
+    ):
+        argv = ("verify", theorem, "--grid", grid, "--engine", engine, "--json", "--no-timing")
+        code1, out1, _ = run(capsys, *argv, "--threads", "1")
+        code4, out4, _ = run(capsys, *argv, "--threads", "4")
+        assert code1 == code4 == 0
+        assert out1 == out4
 
 
 @pytest.mark.parametrize(

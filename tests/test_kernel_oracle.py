@@ -1,4 +1,4 @@
-"""The pair and diversity kernels against exhaustive enumeration.
+"""The three kernels against exhaustive enumeration.
 
 Both kernels cut a node by the deficiency bound |F| + |partner| + |p| - nu,
 where nu is the size of a maximum matching from the remaining candidates p
@@ -6,7 +6,9 @@ into the partner (see :mod:`setfam.engines.pykern`).  The matching helper is
 checked against the deficiency form of Hall's theorem, and each kernel, on
 random small tables, against a plain loop over every family: the optimum and
 the maximizer set must be the enumeration's, and the compiled twin must give
-the same optimum, maximizers and ``nodes``.
+the same optimum, maximizers and ``nodes``.  The clique kernel is checked
+the same way on random graphs, without its down-set cut and side
+constraints.
 """
 
 import random
@@ -170,3 +172,33 @@ def test_diversity_kernel_matches_exhaustive_enumeration(compiled_kernels, args)
     best, maxers, nodes = pykern.diversity_bnb(*args)
     assert (best, sorted(maxers)) == _diversity_oracle(*args)
     assert compiled_kernels.diversity_bnb(*args) == (best, maxers, nodes)
+
+
+@st.composite
+def graphs(draw):
+    nverts = draw(st.integers(1, 9))
+    return nverts, _symmetric(draw, nverts)
+
+
+def _clique_oracle(nverts: int, adj: list[int]) -> tuple[int, list[int]]:
+    best, found = -1, []
+    for q in range(1, 1 << nverts):
+        if any(q & ~adj[v] & ~(1 << v) for v in _members(q)):
+            continue
+        size = q.bit_count()
+        if size > best:
+            best, found = size, []
+        if size == best:
+            found.append(q)
+    return best, found
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_clique_kernel_matches_exhaustive_enumeration(compiled_kernels, graph):
+    nverts, adj = graph
+    # no superset cut (sup all zero) and no side constraint (cons_kind 0)
+    args = (nverts, adj, [0] * nverts, 0, 0, [0] * nverts, 1, 0)
+    best, maxers, nodes = pykern.clique_bnb(*args)
+    assert (best, sorted(maxers)) == _clique_oracle(nverts, adj)
+    assert compiled_kernels.clique_bnb(*args) == (best, maxers, nodes)

@@ -28,7 +28,14 @@ from setfam.search import (
     solve,
 )
 from setfam.search.expected import expected_classes
-from setfam.search.problems import MaximizerClass, _labeled_classes
+from setfam.search.problems import (
+    MaximizerClass,
+    _chunk_tables,
+    _images,
+    _labeled_classes,
+    _max_degree_generators,
+    _symmetric_generators,
+)
 from setfam.search.tables import build_pair_tables, shifted_family_count_reference
 from setfam.search.verify import _classes_match
 from setfam.shifting import is_shifted, max_cross_partner
@@ -309,6 +316,66 @@ def test_classify_maximizers_matches_bruteforce(rng):
                 families.add(apply_permutation(F, tuple(perm)))
         got = [(c.representative, c.size) for c in classify_maximizers(list(families))]
         assert got == _bruteforce_classes(list(families))
+
+
+def _orbit(F: Family) -> set[Family]:
+    return {apply_permutation(F, perm) for perm in itertools.permutations(range(1, F.n + 1))}
+
+
+def _max_degree_at_1(F: Family) -> bool:
+    degs = [sum(m >> x & 1 for m in F.members) for x in range(F.n)]
+    return degs[0] == max(degs)
+
+
+def _closed_lists(rng, trials: int):
+    """Random maximizer lists closed under relabeling at 2 <= n <= 5: unions of
+    whole S_n orbits, and the same orbits cut to the families with maximum
+    degree at element 1, each with its generator source."""
+    for _ in range(trials):
+        n = rng.randint(2, 5)
+        families = set()
+        for _ in range(rng.randint(1, 3)):
+            families |= _orbit(random_family(rng, n, max_size=rng.choice((4, 8, 16))))
+        yield sorted(families, key=lambda f: f.members), _symmetric_generators(n)
+        scoped = [F for F in families if _max_degree_at_1(F)]
+        yield sorted(scoped, key=lambda f: f.members), _max_degree_generators(n)
+
+
+def test_orbit_classes_match_bruteforce_on_closed_lists(rng):
+    for families, generators in _closed_lists(rng, 40):
+        rng.shuffle(families)
+        got = [(c.representative, c.size) for c in classify_maximizers(families, generators)]
+        assert got == _bruteforce_classes(families)
+
+
+def test_chunk_tables_relabel_like_apply_permutation(rng):
+    for n in (2, 5, 8, 9, 16, 17, 24, 30):  # one to four 8-bit chunks
+        for _ in range(5):
+            F = random_family(rng, n) if n <= 16 else fam(n, *(
+                rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(12)
+            ))
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            images = _images(F.members, _chunk_tables(tuple(perm), n))
+            assert Family.of_masks(n, images) == apply_permutation(F, tuple(perm))
+
+
+def test_orbit_walk_rejects_a_list_that_is_not_closed():
+    n = 5
+    F = fam(n, (1, 2), (1, 3), (2, 4), (1, 2, 5))  # maximum degree at elements 1 and 2
+    full = sorted(_orbit(F), key=lambda f: f.members)
+    scoped = [G for G in full if _max_degree_at_1(G)]
+    assert len(full) > len(scoped) > 1
+    assert classify_maximizers(full, _symmetric_generators(n))[0].size == len(full)
+    assert classify_maximizers(scoped, _max_degree_generators(n))[0].size == len(scoped)
+    # a member missing from the orbit, and an orbit cut to the wrong scope
+    for families, generators in (
+        (full[:3] + full[4:], _symmetric_generators(n)),
+        (scoped[:1] + scoped[2:], _max_degree_generators(n)),
+        (scoped, _symmetric_generators(n)),
+    ):
+        with pytest.raises(AssertionError, match="not a maximizer"):
+            classify_maximizers(families, generators)
 
 
 def test_degenerate_base_lists_classes_without_assertion():
