@@ -356,6 +356,9 @@ static int diversity_feasible(const Diversity *c, bits amask) {
     return 1;
 }
 
+/* The walk of pykern's diversity_bnb, scope and anchor included: the root
+   branches on candidate 0 only, so every non-empty H found holds it, and
+   the empty H is the maximizer seeded for r <= 0. */
 static void diversity_rec(Diversity *c, bits chosen, int hcount, bits p, bits amask) {
     Search *s = c->s;
     if (tick(s))
@@ -382,7 +385,7 @@ static void diversity_rec(Diversity *c, bits chosen, int hcount, bits p, bits am
                 diversity_rec(c, child, hc2, child_p, child_a);
         }
         add_degrees(c->degs, c->hmasks[i], -1);
-        if (s->status)
+        if (s->status || !chosen) /* the root branches on the anchor only */
             return;
     }
 }

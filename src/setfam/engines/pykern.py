@@ -385,7 +385,8 @@ def diversity_bnb(
     deadline: float | None = None,
 ):
     """Maximum intersecting k-uniform family with diversity >= r, searched
-    in the symmetry-reduced scope where the maximum degree sits at element 1.
+    in the symmetry-reduced scope where the maximum degree sits at element 1
+    and H holds the anchor, candidate 0.
 
     The family splits as H (members avoiding 1, enumerated) plus A (members
     containing 1, always the full set of candidates meeting every H member:
@@ -397,6 +398,15 @@ def diversity_bnb(
     Each node is first tested against the deficiency bound (module
     docstring), with the H candidates on one side and the A candidates
     still in on the other, joined by the ``akill`` rows.
+
+    The root branches on candidate 0 only, so every non-empty H found holds
+    it.  For the callers' tables, where the H candidates are the k-sets
+    avoiding element 1, no maximizer class is lost: the stabilizer of 1 is
+    transitive on those k-sets and keeps the scope and every constraint, so
+    every non-empty H has a relabeled copy in scope that holds candidate 0.
+    The empty H, seeded for r <= 0, is the one maximizer without it.  The
+    callers recover the other relabeled copies by walking orbits
+    (:func:`setfam.search.problems.classify_maximizers`).
 
     Returns (best, maximizers as H bitsets, node_count); each maximizer's A
     is every A candidate outside the ``akill`` rows of its H members.
@@ -465,6 +475,8 @@ def diversity_bnb(
                         rec(child, hc2, child_p, child_pcount, am2, ac2)
                 for j in es:
                     degs[j] -= 1
+            if not chosen:  # the root branches on the anchor, candidate 0, only
+                return
 
     rec(0, 0, (1 << mh) - 1, mh, full_a, na)
     return best, maxers, nodes

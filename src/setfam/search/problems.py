@@ -30,13 +30,20 @@ The overlap cap of cross_pair_capped can grow under joint shifts, so only
 
 Classification (:func:`classify_maximizers`) lists each class as an orbit
 where the engine's maximizer scope is closed under a known permutation
-group: the s-union kinds return every maximum family, so their scope is
-closed under S_n, and the diversity ``clique`` engine returns every maximum
-family whose maximum degree is at element 1, a scope closed under the
-stabilizer of 1 and under the swaps (1 x) of the elements x of maximum
-degree.  The ``shifted`` scopes are not closed under relabeling, and the
-brute pair kinds keep only the families that contain candidate 0, so those
-classify by ``are_isomorphic``.
+group: the s-union kinds' scope is every maximum family, closed under S_n,
+and the diversity ``clique`` engine's is every maximum family whose maximum
+degree is at element 1, closed under the stabilizer of 1 and under the
+swaps (1 x) of the elements x of maximum degree.  Two of these engines
+search only the maximizers that hold a fixed anchor member:
+s_union_conditioned_max the (d+1)-set {1, ..., d+1} (see
+:func:`build_union_tables`), and the diversity ``clique`` engine the H
+member {2, ..., k+1} (see :func:`setfam.engines.pykern.diversity_bnb`).
+Their ``nodes`` count that search, and the walk recovers every other
+maximizer, so ``maximizer_count`` and the classes are those of the whole
+scope.  s_union_max has no forced member and searches its whole scope.
+The ``shifted`` scopes are not closed under relabeling, and the brute pair
+kinds keep only the families that contain candidate 0, so those classify
+by ``are_isomorphic``.
 """
 
 from __future__ import annotations
@@ -55,7 +62,14 @@ from ..bounds import (
     bound_union,
 )
 from ..errors import InfeasibleInstanceError, ParamRangeError
-from ..family import Family, are_isomorphic, is_s_union, iso_invariant, layer_masks
+from ..family import (
+    Family,
+    apply_permutation,
+    are_isomorphic,
+    is_s_union,
+    iso_invariant,
+    layer_masks,
+)
 from .. import engines
 from ..engines import pykern
 from . import ENGINES, KINDS
@@ -207,7 +221,9 @@ def _family_sort_key(item):
     return item.members
 
 
-def classify_maximizers(families: list, generators: Callable | None = None) -> list[MaximizerClass]:
+def classify_maximizers(
+    families: list, generators: Callable | None = None, anchor: int | None = None
+) -> list[MaximizerClass]:
     """Partition maximizers into isomorphism classes.
 
     Representatives are the lexicographically least members of their
@@ -221,16 +237,21 @@ def classify_maximizers(families: list, generators: Callable | None = None) -> l
     relabeling: the shifted engines, and the brute pair kinds.
 
     ``generators`` maps a family's sorted member-mask tuple to permutations
-    of [n] (``perm[i-1]`` the image of i) for a list that holds every
-    maximizer of a scope closed under relabeling, so that each class is an
-    orbit and is listed by walking it instead of being found again pair by
-    pair: the least unclassified family is the representative, and the
-    number of families the walk reaches is the class size.  Every relabeled
-    image must be in the list; one that is not means the list or the
-    generators are wrong, and raises ``AssertionError``.
+    of [n] (``perm[i-1]`` the image of i) for a maximizer scope closed under
+    relabeling, so that each class is an orbit and is listed by walking it
+    instead of being found again pair by pair.  The walks start from the
+    listed families in ascending order; a class's size is the number of
+    families its walk reaches, and its representative the least of them,
+    built here when the list does not hold it.  Without ``anchor`` the list
+    holds every maximizer of the scope; with it (a member mask), every
+    maximizer that contains the anchor, as an anchored search returns them,
+    and at least one of each class.  A relabeled image that the list should
+    hold and does not means the list or the generators are wrong, and
+    raises ``AssertionError``.  More families reached than
+    ``pykern.MAXIMIZER_CAP`` raise the kernels' cap error.
     """
     if generators is not None:
-        return _orbit_classes(families, generators)
+        return _orbit_classes(families, generators, anchor)
     classes: list[list] = []  # [representative, its F side, size]
     buckets: dict[tuple, list[list]] = {}
     for item in sorted(families, key=_family_sort_key):
@@ -247,38 +268,56 @@ def classify_maximizers(families: list, generators: Callable | None = None) -> l
     return [MaximizerClass(rep, size) for rep, _, size in classes]
 
 
-def _orbit_classes(families: list[Family], generators: Callable) -> list[MaximizerClass]:
-    """The orbits of ``families`` under ``generators``, walked from the
-    least family not yet reached (see :func:`classify_maximizers`)."""
+def _orbit_classes(
+    families: list[Family], generators: Callable, anchor: int | None
+) -> list[MaximizerClass]:
+    """The orbits of ``families`` under ``generators``, each walked from
+    the least listed family not yet reached (see :func:`classify_maximizers`)."""
     by_members = {F.members: F for F in families}
     n = families[0].n if families else 0
-    tables: dict[tuple[int, ...], list[list[int]]] = {}  # perm -> its chunk tables
+    cap = pykern.MAXIMIZER_CAP
+    tables: dict[tuple[int, ...], list[list[int]]] = {}
     reached: set[tuple[int, ...]] = set()
     classes = []
-    for least in sorted(by_members):
-        if least in reached:
+    for start in sorted(by_members):
+        if start in reached:
             continue
-        reached.add(least)
-        stack = [least]
-        size = 0
-        while stack:
-            members = stack.pop()
-            size += 1
-            for perm in generators(members):
-                tab = tables.get(perm)
-                if tab is None:
-                    tab = tables[perm] = _chunk_tables(perm, n)
-                image = tuple(sorted(_images(members, tab)))
-                if image not in reached:
-                    if image not in by_members:
-                        raise AssertionError(
-                            f"relabeling {perm} carries maximizer {by_members[members]} "
-                            f"onto {Family(n, image)}, which is not a maximizer"
-                        )
-                    reached.add(image)
-                    stack.append(image)
-        classes.append(MaximizerClass(by_members[least], size))
+        orbit = _orbit(start, generators, n, tables, cap - len(reached))
+        if orbit is None:
+            raise pykern._over_cap(cap)
+        for members in orbit:
+            if members not in by_members and (anchor is None or anchor in members):
+                raise AssertionError(
+                    f"the orbit of maximizer {by_members[start]} holds {Family(n, members)}, "
+                    "which is not a maximizer"
+                )
+        reached |= orbit
+        least = min(orbit)
+        rep = by_members[least] if least in by_members else Family(n, least)
+        classes.append(MaximizerClass(rep, len(orbit)))
+    classes.sort(key=lambda c: c.representative.members)
     return classes
+
+
+def _orbit(
+    start: tuple[int, ...], generators: Callable, n: int, tables: dict, limit: int
+) -> set[tuple[int, ...]] | None:
+    """The orbit of the member tuple ``start`` under ``generators``, or None
+    once it holds more than ``limit`` tuples.  ``tables`` caches the chunk
+    tables of each permutation met (:func:`_chunk_tables`)."""
+    orbit = {start}
+    stack = [start]
+    while stack and len(orbit) <= limit:
+        members = stack.pop()
+        for perm in generators(members):
+            tab = tables.get(perm)
+            if tab is None:
+                tab = tables[perm] = _chunk_tables(perm, n)
+            image = tuple(sorted(_images(members, tab)))
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit if len(orbit) <= limit else None
 
 
 def _chunk_tables(perm: tuple[int, ...], n: int) -> list[list[int]]:
@@ -349,6 +388,25 @@ def _max_degree_generators(n: int) -> Callable:
         return stab + [swap for x, swap in swaps if degs >> (x - 1) * w & field == deg_1]
 
     return generators
+
+
+def _with_max_degree_at_1(F: Family) -> Family:
+    """``F`` relabeled so that element 1 has maximum degree, which puts it in
+    the diversity ``clique`` scope (and in every S_n scope): unchanged when
+    it has, else swapped by (1 x), x the least element of maximum degree."""
+    degs = [sum(m >> e & 1 for m in F.members) for e in range(F.n)]
+    x = degs.index(max(degs)) + 1
+    return F if x == 1 else apply_permutation(F, _cycle(F.n, (1, x)))
+
+
+def _scope_generators(kind: str, engine: str, n: int) -> Callable | None:
+    """The generator source of an engine whose maximizer scope is closed
+    under a known group of relabelings, or None (see the module docstring)."""
+    if kind in ("s_union_max", "s_union_conditioned_max"):
+        return _symmetric_generators(n)
+    if kind == "diverse_intersecting_max" and engine == "clique":
+        return _max_degree_generators(n)
+    return None
 
 
 def _labeled_classes(classes: list[MaximizerClass], n: int) -> list[MaximizerClass]:
@@ -502,24 +560,25 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
     backend_name = backend or engines.DEFAULT_BACKEND
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     start = time.monotonic()
-    generators = None  # set where the maximizer scope is closed under them
+    anchor = None  # the member that every non-empty maximizer found holds
     if problem.kind in _PAIR_KINDS:
         optimum, maxers, nodes = _solve_pair(problem.kind, p, engine, backend_name, deadline)
+    elif problem.kind == "diverse_intersecting_max" and engine == "shifted":
+        optimum, maxers, nodes = _solve_diversity_shifted(p, backend_name, deadline)
     elif problem.kind == "diverse_intersecting_max":
-        if engine == "shifted":
-            optimum, maxers, nodes = _solve_diversity_shifted(p, backend_name, deadline)
-        else:
-            optimum, maxers, nodes = _solve_diversity_clique(p, backend_name, deadline)
-            generators = _max_degree_generators(p.n)
+        optimum, maxers, nodes = _solve_diversity_clique(p, backend_name, deadline)
+        anchor = ((1 << p.k) - 1) << 1  # H candidate 0, {2, ..., k+1}
     else:
         optimum, maxers, nodes = _solve_union(problem.kind, p, backend_name, deadline)
-        generators = _symmetric_generators(p.n)
+        if problem.kind == "s_union_conditioned_max":
+            anchor = (1 << p.s // 2 + 1) - 1  # {1, ..., d+1}
     elapsed = time.monotonic() - start
     if optimum < 0:
         raise InfeasibleInstanceError(
             "no admissible family satisfies the side constraints at these parameters"
         )
-    classes = classify_maximizers(maxers, generators)
+    generators = _scope_generators(problem.kind, engine, p.n)
+    classes = classify_maximizers(maxers, generators, anchor)
     if engine == "brute" and problem.kind in _PAIR_KINDS:
         classes = _labeled_classes(classes, p.n)
     return SearchReport(

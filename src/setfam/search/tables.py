@@ -179,6 +179,18 @@ def build_union_tables(n: int, s: int, constrained_layer: int | None) -> CliqueT
     """Vertices are all subsets of [n] with at most s elements; edges join
     pairs whose union stays within s elements.
 
+    With a constrained layer c, only the anchor {1, ..., c} and its
+    neighbours are kept: the subsets B whose union with {1, ..., c} has at
+    most s elements.  Each
+    feasible family of the conditioned kinds has a c-set (they need r >= 1),
+    and S_n carries that set onto the anchor, so every maximizer has a
+    relabeled copy in the kept graph.  There the anchor is adjacent to every
+    other vertex, and both side constraints survive adding a vertex, so every
+    maximum feasible clique holds the anchor; the callers recover the other
+    relabeled copies by walking orbits.  The kept sets are closed under
+    subsets, so the kernel's down-set cut still holds.  The vertex limit
+    counts every subset with at most s elements, kept or not.
+
     Vertices are numbered in descending mask order, so the clique kernel,
     which walks from the top index down, reaches the small sets first.
     """
@@ -188,6 +200,10 @@ def build_union_tables(n: int, s: int, constrained_layer: int | None) -> CliqueT
         f"the {nv} subsets of [{n}] with at most {s} elements exceed {MAX_BITS} vertices",
     )
     vmasks = sorted((m for i in range(min(s, n) + 1) for m in layer_masks(n, i)), reverse=True)
+    if constrained_layer is not None:
+        anchor = (1 << constrained_layer) - 1
+        vmasks = [m for m in vmasks if (m | anchor).bit_count() <= s]
+        nv = len(vmasks)
     adj = [0] * nv
     sup = [0] * nv
     for i in range(nv):

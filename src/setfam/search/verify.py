@@ -12,7 +12,16 @@ from ..errors import InfeasibleInstanceError, ParamRangeError, TimeBudgetExceede
 from ..family import are_isomorphic
 from . import THEOREMS
 from .expected import expected_classes
-from .problems import Problem, SearchReport, _check_budget, bound_for, solve
+from .problems import (
+    Problem,
+    SearchReport,
+    _check_budget,
+    _orbit,
+    _scope_generators,
+    _with_max_degree_at_1,
+    bound_for,
+    solve,
+)
 
 __all__ = ["THEOREMS", "parse_grid", "verify_grid", "VerifyRow", "VerifyResult"]
 
@@ -117,7 +126,32 @@ class VerifyResult(Record):
         return True
 
 
-def _classes_match(found: list, expected: list) -> bool:
+def _classes_match(report: SearchReport, expected: list) -> bool:
+    """Whether the report's classes are the expected families' classes,
+    one for one.  Where the engine lists classes as orbits, each expected
+    family is relabeled into the engine's scope and its orbit walked, no
+    further than the largest class; its least member and size must be a
+    reported class's.  Elsewhere the classes are matched by the
+    isomorphism search."""
+    generators = _scope_generators(report.kind, report.engine, report.params.n)
+    if generators is None:
+        return _isomorphic_classes_match(report.class_representatives, expected)
+    sizes = {c.representative.members: c.size for c in report.classes}
+    limit = max(sizes.values(), default=0)
+    tables: dict = {}
+    matched = set()
+    for F in expected:
+        orbit = _orbit(_with_max_degree_at_1(F).members, generators, F.n, tables, limit)
+        if orbit is None:
+            return False
+        least = min(orbit)
+        if sizes.get(least) != len(orbit) or least in matched:
+            return False
+        matched.add(least)
+    return len(matched) == len(sizes)
+
+
+def _isomorphic_classes_match(found: list, expected: list) -> bool:
     if len(found) != len(expected):
         return False
     taken = [False] * len(expected)
@@ -158,11 +192,11 @@ def _run_row(theorem: str, values: tuple, engine: str, max_seconds) -> VerifyRow
         return VerifyRow(params, str(exc), None, None, None)
     try:
         report = solve(problem, max_seconds=max_seconds)
-        # the class check has instance limits of its own (the isomorphism search)
+        # the class check can have instance limits of its own (the isomorphism search)
         expected = expected_classes(kind, params) if mode == "equality" else None
         classes_ok = None
         if expected is not None:
-            classes_ok = _classes_match(report.class_representatives, expected)
+            classes_ok = _classes_match(report, expected)
     except TimeBudgetExceededError as exc:
         return VerifyRow(params, None, None, None, None, timeout=exc.with_traceback(None))
     except InfeasibleInstanceError as exc:

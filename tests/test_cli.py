@@ -214,7 +214,7 @@ SEARCH_TEXT = [
         "{1,2,4} {5} {1,5} {2,5} {1,2,5} {6} {1,6} {2,6} {1,2,6}})\n"
         "  class x20: Family(n=6, {{} {1} {2} {1,2} {3} {1,3} {2,3} {1,2,3} {4} {1,4} {2,4} "
         "{3,4} {5} {1,5} {2,5} {3,5} {6} {1,6} {2,6} {3,6}})\n",
-        677,
+        80,
     ),
 ]
 
@@ -590,15 +590,16 @@ def test_verify_reports_infeasible_rows_and_runs_the_rest(capsys):
 
 
 def test_verify_reports_a_class_check_past_the_isomorphism_limit_as_infeasible(capsys):
-    # both rows solve; only n=13 is past the isomorphism search's universe limit
-    argv = ("verify", "katona", "--grid", "n=12..13;s=2")
+    # both rows solve on the shifted engine, whose classes are matched by the
+    # isomorphism search; only n=13 is past its universe limit
+    argv = ("verify", "f16", "--grid", "k=2;t=0;n=12..13")
     code, out, _ = run(capsys, *argv, "--json", "--no-timing")
     assert code == 3
     obj = json.loads(out)
     assert obj["ok"] is False
     assert obj["rows"][0]["status"] == "ok" and obj["rows"][0]["classes_ok"] is True
     assert obj["rows"][1] == {
-        "params": {"n": 13, "s": 2},
+        "params": {"k": 2, "n": 13, "r": 1, "t": 0},
         "status": "infeasible",
         "reason": "isomorphism search supports n <= 12 (got n=13)",
     }
@@ -607,3 +608,15 @@ def test_verify_reports_a_class_check_past_the_isomorphism_limit_as_infeasible(c
     lines = out.splitlines()
     assert lines[0].startswith("OK  ") and lines[1].startswith("INFS  ")
     assert lines[-1] == "INFEASIBLE"
+
+
+def test_orbit_classified_rows_match_their_classes_past_the_isomorphism_limit(capsys):
+    # the s-union classes are orbits, and each expected family's orbit is
+    # walked instead of searched for an isomorphism, so n = 13..15 verify too
+    code, out, _ = run(capsys, "verify", "katona", "--grid", "n=12..15;s=2", "--json", "--no-timing")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["ok"] is True
+    assert [(row["params"]["n"], row["status"], row["classes_ok"]) for row in obj["rows"]] == [
+        (n, "ok", True) for n in range(12, 16)
+    ]

@@ -146,6 +146,8 @@ def diversity_instances(draw):
 def _diversity_oracle(mh, hcompat, hmasks, akill, na, avoid_a, r, nelems):
     best, found = -1, []
     for h in range(1 << mh):
+        if h and not h & 1:
+            continue  # the kernel's root branches on the anchor, candidate 0, only
         members = _members(h)
         if len(members) < r or any(h & ~hcompat[i] & ~(1 << i) for i in members):
             continue

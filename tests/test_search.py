@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from setfam.search import (
     enumerate_shifted,
     solve,
 )
+from setfam.search import problems
 from setfam.search.expected import expected_classes
 from setfam.search.problems import (
     MaximizerClass,
@@ -36,7 +38,11 @@ from setfam.search.problems import (
     _max_degree_generators,
     _symmetric_generators,
 )
-from setfam.search.tables import build_pair_tables, shifted_family_count_reference
+from setfam.search.tables import (
+    build_pair_tables,
+    build_union_tables,
+    shifted_family_count_reference,
+)
 from setfam.search.verify import _classes_match
 from setfam.shifting import is_shifted, max_cross_partner
 
@@ -71,7 +77,32 @@ def test_shifted_maximizers_land_in_expected_classes():
     rep = solve(Problem("hemibundled_max", p, "shifted"))
     assert rep.optimum == 30
     exp = expected_classes("hemibundled_max", p)
-    assert _classes_match(rep.class_representatives, exp)
+    assert _classes_match(rep, exp)
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [
+        ("diverse_intersecting_max", Params(n=8, k=3, r=1)),
+        ("s_union_conditioned_max", Params(n=7, s=5, r=1)),
+        ("s_union_max", Params(n=7, s=4)),
+    ],
+)
+def test_orbit_class_matching_takes_any_relabeled_expected_family(rng, kind, p):
+    """verify matches orbit classes by walking each expected family's orbit;
+    a diversity family is first swapped into the maximum-degree scope."""
+    rep = solve(Problem(kind, p, "clique"))
+    relabeled = []
+    for F in expected_classes(kind, p):
+        perm = list(range(1, p.n + 1))
+        rng.shuffle(perm)
+        relabeled.append(apply_permutation(F, tuple(perm)))
+    assert _classes_match(rep, relabeled)
+    assert _classes_match(rep, relabeled[::-1])
+    assert not _classes_match(rep, relabeled + relabeled[-1:])
+    assert not _classes_match(rep, relabeled[:-1] + [Family(p.n, ())])
+    if len(relabeled) > 1:
+        assert not _classes_match(rep, relabeled[:-1])
 
 
 def test_engine_agreement_hemibundled():
@@ -378,6 +409,65 @@ def test_orbit_walk_rejects_a_list_that_is_not_closed():
             classify_maximizers(families, generators)
 
 
+def test_anchored_walk_lists_the_classes_of_the_whole_list(rng):
+    """An anchored search keeps only the maximizers that contain the anchor;
+    walking their orbits lists the classes of the whole closed list, with
+    the representatives the anchored list does not hold built on the way."""
+    built = 0
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        j = rng.randint(1, n - 1)
+        for anchor, in_scope, generators in (
+            ((1 << j) - 1, lambda F: True, _symmetric_generators(n)),
+            (((1 << j) - 1) << 1, _max_degree_at_1, _max_degree_generators(n)),
+        ):
+            families = set()
+            for _ in range(rng.randint(1, 3)):
+                orbit = {F for F in _orbit(random_family(rng, n, max_size=8)) if in_scope(F)}
+                if any(anchor in F.members for F in orbit):
+                    families |= orbit
+            anchored = [F for F in families if anchor in F.members]
+            rng.shuffle(anchored)
+            full = classify_maximizers(sorted(families, key=lambda f: f.members), generators)
+            got = classify_maximizers(anchored, generators, anchor)
+            assert got == full
+            built += sum(c.representative not in anchored for c in got)
+    assert built > 10
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [
+        ("s_union_conditioned_max", Params(n=6, s=4, r=1)),
+        ("diverse_intersecting_max", Params(n=7, k=3, r=1)),
+    ],
+)
+def test_anchored_walk_rejects_a_list_missing_an_anchored_maximizer(kind, p):
+    """The walk from an anchored maximizer reaches every other anchored
+    member of its class, so dropping one of them raises.  A class whose only
+    anchored member is dropped is no longer reached at all."""
+    if kind == "diverse_intersecting_max":
+        _, found, _ = problems._solve_diversity_clique(p, "python", None)
+        anchor = 0b1110  # H candidate 0, {2, 3, 4}
+    else:
+        _, found, _ = problems._solve_union(kind, p, "python", None)
+        anchor = 0b111  # {1, 2, 3}
+    generators = problems._scope_generators(kind, "clique", p.n)
+    assert all(anchor in F.members for F in found)
+    classes = classify_maximizers(found, generators, anchor)
+    caught = 0
+    for i, F in enumerate(found):
+        rest = found[:i] + found[i + 1:]
+        orbit = problems._orbit(F.members, generators, p.n, {}, 10**6)
+        if sum(anchor in members for members in orbit) > 1:
+            with pytest.raises(AssertionError, match="not a maximizer"):
+                classify_maximizers(rest, generators, anchor)
+            caught += 1
+        else:
+            assert len(classify_maximizers(rest, generators, anchor)) == len(classes) - 1
+    assert 0 < caught < len(found)
+
+
 def test_degenerate_base_lists_classes_without_assertion():
     # at n = 2k+t the whole middle layer is the bound and many shapes tie;
     # the report still classifies them (5 classes, computed and frozen)
@@ -482,18 +572,28 @@ def test_time_budget_raises_cleanly_on_compiled(compiled):
     [
         ("cross_pair_max", Params(n=8, k=3, r=2), "brute", 42),
         ("s_union_conditioned_max", Params(n=7, s=5, r=1), "clique", 42),
-        ("diverse_intersecting_max", Params(n=10, k=3, r=1), "clique", 22),
+        ("diverse_intersecting_max", Params(n=9, k=4, r=1), "clique", 53),
     ],
 )
 def test_zero_budget_stops_every_kernel_at_the_first_clock_check(
     request, backend, kind, p, eng, best
 ):
     """With no time at all, the clock check at node 8192 always fires; both
-    backends stop there with the same incumbent."""
+    backends stop there with the same incumbent.  No anchored s-union
+    search in range reaches that node, so the clique kernel runs on the
+    whole n=7, s=5 graph, with the conditioned kind's diversity constraint."""
     if backend == "compiled":
         request.getfixturevalue("compiled")
     with pytest.raises(TimeBudgetExceededError) as info:
-        solve(Problem(kind, p, eng), max_seconds=0, backend=backend)
+        if kind == "s_union_conditioned_max":
+            tabs = build_union_tables(p.n, p.s, None)
+            layer = sum(1 << i for i, m in enumerate(tabs.vmasks) if m.bit_count() == p.s // 2 + 1)
+            engines.backend_module(backend).clique_bnb(
+                len(tabs.vmasks), tabs.adj, tabs.sup, 2, layer, tabs.vmasks, p.n, p.r,
+                time.monotonic(),
+            )
+        else:
+            solve(Problem(kind, p, eng), max_seconds=0, backend=backend)
     assert str(info.value) == "search exceeded its time budget after 8192 nodes"
     assert info.value.best_so_far == best
 
@@ -532,6 +632,18 @@ def test_maximizer_cap_counts_labeled_families(monkeypatch):
     monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 35)
     rep = solve(problem)
     assert rep.maximizer_count == 35 and [c.size for c in rep.classes] == [35]
+    monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 34)
+    with pytest.raises(InfeasibleInstanceError, match=r"^maximizer enumeration exceeded the cap of 34$"):
+        solve(problem)
+
+
+def test_maximizer_cap_counts_the_families_the_orbit_walk_reaches(monkeypatch):
+    """diversity (7,3,1) has 35 maximizers in two classes; the anchored
+    search finds only those whose H holds {2, 3, 4}, but the cap counts all 35."""
+    problem = Problem("diverse_intersecting_max", Params(n=7, k=3, r=1), "clique")
+    monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 35)
+    rep = solve(problem)
+    assert rep.maximizer_count == 35 and [c.size for c in rep.classes] == [15, 20]
     monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 34)
     with pytest.raises(InfeasibleInstanceError, match=r"^maximizer enumeration exceeded the cap of 34$"):
         solve(problem)

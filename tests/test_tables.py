@@ -110,8 +110,10 @@ def test_diversity_tables_match_pairwise_definitions(n, k):
 def test_union_tables_match_pairwise_definitions(n, s, layer):
     tabs = build_union_tables(n, s, layer)
     vmasks = tabs.vmasks
+    # with a constrained layer, only the anchor {1..layer} and its neighbours
+    anchor = 0 if layer is None else (1 << layer) - 1
     # descending masks: the kernel's walk, from the top index down, meets small sets first
-    assert vmasks == sorted((m for m in range(1 << n) if m.bit_count() <= s), reverse=True)
+    assert vmasks == sorted((m for m in range(1 << n) if (m | anchor).bit_count() <= s), reverse=True)
     assert tabs.adj == [
         _bitset(j for j, b in enumerate(vmasks) if j != i and (a | b).bit_count() <= s)
         for i, a in enumerate(vmasks)
