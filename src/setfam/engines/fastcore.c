@@ -299,7 +299,12 @@ static void clique_expand(Clique *c, bits q, int qcount, int laycount, bits p) {
        supersets (sup[v]) too: they leave the candidates, while v's own
        subtree keeps them.  The callers number the vertices in descending
        mask order, so this walk, from the top index down, meets small sets
-       first. */
+       first.  Once the subtree of a v adjacent to every other candidate
+       still in local_p has been searched, the walk stops: a later sibling
+       only reaches cliques that avoid v and lie inside q and local_p, so
+       each of them plus v is a larger clique, still feasible, as both side
+       constraints survive adding a vertex.  A v skipped by the side
+       constraints does not stop it. */
     bits local_p = p;
     while (n--) {
         int v = order[n];
@@ -308,6 +313,7 @@ static void clique_expand(Clique *c, bits q, int qcount, int laycount, bits p) {
         if (qcount + colour[n] < s->best)
             return;
         bits child_p = local_p & c->adj[v];
+        int last = !(local_p & ~(c->adj[v] | (bits)1 << v));
         local_p &= ~(c->sup[v] | (bits)1 << v);
         int in_layer = (int)(c->layer >> v & 1), lay2 = laycount + in_layer;
         int reach = lay2 + pop(child_p & c->layer);
@@ -325,7 +331,7 @@ static void clique_expand(Clique *c, bits q, int qcount, int laycount, bits p) {
         clique_expand(c, q | (bits)1 << v, qcount + 1, lay2, child_p);
         if (c->cons == 2 && in_layer)
             add_degrees(c->degs, c->vmasks[v], -1);
-        if (s->status)
+        if (s->status || last)
             return;
     }
 }

@@ -43,6 +43,15 @@ Soundness notes shared by the kernels:
   of the node alone, not of the matching found, so the twins may grow their
   matchings differently (:func:`_matching` stops as soon as the cut is
   decided) and still cut the same nodes.
+* The last branch (``clique_bnb``): once the walk has searched the subtree
+  of a vertex v adjacent to every other candidate still in the walk, the
+  node returns.  Every clique a later sibling could reach avoids v and lies
+  inside the chosen vertices and those candidates, so adding v keeps it a
+  clique, and both side constraints survive adding a vertex: none of those
+  cliques is maximum, and v's own subtree holds every clique with v.  The
+  maximizers are unchanged; only ties of an incumbent that is not optimal
+  are dropped sooner (Bron and Kerbosch, 1973; the pivot argument of
+  Tomita, Tanaka and Takahashi, 2006).
 * Precondition: ``compat`` (pair kernel) and ``hcompat`` (diversity
   kernel) are symmetric, j in row i exactly when i in row j.  Each descent
   narrows the candidates to the new member's row, so every remaining
@@ -290,8 +299,14 @@ def clique_bnb(
     maximum one avoids v's supersets too, and those leave the candidates at
     once; v's own subtree keeps them.  The callers number the vertices in
     descending mask order, so the walk, which goes from the top index down,
-    reaches the small sets first and drops the most supersets.  The set of
-    maximum cliques is unchanged; ``node_count`` counts the pruned search.
+    reaches the small sets first and drops the most supersets.
+
+    The walk of a node stops once it has searched the subtree of a vertex
+    adjacent to every other candidate still in the walk (the last branch of
+    the module docstring).  It stops only after a subtree that was entered:
+    a vertex skipped by the side-constraint test does not end the walk.
+    The set of maximum cliques is unchanged; ``node_count`` counts the
+    pruned search.
 
     Returns (best, maximizers as vertex bitsets, node_count).
     """
@@ -348,6 +363,7 @@ def clique_bnb(
                 v = cls.bit_length() - 1
                 low = 1 << v
                 child_p = local_p & adj[v]
+                last = not local_p & apart[v]  # v is adjacent to every other candidate
                 local_p &= keep[v]
                 cls &= local_p
                 in_layer = layer >> v & 1
@@ -367,6 +383,8 @@ def clique_bnb(
                 if cons_kind == 2 and in_layer:
                     for e in elems[v]:
                         degs[e] -= 1
+                if last:  # every later clique extends by v: none is maximum
+                    return
             colour -= 1
 
     expand(0, 0, 0, (1 << nverts) - 1)

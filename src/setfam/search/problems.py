@@ -303,21 +303,33 @@ def _orbit(
     start: tuple[int, ...], generators: Callable, n: int, tables: dict, limit: int
 ) -> set[tuple[int, ...]] | None:
     """The orbit of the member tuple ``start`` under ``generators``, or None
-    once it holds more than ``limit`` tuples.  ``tables`` caches the chunk
-    tables of each permutation met (:func:`_chunk_tables`)."""
-    orbit = {start}
+    once it holds more than ``limit`` tuples."""
+    orbit: set[tuple[int, ...]] = set()
+    for _ in _walk(start, generators, n, tables, orbit):
+        if len(orbit) > limit:
+            return None
+    return orbit
+
+
+def _walk(start: tuple[int, ...], generators: Callable, n: int, tables: dict, seen: set):
+    """Yield the orbit of the member tuple ``start`` under ``generators``,
+    ``start`` first, each tuple once and as soon as it is added to ``seen``.
+    ``tables`` caches the chunk tables of each permutation met
+    (:func:`_chunk_tables`)."""
+    seen.add(start)
+    yield start
     stack = [start]
-    while stack and len(orbit) <= limit:
+    while stack:
         members = stack.pop()
         for perm in generators(members):
             tab = tables.get(perm)
             if tab is None:
                 tab = tables[perm] = _chunk_tables(perm, n)
             image = tuple(sorted(_images(members, tab)))
-            if image not in orbit:
-                orbit.add(image)
+            if image not in seen:
+                seen.add(image)
                 stack.append(image)
-    return orbit if len(orbit) <= limit else None
+                yield image
 
 
 def _chunk_tables(perm: tuple[int, ...], n: int) -> list[list[int]]:

@@ -189,21 +189,30 @@ def build_union_tables(n: int, s: int, constrained_layer: int | None) -> CliqueT
     maximum feasible clique holds the anchor; the callers recover the other
     relabeled copies by walking orbits.  The kept sets are closed under
     subsets, so the kernel's down-set cut still holds.  The vertex limit
-    counts every subset with at most s elements, kept or not.
+    counts the kept sets: any part of the anchor, with at most s - c of the
+    other n - c elements.
 
     Vertices are numbered in descending mask order, so the clique kernel,
     which walks from the top index down, reaches the small sets first.
     """
-    nv = sum(comb(n, i) for i in range(min(s, n) + 1))
-    _require(
-        nv <= MAX_BITS,
-        f"the {nv} subsets of [{n}] with at most {s} elements exceed {MAX_BITS} vertices",
-    )
-    vmasks = sorted((m for i in range(min(s, n) + 1) for m in layer_masks(n, i)), reverse=True)
-    if constrained_layer is not None:
-        anchor = (1 << constrained_layer) - 1
-        vmasks = [m for m in vmasks if (m | anchor).bit_count() <= s]
-        nv = len(vmasks)
+    if constrained_layer is None:
+        nv = sum(comb(n, i) for i in range(min(s, n) + 1))
+        _require(
+            nv <= MAX_BITS,
+            f"the {nv} subsets of [{n}] with at most {s} elements exceed {MAX_BITS} vertices",
+        )
+        vmasks = [m for i in range(min(s, n) + 1) for m in layer_masks(n, i)]
+    else:
+        c = constrained_layer
+        nv = 2**c * sum(comb(n - c, i) for i in range(s - c + 1))
+        _require(
+            nv <= MAX_BITS,
+            f"the {nv} subsets of [{n}] whose union with {{1..{c}}} has at most {s} elements "
+            f"exceed {MAX_BITS} vertices",
+        )
+        outside = [m << c for i in range(s - c + 1) for m in layer_masks(n - c, i)]
+        vmasks = [a | m for a in range(1 << c) for m in outside]
+    vmasks.sort(reverse=True)
     adj = [0] * nv
     sup = [0] * nv
     for i in range(nv):

@@ -5,6 +5,7 @@ classes against the expected equality families."""
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .._record import Record
 from ..bounds import Params
@@ -16,8 +17,8 @@ from .problems import (
     Problem,
     SearchReport,
     _check_budget,
-    _orbit,
     _scope_generators,
+    _walk,
     _with_max_degree_at_1,
     bound_for,
     solve,
@@ -129,26 +130,25 @@ class VerifyResult(Record):
 def _classes_match(report: SearchReport, expected: list) -> bool:
     """Whether the report's classes are the expected families' classes,
     one for one.  Where the engine lists classes as orbits, each expected
-    family is relabeled into the engine's scope and its orbit walked, no
-    further than the largest class; its least member and size must be a
-    reported class's.  Elsewhere the classes are matched by the
-    isomorphism search."""
+    family is relabeled into the engine's scope and its orbit walked until
+    it meets a reported class's representative, the least member of that
+    class's orbit; orbits are disjoint, so that is the family's class.  A
+    walk that meets none within the largest class size fails.  Elsewhere
+    the classes are matched by the isomorphism search."""
     generators = _scope_generators(report.kind, report.engine, report.params.n)
     if generators is None:
         return _isomorphic_classes_match(report.class_representatives, expected)
-    sizes = {c.representative.members: c.size for c in report.classes}
-    limit = max(sizes.values(), default=0)
+    reps = {c.representative.members for c in report.classes}
+    limit = max((c.size for c in report.classes), default=0)
     tables: dict = {}
     matched = set()
     for F in expected:
-        orbit = _orbit(_with_max_degree_at_1(F).members, generators, F.n, tables, limit)
-        if orbit is None:
+        walk = _walk(_with_max_degree_at_1(F).members, generators, F.n, tables, set())
+        rep = next((members for members in islice(walk, limit) if members in reps), None)
+        if rep is None or rep in matched:
             return False
-        least = min(orbit)
-        if sizes.get(least) != len(orbit) or least in matched:
-            return False
-        matched.add(least)
-    return len(matched) == len(sizes)
+        matched.add(rep)
+    return len(matched) == len(reps)
 
 
 def _isomorphic_classes_match(found: list, expected: list) -> bool:

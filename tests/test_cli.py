@@ -214,7 +214,7 @@ SEARCH_TEXT = [
         "{1,2,4} {5} {1,5} {2,5} {1,2,5} {6} {1,6} {2,6} {1,2,6}})\n"
         "  class x20: Family(n=6, {{} {1} {2} {1,2} {3} {1,3} {2,3} {1,2,3} {4} {1,4} {2,4} "
         "{3,4} {5} {1,5} {2,5} {3,5} {6} {1,6} {2,6} {3,6}})\n",
-        80,
+        59,
     ),
 ]
 
@@ -242,6 +242,19 @@ def test_search_json_is_byte_identical(capsys):
 def test_search_infeasible_exit_code(capsys):
     code, _, err = run(capsys, "search", "s_union_max", "--n", "8", "--s", "4")
     assert code == 3 and "infeasible" in err and "163 subsets" in err
+
+
+def test_main5_width_check_counts_the_anchored_vertices(capsys):
+    # the kept sets B, |B | {1..4}| <= 6, are any part of {1..4} with at most
+    # 2 of {5..8}: 16 * 11 = 176 of them
+    code, out, _ = run(
+        capsys, "verify", "main5", "--grid", "n=8;s=6;r=1", "--json", "--no-timing"
+    )
+    assert code == 3
+    assert json.loads(out)["rows"][0]["reason"] == (
+        "the 176 subsets of [8] whose union with {1..4} has at most 6 elements "
+        "exceed 128 vertices"
+    )
 
 
 def test_katona_verifies_past_n7_while_the_vertices_fit(capsys):

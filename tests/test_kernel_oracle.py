@@ -7,8 +7,8 @@ checked against the deficiency form of Hall's theorem, and each kernel, on
 random small tables, against a plain loop over every family: the optimum and
 the maximizer set must be the enumeration's, and the compiled twin must give
 the same optimum, maximizers and ``nodes``.  The clique kernel is checked
-the same way on random graphs, without its down-set cut and side
-constraints.
+the same way on random graphs, without its down-set cut, once with no side
+constraint and once with each of its two.
 """
 
 import random
@@ -203,4 +203,57 @@ def test_clique_kernel_matches_exhaustive_enumeration(compiled_kernels, graph):
     args = (nverts, adj, [0] * nverts, 0, 0, [0] * nverts, 1, 0)
     best, maxers, nodes = pykern.clique_bnb(*args)
     assert (best, sorted(maxers)) == _clique_oracle(nverts, adj)
+    assert compiled_kernels.clique_bnb(*args) == (best, maxers, nodes)
+
+
+@st.composite
+def constrained_graphs(draw):
+    """A random graph with up to two extra vertices adjacent to every other,
+    where the walk stops after branching on a vertex adjacent to every
+    remaining candidate; a random layer, and random vertex sets over a
+    small ground set for the diversity constraint."""
+    nverts = draw(st.integers(1, 9))
+    adj = _symmetric(draw, nverts)
+    for _ in range(draw(st.integers(0, 2))):
+        u = draw(st.integers(0, nverts - 1))
+        adj[u] = ((1 << nverts) - 1) & ~(1 << u)
+        for v in range(nverts):
+            if v != u:
+                adj[v] |= 1 << u
+    cons_kind = draw(st.sampled_from((1, 2)))
+    layer = draw(st.integers(0, (1 << nverts) - 1))
+    nelems = draw(st.integers(1, 4))
+    vmasks = [draw(st.integers(0, (1 << nelems) - 1)) for _ in range(nverts)]
+    r = draw(st.integers(0, 4))
+    return nverts, adj, [0] * nverts, cons_kind, layer, vmasks, nelems, r
+
+
+def _constrained_clique_oracle(nverts, adj, _sup, cons_kind, layer, vmasks, nelems, r):
+    """Every non-empty clique whose layer vertices number at least r
+    (cons_kind 1), or have diversity at least r: their count less the
+    largest number of them holding one element (cons_kind 2)."""
+    best, found = -1, []
+    for q in range(1, 1 << nverts):
+        members = _members(q)
+        if any(q & ~adj[v] & ~(1 << v) for v in members):
+            continue
+        chosen = [vmasks[v] for v in members if layer >> v & 1]
+        value = len(chosen)
+        if cons_kind == 2:
+            value -= max(sum(m >> e & 1 for m in chosen) for e in range(nelems))
+        if value < r:
+            continue
+        size = q.bit_count()
+        if size > best:
+            best, found = size, []
+        if size == best:
+            found.append(q)
+    return best, found
+
+
+@settings(max_examples=400, deadline=None)
+@given(constrained_graphs())
+def test_constrained_clique_kernel_matches_exhaustive_enumeration(compiled_kernels, args):
+    best, maxers, nodes = pykern.clique_bnb(*args)
+    assert (best, sorted(maxers)) == _constrained_clique_oracle(*args)
     assert compiled_kernels.clique_bnb(*args) == (best, maxers, nodes)

@@ -101,6 +101,8 @@ def test_orbit_class_matching_takes_any_relabeled_expected_family(rng, kind, p):
     assert _classes_match(rep, relabeled[::-1])
     assert not _classes_match(rep, relabeled + relabeled[-1:])
     assert not _classes_match(rep, relabeled[:-1] + [Family(p.n, ())])
+    # a family of no reported class, whose walk is cut at the largest class size
+    assert not _classes_match(rep, relabeled[:-1] + [random_family(rng, p.n, max_size=40)])
     if len(relabeled) > 1:
         assert not _classes_match(rep, relabeled[:-1])
 
@@ -186,6 +188,25 @@ def test_backend_agreement(compiled):
         b = solve(Problem(kind, p, eng), backend="compiled")
         assert (a.optimum, a.maximizer_count, a.nodes) == (b.optimum, b.maximizer_count, b.nodes)
         assert a.class_representatives == b.class_representatives
+
+
+def test_main5_verifies_past_n7_on_the_anchored_graph(compiled):
+    """The width check counts the vertices the anchored graph keeps: 48, 56
+    and 64 at n = 8, 9, 10 (s = 4), of 163, 256 and 386 subsets.  Every row
+    verifies, and both backends walk the same small trees."""
+    from setfam.search.verify import verify_grid
+
+    res = verify_grid("main5", "n=8..10;s=4;r=1..2", engine="clique")
+    assert res.ok
+    assert [(row.report.optimum, row.report.maximizer_count) for row in res.rows] == [
+        (28, 84), (28, 28), (32, 120), (32, 36), (36, 165), (36, 45),
+    ]
+    for row in res.rows:
+        assert row.bound_ok and row.classes_ok and row.report.nodes <= 123
+        slow = solve(Problem("s_union_conditioned_max", row.params, "clique"), backend="python")
+        assert (slow.nodes, slow.class_representatives) == (
+            row.report.nodes, row.report.class_representatives
+        )
 
 
 def test_partner_is_always_the_disjointness_complement():
@@ -580,7 +601,7 @@ def test_zero_budget_stops_every_kernel_at_the_first_clock_check(
 ):
     """With no time at all, the clock check at node 8192 always fires; both
     backends stop there with the same incumbent.  No anchored s-union
-    search in range reaches that node, so the clique kernel runs on the
+    search at n <= 7 reaches that node, so the clique kernel runs on the
     whole n=7, s=5 graph, with the conditioned kind's diversity constraint."""
     if backend == "compiled":
         request.getfixturevalue("compiled")
