@@ -268,12 +268,50 @@ typedef struct {
     int degs[MAXBITS + 1];
 } Clique;
 
+/* Nonzero only when no clique within the chosen vertices and p meets the
+   side constraint; laycount and c->degs count the chosen.  Exact when p is
+   empty. */
+static int infeasible(const Clique *c, int laycount, bits p) {
+    int reach = laycount + pop(p & c->layer);
+    if (c->cons == 1)
+        return reach < c->r;
+    return c->cons == 2 && reach - max_degree(c->degs, c->nelems) < c->r;
+}
+
+static void clique_walk(Clique *c, bits q, int qcount, int laycount, bits p);
+
 static void clique_expand(Clique *c, bits q, int qcount, int laycount, bits p) {
-    Search *s = c->s;
-    if (tick(s))
+    if (tick(c->s))
         return;
-    if (!p) { /* feasible: its parent's child test was its own, and the root,
-                 holding the empty set, is never a leaf */
+    /* The forced vertices: the candidates adjacent to every other one.  Every
+       maximal clique below the node holds them, and both side constraints
+       survive adding a vertex, so they join q at once and the side
+       constraints are tested again.  A candidate's non-neighbours are not
+       forced either, so the scan skips them. */
+    bits forced = 0;
+    for (bits rest = p; rest;) {
+        int v = low_index(rest);
+        bits far = p & ~(c->adj[v] | (bits)1 << v);
+        rest &= ~(far | (bits)1 << v);
+        if (!far)
+            forced |= (bits)1 << v;
+    }
+    p ^= forced;
+    bits flay = forced & c->layer;
+    laycount += pop(flay);
+    if (c->cons == 2)
+        for (bits f = flay; f; f &= f - 1)
+            add_degrees(c->degs, c->vmasks[low_index(f)], 1);
+    if (!infeasible(c, laycount, p))
+        clique_walk(c, q | forced, qcount + pop(forced), laycount, p);
+    if (c->cons == 2)
+        for (bits f = flay; f; f &= f - 1)
+            add_degrees(c->degs, c->vmasks[low_index(f)], -1);
+}
+
+static void clique_walk(Clique *c, bits q, int qcount, int laycount, bits p) {
+    Search *s = c->s;
+    if (!p) { /* feasible: the test after forcing saw exactly q */
         record(s, qcount, q);
         return;
     }
@@ -315,23 +353,15 @@ static void clique_expand(Clique *c, bits q, int qcount, int laycount, bits p) {
         bits child_p = local_p & c->adj[v];
         int last = !(local_p & ~(c->adj[v] | (bits)1 << v));
         local_p &= ~(c->sup[v] | (bits)1 << v);
-        int in_layer = (int)(c->layer >> v & 1), lay2 = laycount + in_layer;
-        int reach = lay2 + pop(child_p & c->layer);
-        if (c->cons == 1 && reach < c->r)
-            continue;
-        if (c->cons == 2) {
-            if (in_layer)
-                add_degrees(c->degs, c->vmasks[v], 1);
-            if (reach - max_degree(c->degs, c->nelems) < c->r) {
-                if (in_layer)
-                    add_degrees(c->degs, c->vmasks[v], -1);
-                continue;
-            }
-        }
-        clique_expand(c, q | (bits)1 << v, qcount + 1, lay2, child_p);
-        if (c->cons == 2 && in_layer)
+        int in_layer = (int)(c->layer >> v & 1), bump = c->cons == 2 && in_layer;
+        if (bump)
+            add_degrees(c->degs, c->vmasks[v], 1);
+        int entered = !infeasible(c, laycount + in_layer, child_p);
+        if (entered)
+            clique_expand(c, q | (bits)1 << v, qcount + 1, laycount + in_layer, child_p);
+        if (bump)
             add_degrees(c->degs, c->vmasks[v], -1);
-        if (s->status || last)
+        if (s->status || (entered && last))
             return;
     }
 }

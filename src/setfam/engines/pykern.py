@@ -43,15 +43,24 @@ Soundness notes shared by the kernels:
   of the node alone, not of the matching found, so the twins may grow their
   matchings differently (:func:`_matching` stops as soon as the cut is
   decided) and still cut the same nodes.
+* The forced vertices (``clique_bnb``, at node entry): the candidates
+  adjacent to every other candidate join the clique at once, and the
+  side-constraint test runs on the result.  Every maximal clique below the
+  node holds them, and both side constraints survive adding a vertex, so
+  every maximum feasible clique below the node holds them too: no maximizer
+  is lost.  In the s-union graphs a candidate whose set lies inside a
+  forced vertex's set is adjacent to every candidate as well, so it is
+  forced with it, and the down-set cut (``sup``) still holds.
 * The last branch (``clique_bnb``): once the walk has searched the subtree
   of a vertex v adjacent to every other candidate still in the walk, the
-  node returns.  Every clique a later sibling could reach avoids v and lies
-  inside the chosen vertices and those candidates, so adding v keeps it a
-  clique, and both side constraints survive adding a vertex: none of those
-  cliques is maximum, and v's own subtree holds every clique with v.  The
-  maximizers are unchanged; only ties of an incumbent that is not optimal
-  are dropped sooner (Bron and Kerbosch, 1973; the pivot argument of
-  Tomita, Tanaka and Takahashi, 2006).
+  node returns.  Forcing leaves no such v at node entry, but the walk drops
+  candidates as it goes.  Every clique a later sibling could reach avoids
+  v and lies inside the chosen vertices and those candidates, so adding v
+  keeps it a clique, and both side constraints survive adding a vertex:
+  none of those cliques is maximum, and v's own subtree holds every clique
+  with v.  The maximizers are unchanged; only ties of an incumbent that is
+  not optimal are dropped sooner (Bron and Kerbosch, 1973; the pivot
+  argument of Tomita, Tanaka and Takahashi, 2006).
 * Precondition: ``compat`` (pair kernel) and ``hcompat`` (diversity
   kernel) are symmetric, j in row i exactly when i in row j.  Each descent
   narrows the candidates to the new member's row, so every remaining
@@ -287,9 +296,10 @@ def clique_bnb(
 
     Both constraints survive adding vertices, so maximum feasible cliques
     are maximal and only leaves need scoring.  A child is entered only when
-    it and its candidates can still meet the constraint; at a leaf there
-    are none left, so that test was the leaf's own, and every leaf is
-    feasible.  The root is never a leaf: the empty set is a vertex.
+    it and its candidates can still meet the constraint.  At node entry the
+    forced vertices (module docstring) join the clique, and the same test
+    runs again on the result: at a leaf no candidates are left, so that
+    test was the leaf's own, and every leaf is feasible.
 
     sup[v] is the set of vertices whose sets strictly contain v's set, and
     the search looks only for down-sets: a maximum feasible s-union family Q
@@ -321,11 +331,51 @@ def clique_bnb(
     elems = [[e + 1 for e in range(nelems) if vm >> e & 1] for vm in vmasks]
     degs = [0] * (nelems + 1)  # degs[e] of element e over chosen layer vertices
 
+    def infeasible(laycount: int, p: int) -> bool:
+        """True only when no clique within the chosen vertices and ``p``
+        meets the side constraint: it has at most ``reach`` layer vertices,
+        and the degrees of the chosen ones only grow.  ``laycount`` and
+        ``degs`` count the chosen; with ``p`` empty the test is exact."""
+        reach = laycount + (p & layer).bit_count()
+        if cons_kind == 1:
+            return reach < r
+        return cons_kind == 2 and reach - max(degs) < r
+
     def expand(q: int, qcount: int, laycount: int, p: int) -> None:
-        nonlocal nodes, best, maxers
+        nonlocal nodes
         nodes += 1
         if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
             raise _over_time(nodes, best)
+        # The forced vertices (module docstring).  A candidate's non-neighbours
+        # are not forced either, so the scan skips them.
+        forced = 0
+        rest = p
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            far = p & apart[low.bit_length() - 1]
+            if far:
+                rest &= ~far
+            else:
+                forced |= low
+        p ^= forced
+        flay = forced & layer
+        laycount += flay.bit_count()
+        raised = []
+        if cons_kind == 2:
+            while flay:
+                v = flay.bit_length() - 1
+                flay ^= 1 << v
+                raised += elems[v]
+            for e in raised:
+                degs[e] += 1
+        if not infeasible(laycount, p):
+            walk(q | forced, qcount + forced.bit_count(), laycount, p)
+        for e in raised:
+            degs[e] -= 1
+
+    def walk(q: int, qcount: int, laycount: int, p: int) -> None:
+        nonlocal best, maxers
         if not p:
             if qcount > best:
                 best = qcount
@@ -367,23 +417,15 @@ def clique_bnb(
                 local_p &= keep[v]
                 cls &= local_p
                 in_layer = layer >> v & 1
-                lay2 = laycount + in_layer
-                if cons_kind == 1 and lay2 + (child_p & layer).bit_count() < r:
-                    continue
-                if cons_kind == 2:
-                    if in_layer:
-                        for e in elems[v]:
-                            degs[e] += 1
-                    if lay2 + (child_p & layer).bit_count() - max(degs) < r:
-                        if in_layer:
-                            for e in elems[v]:
-                                degs[e] -= 1
-                        continue
-                expand(q | low, qcount + 1, lay2, child_p)
-                if cons_kind == 2 and in_layer:
-                    for e in elems[v]:
-                        degs[e] -= 1
-                if last:  # every later clique extends by v: none is maximum
+                raised = elems[v] if cons_kind == 2 and in_layer else ()
+                for e in raised:
+                    degs[e] += 1
+                entered = not infeasible(laycount + in_layer, child_p)
+                if entered:
+                    expand(q | low, qcount + 1, laycount + in_layer, child_p)
+                for e in raised:
+                    degs[e] -= 1
+                if entered and last:  # every later clique extends by v: none is maximum
                     return
             colour -= 1
 

@@ -214,7 +214,7 @@ SEARCH_TEXT = [
         "{1,2,4} {5} {1,5} {2,5} {1,2,5} {6} {1,6} {2,6} {1,2,6}})\n"
         "  class x20: Family(n=6, {{} {1} {2} {1,2} {3} {1,3} {2,3} {1,2,3} {4} {1,4} {2,4} "
         "{3,4} {5} {1,5} {2,5} {3,5} {6} {1,6} {2,6} {3,6}})\n",
-        59,
+        22,
     ),
 ]
 

@@ -8,7 +8,8 @@ random small tables, against a plain loop over every family: the optimum and
 the maximizer set must be the enumeration's, and the compiled twin must give
 the same optimum, maximizers and ``nodes``.  The clique kernel is checked
 the same way on random graphs, without its down-set cut, once with no side
-constraint and once with each of its two.
+constraint and once with each of its two, and with its down-set cut on the
+s-union graphs the callers build, against every down-set clique.
 """
 
 import random
@@ -17,6 +18,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from setfam.engines import pykern
+from setfam.search.tables import build_union_tables
 
 
 def _members(bits: int) -> list[int]:
@@ -182,10 +184,21 @@ def graphs(draw):
     return nverts, _symmetric(draw, nverts)
 
 
-def _clique_oracle(nverts: int, adj: list[int]) -> tuple[int, list[int]]:
+def _clique_oracle(qs, nverts, adj, _sup, cons_kind, layer, vmasks, nelems, r):
+    """The largest of the vertex sets ``qs`` that are cliques and meet the
+    side constraint: at least r layer vertices (cons_kind 1), or layer
+    vertices of diversity at least r, their count less the largest number of
+    them holding one element (cons_kind 2)."""
     best, found = -1, []
-    for q in range(1, 1 << nverts):
-        if any(q & ~adj[v] & ~(1 << v) for v in _members(q)):
+    for q in qs:
+        members = _members(q)
+        if any(q & ~adj[v] & ~(1 << v) for v in members):
+            continue
+        chosen = [vmasks[v] for v in members if layer >> v & 1]
+        value = len(chosen)
+        if cons_kind == 2:
+            value -= max(sum(m >> e & 1 for m in chosen) for e in range(nelems))
+        if cons_kind and value < r:
             continue
         size = q.bit_count()
         if size > best:
@@ -202,16 +215,16 @@ def test_clique_kernel_matches_exhaustive_enumeration(compiled_kernels, graph):
     # no superset cut (sup all zero) and no side constraint (cons_kind 0)
     args = (nverts, adj, [0] * nverts, 0, 0, [0] * nverts, 1, 0)
     best, maxers, nodes = pykern.clique_bnb(*args)
-    assert (best, sorted(maxers)) == _clique_oracle(nverts, adj)
+    assert (best, sorted(maxers)) == _clique_oracle(range(1, 1 << nverts), *args)
     assert compiled_kernels.clique_bnb(*args) == (best, maxers, nodes)
 
 
 @st.composite
 def constrained_graphs(draw):
     """A random graph with up to two extra vertices adjacent to every other,
-    where the walk stops after branching on a vertex adjacent to every
-    remaining candidate; a random layer, and random vertex sets over a
-    small ground set for the diversity constraint."""
+    which the kernel forces into the clique at once; a random layer, and
+    random vertex sets over a small ground set for the diversity
+    constraint."""
     nverts = draw(st.integers(1, 9))
     adj = _symmetric(draw, nverts)
     for _ in range(draw(st.integers(0, 2))):
@@ -228,32 +241,56 @@ def constrained_graphs(draw):
     return nverts, adj, [0] * nverts, cons_kind, layer, vmasks, nelems, r
 
 
-def _constrained_clique_oracle(nverts, adj, _sup, cons_kind, layer, vmasks, nelems, r):
-    """Every non-empty clique whose layer vertices number at least r
-    (cons_kind 1), or have diversity at least r: their count less the
-    largest number of them holding one element (cons_kind 2)."""
-    best, found = -1, []
-    for q in range(1, 1 << nverts):
-        members = _members(q)
-        if any(q & ~adj[v] & ~(1 << v) for v in members):
-            continue
-        chosen = [vmasks[v] for v in members if layer >> v & 1]
-        value = len(chosen)
-        if cons_kind == 2:
-            value -= max(sum(m >> e & 1 for m in chosen) for e in range(nelems))
-        if value < r:
-            continue
-        size = q.bit_count()
-        if size > best:
-            best, found = size, []
-        if size == best:
-            found.append(q)
-    return best, found
-
-
 @settings(max_examples=400, deadline=None)
 @given(constrained_graphs())
 def test_constrained_clique_kernel_matches_exhaustive_enumeration(compiled_kernels, args):
     best, maxers, nodes = pykern.clique_bnb(*args)
-    assert (best, sorted(maxers)) == _constrained_clique_oracle(*args)
+    assert (best, sorted(maxers)) == _clique_oracle(range(1, 1 << args[0]), *args)
+    assert compiled_kernels.clique_bnb(*args) == (best, maxers, nodes)
+
+
+@st.composite
+def union_graphs(draw):
+    """The graph of the s-union kinds on at most 5 points, whole or kept
+    around the anchor {1, ..., c}, with its down-set cut (sup); a side
+    constraint on the c-sets, or none."""
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(0, n))
+    c = draw(st.integers(0, s))
+    tabs = build_union_tables(n, s, c if draw(st.booleans()) else None)
+    layer = sum(1 << v for v, m in enumerate(tabs.vmasks) if m.bit_count() == c)
+    cons_kind = draw(st.sampled_from((0, 1, 2)))
+    r = draw(st.integers(0, 4))
+    return len(tabs.vmasks), tabs.adj, tabs.sup, cons_kind, layer, tabs.vmasks, n, r
+
+
+def _down_set_cliques(vmasks: list[int], adj: list[int]):
+    """Every non-empty clique whose sets are closed under taking subsets,
+    as a vertex bitset; the kept sets are themselves closed under subsets."""
+    index = {m: v for v, m in enumerate(vmasks)}
+    order = sorted(index)  # every set after its subsets
+
+    def grow(k: int, q: int):
+        if k == len(order):
+            if q:
+                yield q
+            return
+        yield from grow(k + 1, q)
+        m = order[k]
+        v = index[m]
+        below = (index[m ^ 1 << e] for e in range(m.bit_length()) if m >> e & 1)
+        if not q & ~adj[v] and all(q >> u & 1 for u in below):
+            yield from grow(k + 1, q | 1 << v)
+
+    return grow(0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(union_graphs())
+def test_clique_kernel_with_its_down_set_cut_matches_enumeration(compiled_kernels, args):
+    """Every maximum feasible clique is a down-set (adding a subset of a
+    member keeps the family s-union and feasible), so the kernel, which
+    searches down-sets only, finds all of them."""
+    best, maxers, nodes = pykern.clique_bnb(*args)
+    assert (best, sorted(maxers)) == _clique_oracle(_down_set_cliques(args[5], args[1]), *args)
     assert compiled_kernels.clique_bnb(*args) == (best, maxers, nodes)

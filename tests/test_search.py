@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -40,7 +39,6 @@ from setfam.search.problems import (
 )
 from setfam.search.tables import (
     build_pair_tables,
-    build_union_tables,
     shifted_family_count_reference,
 )
 from setfam.search.verify import _classes_match
@@ -202,7 +200,26 @@ def test_main5_verifies_past_n7_on_the_anchored_graph(compiled):
         (28, 84), (28, 28), (32, 120), (32, 36), (36, 165), (36, 45),
     ]
     for row in res.rows:
-        assert row.bound_ok and row.classes_ok and row.report.nodes <= 123
+        assert row.bound_ok and row.classes_ok and row.report.nodes <= 23
+        slow = solve(Problem("s_union_conditioned_max", row.params, "clique"), backend="python")
+        assert (slow.nodes, slow.class_representatives) == (
+            row.report.nodes, row.report.class_representatives
+        )
+
+
+def test_main5_verifies_the_n8_s5_grid_with_the_diversity_constraint(compiled):
+    """The odd-s rows carry the diversity constraint, and their searches are
+    the longest of the main5 rows; forcing the candidates adjacent to every
+    other one keeps each to about 15,000 nodes.  Every row verifies, and both
+    backends walk the same trees."""
+    from setfam.search.verify import verify_grid
+
+    res = verify_grid("main5", "n=8;s=5;r=1..3", engine="clique")
+    assert [(row.report.optimum, row.report.maximizer_count) for row in res.rows] == [
+        (53, 336), (53, 56), (53, 56),
+    ]
+    for row in res.rows:
+        assert row.bound_ok and row.classes_ok
         slow = solve(Problem("s_union_conditioned_max", row.params, "clique"), backend="python")
         assert (slow.nodes, slow.class_representatives) == (
             row.report.nodes, row.report.class_representatives
@@ -592,7 +609,7 @@ def test_time_budget_raises_cleanly_on_compiled(compiled):
     "kind,p,eng,best",
     [
         ("cross_pair_max", Params(n=8, k=3, r=2), "brute", 42),
-        ("s_union_conditioned_max", Params(n=7, s=5, r=1), "clique", 42),
+        ("s_union_conditioned_max", Params(n=8, s=5, r=1), "clique", 53),
         ("diverse_intersecting_max", Params(n=9, k=4, r=1), "clique", 53),
     ],
 )
@@ -600,21 +617,13 @@ def test_zero_budget_stops_every_kernel_at_the_first_clock_check(
     request, backend, kind, p, eng, best
 ):
     """With no time at all, the clock check at node 8192 always fires; both
-    backends stop there with the same incumbent.  No anchored s-union
-    search at n <= 7 reaches that node, so the clique kernel runs on the
-    whole n=7, s=5 graph, with the conditioned kind's diversity constraint."""
+    backends stop there with the same incumbent.  The s-union row is the
+    anchored n=8, s=5 search with the conditioned kind's diversity
+    constraint: forcing cuts every n <= 7 clique search below that node."""
     if backend == "compiled":
         request.getfixturevalue("compiled")
     with pytest.raises(TimeBudgetExceededError) as info:
-        if kind == "s_union_conditioned_max":
-            tabs = build_union_tables(p.n, p.s, None)
-            layer = sum(1 << i for i, m in enumerate(tabs.vmasks) if m.bit_count() == p.s // 2 + 1)
-            engines.backend_module(backend).clique_bnb(
-                len(tabs.vmasks), tabs.adj, tabs.sup, 2, layer, tabs.vmasks, p.n, p.r,
-                time.monotonic(),
-            )
-        else:
-            solve(Problem(kind, p, eng), max_seconds=0, backend=backend)
+        solve(Problem(kind, p, eng), max_seconds=0, backend=backend)
     assert str(info.value) == "search exceeded its time budget after 8192 nodes"
     assert info.value.best_so_far == best
 
