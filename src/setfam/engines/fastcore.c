@@ -378,10 +378,18 @@ int clique_bnb(Search *s, int nverts, const word *adj, const word *sup, int cons
 
 typedef struct {
     Search *s;
-    const word *hcompat, *hmasks, *akill, *avoid;
-    int r, nelems;
+    const word *hcompat, *hmasks, *horbit, *akill, *avoid;
+    bits rows; /* the candidates with an orbit row, whose rows horbit holds in order */
+    int mh, r, nelems;
     int degs[MAXBITS + 1];
 } Diversity;
+
+/* The orbit row of candidate b, mh words, or NULL when it has none. */
+static const word *orbit_row(const Diversity *c, int b) {
+    if (!(c->rows >> b & 1))
+        return NULL;
+    return c->horbit + (size_t)c->mh * pop(c->rows & full(b));
+}
 
 /* deg_e(F) <= deg_1(F) = |A| for every e > 1: the chosen H members
    containing e are at most the A members avoiding e. */
@@ -394,8 +402,17 @@ static int diversity_feasible(const Diversity *c, bits amask) {
 
 /* The walk of pykern's diversity_bnb, scope and anchor included: the root
    branches on candidate 0 only, so every non-empty H found holds it, and
-   the empty H is the maximizer seeded for r <= 0. */
-static void diversity_rec(Diversity *c, bits chosen, int hcount, bits p, bits amask) {
+   the empty H is the maximizer seeded for r <= 0.  The anchor's node and
+   the nodes just below it walk by orbits: orbit is the row of the highest
+   chosen candidate, and once the walk has handled candidate i (searched its
+   subtree, or found it past the degree cap) it drops i's whole orbit.
+   Every candidate dropped before such a node is part of a whole orbit of a
+   larger group, so the node's state is invariant under its own group (the
+   relabelings fixing element 1 and its chosen members setwise), and a
+   family in a later sibling's subtree that meets i's orbit maps onto one
+   in i's subtree. */
+static void diversity_rec(Diversity *c, bits chosen, int hcount, bits p, bits amask,
+                          const word *orbit) {
     Search *s = c->s;
     if (tick(s))
         return;
@@ -418,21 +435,27 @@ static void diversity_rec(Diversity *c, bits chosen, int hcount, bits p, bits am
                 record(s, hc2 + pop(child_a), child);
             bits child_p = p & c->hcompat[i];
             if (!s->status && hc2 + pop(child_p) + pop(child_a) >= s->best)
-                diversity_rec(c, child, hc2, child_p, child_a);
+                diversity_rec(c, child, hc2, child_p, child_a,
+                              chosen <= 1 ? orbit_row(c, i) : NULL);
         }
         add_degrees(c->degs, c->hmasks[i], -1);
         if (s->status || !chosen) /* the root branches on the anchor only */
             return;
+        if (orbit)
+            p &= ~orbit[i];
     }
 }
 
+/* horbit holds one row of mh words for each candidate in rows[0], in
+   index order. */
 int diversity_bnb(Search *s, int mh, const word *hcompat, const word *hmasks,
-                  const word *akill, int na, const word *avoid_a, int r, int nelems) {
-    Diversity c = {s, hcompat, hmasks, akill, avoid_a, r, nelems, {0}};
+                  const word *rows, const word *horbit, const word *akill, int na,
+                  const word *avoid_a, int r, int nelems) {
+    Diversity c = {s, hcompat, hmasks, horbit, akill, avoid_a, rows[0], mh, r, nelems, {0}};
     s->best = -1;
     if (r <= 0)
         record(s, na, 0);
     if (!s->status)
-        diversity_rec(&c, 0, 0, full(mh), full(na));
+        diversity_rec(&c, 0, 0, full(mh), full(na), NULL);
     return s->status;
 }

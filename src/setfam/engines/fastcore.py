@@ -56,7 +56,7 @@ class Kernels:
         signatures = {
             "pair_bnb": [i, w, w, w, w, i, w, i, i, i, i],
             "clique_bnb": [i, w, w, i, w, w, i, i],
-            "diversity_bnb": [i, w, w, w, i, w, i, i],
+            "diversity_bnb": [i, w, w, w, w, w, i, w, i, i],
         }
         for name, argtypes in signatures.items():
             fn = getattr(lib, name)
@@ -104,11 +104,16 @@ class Kernels:
             cons_kind, _words([layer], 1), _words(vmasks, nverts), nelems, r,
         )
 
-    def diversity_bnb(self, mh, hcompat, hmasks, akill, na, avoid_a, r, nelems,
+    def diversity_bnb(self, mh, hcompat, hmasks, horbit, akill, na, avoid_a, r, nelems,
                       deadline=None):
-        """See :func:`setfam.engines.pykern.diversity_bnb`."""
+        """See :func:`setfam.engines.pykern.diversity_bnb`.  The orbit rows
+        travel as the bitset of the candidates that have one, and the rows
+        themselves in index order."""
         _require_width(mh, na, nelems)
+        rows = sorted(horbit)
         return self._run(
             self._diversity_bnb, deadline, mh, _words(hcompat, mh), _words(hmasks, mh),
+            _words([sum(1 << b for b in rows)], 1),
+            b"".join(_words(horbit[b], mh) for b in rows),
             _words(akill, mh), na, _words(avoid_a, nelems + 1), r, nelems,
         )

@@ -61,6 +61,21 @@ Soundness notes shared by the kernels:
   with v.  The maximizers are unchanged; only ties of an incumbent that is
   not optimal are dropped sooner (Bron and Kerbosch, 1973; the pivot
   argument of Tomita, Tanaka and Takahashi, 2006).
+* The orbit exclusion below the anchor (``diversity_bnb``, at the anchor's
+  node and the nodes just below it): once the walk has handled candidate i,
+  searched its subtree or found it past the degree cap, it drops i's whole
+  orbit under the node's group, the relabelings that fix element 1 and the
+  chosen members setwise (orbital branching; Ostrowski, Linderoth, Rossi
+  and Smriglio, Math. Program. 126, 2011).  Every candidate dropped before
+  the node is part of a whole orbit of a larger group, the group of an
+  ancestor, and every table row the node was narrowed by belongs to a
+  chosen member, so the node's state is invariant under its group.  A
+  family in a later sibling's subtree that meets i's orbit is therefore
+  carried by the group onto one that holds i and avoids everything dropped
+  before i, which lies in i's subtree, with the same score and the same
+  feasibility: when i's subtree was searched or cut, the family is found or
+  below the incumbent.  Every class keeps a maximizer; the callers' orbit
+  walk recovers the rest (:func:`setfam.search.problems._diversity_returned`).
 * Precondition: ``compat`` (pair kernel) and ``hcompat`` (diversity
   kernel) are symmetric, j in row i exactly when i in row j.  Each descent
   narrows the candidates to the new member's row, so every remaining
@@ -437,6 +452,7 @@ def diversity_bnb(
     mh: int,
     hcompat: list[int],
     hmasks: list[int],
+    horbit: dict[int, list[int]],
     akill: list[int],
     na: int,
     avoid_a: list[int],
@@ -464,9 +480,16 @@ def diversity_bnb(
     avoiding element 1, no maximizer class is lost: the stabilizer of 1 is
     transitive on those k-sets and keeps the scope and every constraint, so
     every non-empty H has a relabeled copy in scope that holds candidate 0.
-    The empty H, seeded for r <= 0, is the one maximizer without it.  The
-    callers recover the other relabeled copies by walking orbits
-    (:func:`setfam.search.problems.classify_maximizers`).
+    The empty H, seeded for r <= 0, is the one maximizer without it.
+
+    horbit[b] maps each candidate to its orbit under the relabelings that
+    fix element 1 and candidates 0 and b setwise.  The anchor's node walks
+    by row 0, and the node below it that adds b by row b, or by no row when
+    horbit has none for b.  Once such a walk has handled candidate i it
+    drops i's whole orbit (the orbit exclusion of the module docstring), so
+    it branches once per orbit.  Identity rows, horbit[b][i] = 1 << i, give
+    the unreduced walk.  The callers recover the other relabeled copies by
+    walking orbits (:func:`setfam.search.problems.classify_maximizers`).
 
     Returns (best, maximizers as H bitsets, node_count); each maximizer's A
     is every A candidate outside the ``akill`` rows of its H members.
@@ -486,7 +509,8 @@ def diversity_bnb(
     if r <= 0:
         best, maxers = na, [0]
 
-    def rec(chosen: int, hcount: int, p: int, pcount: int, amask: int, acount: int) -> None:
+    def rec(chosen: int, hcount: int, p: int, pcount: int, amask: int, acount: int,
+            orbit: list[int] | None) -> None:
         nonlocal nodes, best, maxers
         nodes += 1
         if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
@@ -532,11 +556,16 @@ def diversity_bnb(
                     child_p = p & hcompat[i]
                     child_pcount = child_p.bit_count()
                     if hc2 + child_pcount + ac2 >= best:
-                        rec(child, hc2, child_p, child_pcount, am2, ac2)
+                        # the anchor's node and the nodes just below it walk by orbits
+                        rec(child, hc2, child_p, child_pcount, am2, ac2,
+                            horbit.get(i) if chosen <= 1 else None)
                 for j in es:
                     degs[j] -= 1
             if not chosen:  # the root branches on the anchor, candidate 0, only
                 return
+            if orbit is not None:  # i's orbit is handled (module docstring)
+                p &= ~orbit[i]
+                pcount = p.bit_count()
 
-    rec(0, 0, (1 << mh) - 1, mh, full_a, na)
+    rec(0, 0, (1 << mh) - 1, mh, full_a, na, None)
     return best, maxers, nodes

@@ -37,7 +37,10 @@ swaps (1 x) of the elements x of maximum degree.  Two of these engines
 search only the maximizers that hold a fixed anchor member:
 s_union_conditioned_max the (d+1)-set {1, ..., d+1} (see
 :func:`build_union_tables`), and the diversity ``clique`` engine the H
-member {2, ..., k+1} (see :func:`setfam.engines.pykern.diversity_bnb`).
+member {2, ..., k+1} (see :func:`setfam.engines.pykern.diversity_bnb`),
+where it also branches once per orbit at the anchor's node and the node
+below it, so it returns only the anchored maximizers that
+:func:`_diversity_returned` accepts.
 Their ``nodes`` count that search, and the walk recovers every other
 maximizer, so ``maximizer_count`` and the classes are those of the whole
 scope.  s_union_max has no forced member and searches its whole scope.
@@ -83,6 +86,8 @@ from .tables import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # names used only in annotations, never imported at run time
     from collections.abc import Callable, Iterator
+
+    from .tables import DiversityTables
 
 __all__ = [
     "KINDS",
@@ -222,7 +227,7 @@ def _family_sort_key(item):
 
 
 def classify_maximizers(
-    families: list, generators: Callable | None = None, anchor: int | None = None
+    families: list, generators: Callable | None = None, required: Callable | None = None
 ) -> list[MaximizerClass]:
     """Partition maximizers into isomorphism classes.
 
@@ -242,16 +247,17 @@ def classify_maximizers(
     instead of being found again pair by pair.  The walks start from the
     listed families in ascending order; a class's size is the number of
     families its walk reaches, and its representative the least of them,
-    built here when the list does not hold it.  Without ``anchor`` the list
-    holds every maximizer of the scope; with it (a member mask), every
-    maximizer that contains the anchor, as an anchored search returns them,
-    and at least one of each class.  A relabeled image that the list should
-    hold and does not means the list or the generators are wrong, and
-    raises ``AssertionError``.  More families reached than
+    built here when the list does not hold it.  Without ``required`` the
+    list holds every maximizer of the scope; with it (a predicate on sorted
+    member-mask tuples), every maximizer it accepts, as a reduced search
+    returns them (:func:`_holding`, :func:`_diversity_returned`), and at
+    least one of each class.  A relabeled image that the list should hold
+    and does not means the list or the generators are wrong, and raises
+    ``AssertionError``.  More families reached than
     ``pykern.MAXIMIZER_CAP`` raise the kernels' cap error.
     """
     if generators is not None:
-        return _orbit_classes(families, generators, anchor)
+        return _orbit_classes(families, generators, required)
     classes: list[list] = []  # [representative, its F side, size]
     buckets: dict[tuple, list[list]] = {}
     for item in sorted(families, key=_family_sort_key):
@@ -269,7 +275,7 @@ def classify_maximizers(
 
 
 def _orbit_classes(
-    families: list[Family], generators: Callable, anchor: int | None
+    families: list[Family], generators: Callable, required: Callable | None
 ) -> list[MaximizerClass]:
     """The orbits of ``families`` under ``generators``, each walked from
     the least listed family not yet reached (see :func:`classify_maximizers`)."""
@@ -286,7 +292,7 @@ def _orbit_classes(
         if orbit is None:
             raise pykern._over_cap(cap)
         for members in orbit:
-            if members not in by_members and (anchor is None or anchor in members):
+            if members not in by_members and (required is None or required(members)):
                 raise AssertionError(
                     f"the orbit of maximizer {by_members[start]} holds {Family(n, members)}, "
                     "which is not a maximizer"
@@ -501,11 +507,13 @@ def _solve_union(kind: str, p: Params, backend: str, deadline):
 
 
 def _solve_diversity_clique(p: Params, backend: str, deadline):
+    """The kernel's result as families, with the predicate of the
+    maximizers it must return (:func:`_diversity_returned`)."""
     kern = engines.backend_module(backend)
     (n, k, r) = p.require("n", "k", "r")
     tabs = build_diversity_tables(n, k)
     best, maxers, nodes = kern.diversity_bnb(
-        len(tabs.hmasks), tabs.hcompat, tabs.hmasks, tabs.akill,
+        len(tabs.hmasks), tabs.hcompat, tabs.hmasks, tabs.horbit, tabs.akill,
         len(tabs.amasks), tabs.avoid_a, r, n, deadline,
     )
     fams = []
@@ -513,7 +521,66 @@ def _solve_diversity_clique(p: Params, backend: str, deadline):
         masks, abits = _members_and_partner(hbits, tabs.hmasks, tabs.akill, len(tabs.amasks))
         masks += [tabs.amasks[i] for i in _bits(abits)]
         fams.append(Family.of_masks(n, masks))
-    return best, fams, nodes
+    return best, fams, nodes, _diversity_returned(tabs)
+
+
+def _holding(anchor: int) -> Callable:
+    """The maximizers an anchored search returns: those holding ``anchor``."""
+    return lambda members: anchor in members
+
+
+def _diversity_returned(tabs: DiversityTables) -> Callable:
+    """The maximizers :func:`setfam.engines.pykern.diversity_bnb` returns
+    on the tables ``tabs``, as a predicate on sorted member-mask tuples.
+
+    The kernel walks the H candidates in index order, and at the anchor's
+    node and the nodes just below it drops each handled candidate's orbit
+    (``tabs.horbit``).  No bound cuts the path to a maximizer, and the
+    degree cap holds on every part of a feasible H, so a maximizer whose H
+    is 0 < i < j < ... is returned exactly when the walk at the anchor's
+    node reaches i and keeps the rest of H in i's subtree, and the walk at
+    node {0, i} reaches j and keeps the rest in j's.  Below that every
+    candidate is walked.  With the callers' tables, i is the least candidate
+    of the first anchor-row orbit that H minus the anchor meets, ordered by
+    least candidate, and j likewise in row i, counting only the candidates
+    node {0, i} still has.
+    """
+    def walk(p: int, orbit: list[int] | None) -> dict[int, int]:
+        """Each candidate the walk over ``p`` reaches, to its subtree's candidates."""
+        reached = {}
+        while p:
+            low = p & -p
+            p ^= low
+            i = low.bit_length() - 1
+            reached[i] = p & tabs.hcompat[i]
+            if orbit is not None:
+                p &= ~orbit[i]
+        return reached
+
+    top = walk(tabs.hcompat[0] & ~1, tabs.horbit.get(0))
+    below = {i: walk(p, tabs.horbit.get(i)) for i, p in top.items()}
+    index = {m: i for i, m in enumerate(tabs.hmasks)}
+    anchor = tabs.hmasks[0]
+
+    def returned(members: tuple[int, ...]) -> bool:
+        if anchor not in members:
+            return False
+        rest = 0
+        for m in members:
+            if not m & 1:  # an H member
+                rest |= 1 << index[m]
+        rest ^= 1
+        reached = top  # what the walk reaches at the anchor's node, then at node {0, i}
+        while rest and reached is not None:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            if i not in reached or rest & ~reached[i]:
+                return False
+            reached = below[i] if reached is top else None
+        return True
+
+    return returned
 
 
 def _solve_diversity_shifted(p: Params, backend: str, deadline):
@@ -572,25 +639,24 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
     backend_name = backend or engines.DEFAULT_BACKEND
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     start = time.monotonic()
-    anchor = None  # the member that every non-empty maximizer found holds
+    required = None  # the maximizers a reduced search must return
     if problem.kind in _PAIR_KINDS:
         optimum, maxers, nodes = _solve_pair(problem.kind, p, engine, backend_name, deadline)
     elif problem.kind == "diverse_intersecting_max" and engine == "shifted":
         optimum, maxers, nodes = _solve_diversity_shifted(p, backend_name, deadline)
     elif problem.kind == "diverse_intersecting_max":
-        optimum, maxers, nodes = _solve_diversity_clique(p, backend_name, deadline)
-        anchor = ((1 << p.k) - 1) << 1  # H candidate 0, {2, ..., k+1}
+        optimum, maxers, nodes, required = _solve_diversity_clique(p, backend_name, deadline)
     else:
         optimum, maxers, nodes = _solve_union(problem.kind, p, backend_name, deadline)
         if problem.kind == "s_union_conditioned_max":
-            anchor = (1 << p.s // 2 + 1) - 1  # {1, ..., d+1}
+            required = _holding((1 << p.s // 2 + 1) - 1)  # {1, ..., d+1}
     elapsed = time.monotonic() - start
     if optimum < 0:
         raise InfeasibleInstanceError(
             "no admissible family satisfies the side constraints at these parameters"
         )
     generators = _scope_generators(problem.kind, engine, p.n)
-    classes = classify_maximizers(maxers, generators, anchor)
+    classes = classify_maximizers(maxers, generators, required)
     if engine == "brute" and problem.kind in _PAIR_KINDS:
         classes = _labeled_classes(classes, p.n)
     return SearchReport(

@@ -232,14 +232,45 @@ def build_union_tables(n: int, s: int, constrained_layer: int | None) -> CliqueT
 
 
 class DiversityTables(Record):
-    __slots__ = ("n", "hmasks", "amasks", "hcompat", "akill", "avoid_a")
+    __slots__ = ("n", "hmasks", "amasks", "hcompat", "horbit", "akill", "avoid_a")
 
     n: int
     hmasks: list[int]     # candidates avoiding element 1
     amasks: list[int]     # candidates containing element 1
     hcompat: list[int]
+    horbit: dict[int, list[int]]  # see diversity_orbits
     akill: list[int]
     avoid_a: list[int]    # indexed by element, A-candidates avoiding it
+
+
+def diversity_orbits(hmasks: list[int]) -> dict[int, list[int]]:
+    """The orbit rows of the diversity kernel's two top levels below the
+    root, for the H candidates ``hmasks`` sorted by value.
+
+    Row b maps each candidate i to the bitset of its orbit under the
+    relabelings that fix element 1 and fix H_0 and H_b setwise (H_i is
+    candidate i): the products of the symmetric groups on the atoms {1},
+    H_0 & H_b, H_0 - H_b, H_b - H_0 and the rest.  Two k-sets avoiding 1
+    share an orbit exactly when they meet the three middle atoms in equally
+    many elements.  There is a row for the anchor, candidate 0 (its orbits
+    are the candidates with equal |B & H_0|), and one for the least
+    candidate of each of those orbits that meets H_0: the candidates the
+    kernel branches on below the anchor.
+    """
+    h0 = hmasks[0]
+
+    def row(hb: int) -> list[int]:
+        keys = [((m & h0 & hb).bit_count(), (m & h0 & ~hb).bit_count(), (m & hb & ~h0).bit_count())
+                for m in hmasks]
+        orbits: dict[tuple[int, int, int], int] = {}
+        for i, key in enumerate(keys):
+            orbits[key] = orbits.get(key, 0) | 1 << i
+        return [orbits[key] for key in keys]
+
+    least: dict[int, int] = {}  # |B & H_0| to its least candidate
+    for i, m in enumerate(hmasks):
+        least.setdefault((m & h0).bit_count(), i)
+    return {b: row(hmasks[b]) for b in sorted(b for t, b in least.items() if t)}
 
 
 def build_diversity_tables(n: int, k: int) -> DiversityTables:
@@ -257,7 +288,7 @@ def build_diversity_tables(n: int, k: int) -> DiversityTables:
     hcompat = overlap_table(hmasks, hmasks, n, 1)
     akill = disjoint_table(hmasks, amasks, n)
     avoid_a = [0] + disjoint_table([1 << e for e in range(n)], amasks, n)
-    return DiversityTables(n, hmasks, amasks, hcompat, akill, avoid_a)
+    return DiversityTables(n, hmasks, amasks, hcompat, diversity_orbits(hmasks), akill, avoid_a)
 
 
 def shifted_family_count_reference(n: int, k: int) -> int:

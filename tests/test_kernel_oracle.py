@@ -6,7 +6,8 @@ into the partner (see :mod:`setfam.engines.pykern`).  The matching helper is
 checked against the deficiency form of Hall's theorem, and each kernel, on
 random small tables, against a plain loop over every family: the optimum and
 the maximizer set must be the enumeration's, and the compiled twin must give
-the same optimum, maximizers and ``nodes``.  The clique kernel is checked
+the same optimum, maximizers and ``nodes``.  The diversity kernel gets
+identity orbit rows, so it walks every candidate.  The clique kernel is checked
 the same way on random graphs, without its down-set cut, once with no side
 constraint and once with each of its two, and with its down-set cut on the
 s-union graphs the callers build, against every down-set clique.
@@ -139,13 +140,16 @@ def diversity_instances(draw):
     hcompat = _symmetric(draw, mh)
     # H members avoid element 1, the bit 0
     hmasks = [draw(st.integers(0, (1 << nelems - 1) - 1)) << 1 for _ in range(mh)]
+    # identity orbit rows, which walk every candidate: random tables have no
+    # symmetry to branch on
+    horbit = {b: [1 << i for i in range(mh)] for b in range(mh)}
     akill = [draw(st.integers(0, (1 << na) - 1)) for _ in range(mh)]
     avoid_a = [0] + [draw(st.integers(0, (1 << na) - 1)) for _ in range(nelems)]
     r = draw(st.integers(0, 3))
-    return mh, hcompat, hmasks, akill, na, avoid_a, r, nelems
+    return mh, hcompat, hmasks, horbit, akill, na, avoid_a, r, nelems
 
 
-def _diversity_oracle(mh, hcompat, hmasks, akill, na, avoid_a, r, nelems):
+def _diversity_oracle(mh, hcompat, hmasks, _horbit, akill, na, avoid_a, r, nelems):
     best, found = -1, []
     for h in range(1 << mh):
         if h and not h & 1:

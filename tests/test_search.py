@@ -38,6 +38,8 @@ from setfam.search.problems import (
     _symmetric_generators,
 )
 from setfam.search.tables import (
+    DiversityTables,
+    build_diversity_tables,
     build_pair_tables,
     shifted_family_count_reference,
 )
@@ -467,43 +469,97 @@ def test_anchored_walk_lists_the_classes_of_the_whole_list(rng):
             anchored = [F for F in families if anchor in F.members]
             rng.shuffle(anchored)
             full = classify_maximizers(sorted(families, key=lambda f: f.members), generators)
-            got = classify_maximizers(anchored, generators, anchor)
+            got = classify_maximizers(anchored, generators, problems._holding(anchor))
             assert got == full
             built += sum(c.representative not in anchored for c in got)
     assert built > 10
 
 
 @pytest.mark.parametrize(
-    "kind,p",
+    "kind,p,lone",
     [
-        ("s_union_conditioned_max", Params(n=6, s=4, r=1)),
-        ("diverse_intersecting_max", Params(n=7, k=3, r=1)),
+        ("s_union_conditioned_max", Params(n=6, s=4, r=1), 1),
+        ("diverse_intersecting_max", Params(n=7, k=3, r=1), 1),
+        # k=4: some anchored images pass the first orbit level but not the second
+        ("diverse_intersecting_max", Params(n=9, k=4, r=3), 0),
     ],
+    ids=["s_union_conditioned_max-p0", "diverse_intersecting_max-p1", "diverse_intersecting_max-p2"],
 )
-def test_anchored_walk_rejects_a_list_missing_an_anchored_maximizer(kind, p):
-    """The walk from an anchored maximizer reaches every other anchored
-    member of its class, so dropping one of them raises.  A class whose only
-    anchored member is dropped is no longer reached at all."""
+def test_anchored_walk_rejects_a_list_missing_an_anchored_maximizer(request, kind, p, lone):
+    """The search returns exactly the maximizers its predicate accepts.  The
+    walk from any anchored member of a class reaches every returned one, so
+    a list missing one of them raises, even when it holds another anchored
+    member of the class.  A class with no anchored member left is no longer
+    reached at all.  The diversity search branches once per orbit below its
+    anchor, so it returns only some of the anchored maximizers; dropping an
+    anchored one that it does not return changes nothing.  ``lone`` counts
+    the returned maximizers that are the only anchored member of their
+    class."""
     if kind == "diverse_intersecting_max":
-        _, found, _ = problems._solve_diversity_clique(p, "python", None)
-        anchor = 0b1110  # H candidate 0, {2, 3, 4}
+        backend = "python"
+        if p.k > 3:  # millions of nodes: too many for the pure-Python kernel
+            request.getfixturevalue("compiled")
+            backend = "compiled"
+        _, found, _, required = problems._solve_diversity_clique(p, backend, None)
+        anchor = ((1 << p.k) - 1) << 1  # H candidate 0, {2, ..., k+1}
     else:
         _, found, _ = problems._solve_union(kind, p, "python", None)
         anchor = 0b111  # {1, 2, 3}
+        required = problems._holding(anchor)
     generators = problems._scope_generators(kind, "clique", p.n)
-    assert all(anchor in F.members for F in found)
-    classes = classify_maximizers(found, generators, anchor)
+    classes = classify_maximizers(found, generators, required)
+    orbits = [problems._orbit(F.members, generators, p.n, {}, 10**6) for F in found]
+    images = set().union(*orbits)
+    assert {F.members for F in found} == {m for m in images if required(m)}
+    unreturned = sorted(m for m in images if anchor in m and not required(m))
+    assert bool(unreturned) == (kind == "diverse_intersecting_max")
     caught = 0
-    for i, F in enumerate(found):
+    for i, (F, orbit) in enumerate(zip(found, orbits)):
         rest = found[:i] + found[i + 1:]
-        orbit = problems._orbit(F.members, generators, p.n, {}, 10**6)
-        if sum(anchor in members for members in orbit) > 1:
-            with pytest.raises(AssertionError, match="not a maximizer"):
-                classify_maximizers(rest, generators, anchor)
-            caught += 1
-        else:
-            assert len(classify_maximizers(rest, generators, anchor)) == len(classes) - 1
-    assert 0 < caught < len(found)
+        other = min((m for m in orbit if m != F.members and anchor in m), default=None)
+        if other is None:
+            assert len(classify_maximizers(rest, generators, required)) == len(classes) - 1
+            continue
+        if not required(other):  # the class's walk starts from an unreturned member
+            rest.append(Family(p.n, other))
+        with pytest.raises(AssertionError, match="not a maximizer"):
+            classify_maximizers(rest, generators, required)
+        caught += 1
+    assert 0 < caught == len(found) - lone
+    listed = found + [Family(p.n, m) for m in unreturned]
+    for i in range(len(found), len(listed)):
+        assert classify_maximizers(listed[:i] + listed[i + 1:], generators, required) == classes
+
+
+def _identity_orbits(n: int, k: int) -> DiversityTables:
+    """The diversity tables with identity orbit rows, horbit[b][i] = 1 << i
+    for every b: the kernel then walks every candidate below the anchor."""
+    tabs = build_diversity_tables(n, k)
+    identity = [1 << i for i in range(len(tabs.hmasks))]
+    horbit = {b: identity for b in range(len(tabs.hmasks))}
+    return DiversityTables(*(
+        horbit if name == "horbit" else getattr(tabs, name) for name in DiversityTables.__slots__
+    ))
+
+
+def test_orbit_branching_keeps_every_diversity_report(compiled, monkeypatch):
+    """Branching once per orbit at the anchor's node and the node below it
+    gives the optimum, maximizer count, classes and representatives of the
+    unreduced walk (identity orbit rows) on every k=3, n=7..9 row, with
+    fewer nodes, equal on both backends."""
+    rows = [Params(n=n, k=3, r=r) for n in (7, 8, 9) for r in range(n - 2)]
+
+    def reports(backend):
+        return [solve(Problem("diverse_intersecting_max", p, "clique"), backend=backend) for p in rows]
+
+    reduced, fast = reports("python"), reports("compiled")
+    monkeypatch.setattr(problems, "build_diversity_tables", _identity_orbits)
+    unreduced, unreduced_fast = reports("python"), reports("compiled")
+    for p, rep, rep_fast, full, full_fast in zip(rows, reduced, fast, unreduced, unreduced_fast):
+        assert (rep.optimum, rep.maximizer_count, rep.classes) == (
+            full.optimum, full.maximizer_count, full.classes
+        ), p
+        assert rep_fast.nodes == rep.nodes < full.nodes == full_fast.nodes, p
 
 
 def test_degenerate_base_lists_classes_without_assertion():
@@ -669,7 +725,9 @@ def test_maximizer_cap_counts_labeled_families(monkeypatch):
 
 def test_maximizer_cap_counts_the_families_the_orbit_walk_reaches(monkeypatch):
     """diversity (7,3,1) has 35 maximizers in two classes; the anchored
-    search finds only those whose H holds {2, 3, 4}, but the cap counts all 35."""
+    search, which branches once per orbit at the anchor's node and the node
+    below it, finds only a few of those whose H holds {2, 3, 4}, but the cap
+    counts all 35."""
     problem = Problem("diverse_intersecting_max", Params(n=7, k=3, r=1), "clique")
     monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 35)
     rep = solve(problem)

@@ -9,6 +9,7 @@ from setfam.search.tables import (
     build_diversity_tables,
     build_pair_tables,
     build_union_tables,
+    diversity_orbits,
     dominance_pred,
     dominance_succ,
     layer_masks,
@@ -102,6 +103,46 @@ def test_diversity_tables_match_pairwise_definitions(n, k):
         _bitset(j for j, a in enumerate(amasks) if not a >> (e - 1) & 1)
         for e in range(1, n + 1)
     ]
+
+
+def _closure_orbits(n: int, hmasks: list[int], blocks: list[int]) -> list[int]:
+    """Row i the bitset of the candidates that transpositions of two
+    elements in one part of [n] carry candidate i to, part by part: the
+    parts are cut out by the element masks ``blocks``."""
+    key = [tuple(b >> e & 1 for b in blocks) for e in range(n)]
+    swaps = [(x, y) for x in range(n) for y in range(x + 1, n) if key[x] == key[y]]
+    index = {m: i for i, m in enumerate(hmasks)}
+    rows = [1 << i for i in range(len(hmasks))]
+    changed = True
+    while changed:  # merge along every swap until nothing grows
+        changed = False
+        for i, m in enumerate(hmasks):
+            for x, y in swaps:
+                if (m >> x ^ m >> y) & 1:
+                    j = index[m ^ (1 << x | 1 << y)]
+                    if rows[i] != rows[j]:
+                        rows[i] = rows[j] = rows[i] | rows[j]
+                        changed = True
+    return rows
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(7, 11) for k in (3, 4)])
+def test_diversity_orbit_rows_match_transposition_closure(n, k):
+    """Row b of horbit holds the orbits of the relabelings that fix element
+    1 and H_0 and H_b setwise, and there is a row for the anchor and for the
+    least candidate of each anchor-row orbit that meets H_0."""
+    hmasks = [m for m in layer_masks(n, k) if not m & 1]
+    horbit = diversity_orbits(hmasks)
+    h0 = hmasks[0]
+    anchor_row = _closure_orbits(n, hmasks, [1, h0])
+    assert sorted(horbit) == sorted(
+        {(anchor_row[i] & -anchor_row[i]).bit_length() - 1 for i, m in enumerate(hmasks) if m & h0}
+    )
+    assert horbit[0] == anchor_row
+    for b, row in horbit.items():
+        assert row == _closure_orbits(n, hmasks, [1, h0, hmasks[b]]), b
+    if comb(n - 1, k - 1) <= 64:
+        assert build_diversity_tables(n, k).horbit == horbit
 
 
 @pytest.mark.parametrize(
