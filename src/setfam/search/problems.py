@@ -8,9 +8,7 @@ only.
 
 ``_KIND_ENGINES`` lists the engines each kind runs.  The brute pair kinds
 search only the families that contain the least candidate (see
-:func:`build_pair_tables`), so their ``nodes`` count that reduced search;
-``maximizer_count`` and the class sizes still count labeled families,
-recovered by double counting (:func:`_labeled_classes`).
+:func:`build_pair_tables`), so their ``nodes`` count that reduced search.
 The s-union kinds search only down-sets, which every maximum s-union
 family is (see :func:`setfam.engines.pykern.clique_bnb`), so their
 ``nodes`` count that smaller search.  The pair kernel and the diversity
@@ -30,23 +28,23 @@ The overlap cap of cross_pair_capped can grow under joint shifts, so only
 
 Classification (:func:`classify_maximizers`) lists each class as an orbit
 where the engine's maximizer scope is closed under a known permutation
-group: the s-union kinds' scope is every maximum family, closed under S_n,
-and the diversity ``clique`` engine's is every maximum family whose maximum
-degree is at element 1, closed under the stabilizer of 1 and under the
-swaps (1 x) of the elements x of maximum degree.  Two of these engines
-search only the maximizers that hold a fixed anchor member:
+group: the scope of the s-union kinds and of the brute pair kinds is every
+maximum family (a pair's F side, its partner being a function of F),
+closed under S_n, and the diversity ``clique`` engine's is every maximum
+family whose maximum degree is at element 1, closed under the stabilizer
+of 1 and under the swaps (1 x) of the elements x of maximum degree.  All
+but s_union_max search only the maximizers that hold a fixed anchor
+member: the brute pair kinds candidate 0, the least j-set {1, ..., j};
 s_union_conditioned_max the (d+1)-set {1, ..., d+1} (see
-:func:`build_union_tables`), and the diversity ``clique`` engine the H
+:func:`build_union_tables`); and the diversity ``clique`` engine the H
 member {2, ..., k+1} (see :func:`setfam.engines.pykern.diversity_bnb`),
 where it also branches once per orbit at the anchor's node and the node
 below it, so it returns only the anchored maximizers that
 :func:`_diversity_returned` accepts.
 Their ``nodes`` count that search, and the walk recovers every other
 maximizer, so ``maximizer_count`` and the classes are those of the whole
-scope.  s_union_max has no forced member and searches its whole scope.
-The ``shifted`` scopes are not closed under relabeling, and the brute pair
-kinds keep only the families that contain candidate 0, so those classify
-by ``are_isomorphic``.
+scope.  The ``shifted`` scopes are not closed under relabeling, so those
+classify by ``are_isomorphic``.
 """
 
 from __future__ import annotations
@@ -220,26 +218,17 @@ def bound_for(kind: str, p: Params) -> BoundValue:
 # --------------------------------------------------------------- maximizers
 
 
-def _family_sort_key(item):
-    if isinstance(item, tuple):
-        return tuple(f.members for f in item)
-    return item.members
-
-
 def classify_maximizers(
-    families: list, generators: Callable | None = None, required: Callable | None = None
+    families: list[Family], generators: Callable | None = None, required: Callable | None = None
 ) -> list[MaximizerClass]:
     """Partition maximizers into isomorphism classes.
 
     Representatives are the lexicographically least members of their
     classes, and classes are listed in the order of their representatives.
 
-    Without ``generators``, pair maximizers are classified by their F side:
-    the partner is a function of F, so a relabeling carries one pair onto
-    another exactly when it carries the F sides onto each other.  Classes
-    are bucketed by :func:`iso_invariant`, so ``are_isomorphic`` only runs
-    within a bucket.  This serves the scopes that are not closed under
-    relabeling: the shifted engines, and the brute pair kinds.
+    Without ``generators``, classes are bucketed by :func:`iso_invariant`,
+    so ``are_isomorphic`` only runs within a bucket.  This serves the scopes
+    that are not closed under relabeling: the shifted engines.
 
     ``generators`` maps a family's sorted member-mask tuple to permutations
     of [n] (``perm[i-1]`` the image of i) for a maximizer scope closed under
@@ -258,20 +247,19 @@ def classify_maximizers(
     """
     if generators is not None:
         return _orbit_classes(families, generators, required)
-    classes: list[list] = []  # [representative, its F side, size]
+    classes: list[list] = []  # [representative, size]
     buckets: dict[tuple, list[list]] = {}
-    for item in sorted(families, key=_family_sort_key):
-        fam = item[0] if isinstance(item, tuple) else item
+    for fam in sorted(families, key=lambda F: F.members):
         bucket = buckets.setdefault(iso_invariant(fam), [])
         for cls in bucket:
-            if are_isomorphic(cls[1], fam):
-                cls[2] += 1
+            if are_isomorphic(cls[0], fam):
+                cls[1] += 1
                 break
         else:
-            cls = [item, fam, 1]
+            cls = [fam, 1]
             bucket.append(cls)
             classes.append(cls)
-    return [MaximizerClass(rep, size) for rep, _, size in classes]
+    return [MaximizerClass(rep, size) for rep, size in classes]
 
 
 def _orbit_classes(
@@ -377,9 +365,9 @@ def _cycle(n: int, elements) -> tuple[int, ...]:
 
 
 def _symmetric_generators(n: int) -> Callable:
-    """S_n, generated by (1 2) and (1 2 ... n).  The s-union kinds return
-    every maximum family, and their side constraints ignore labels, so
-    their maximizer lists are closed under S_n."""
+    """S_n, generated by (1 2) and (1 2 ... n).  The pair and s-union
+    objectives and side constraints ignore labels, so their maximum
+    families are closed under S_n."""
     gens = [_cycle(n, (1, 2)), _cycle(n, range(1, n + 1))]
     return lambda members: gens
 
@@ -420,39 +408,22 @@ def _with_max_degree_at_1(F: Family) -> Family:
 def _scope_generators(kind: str, engine: str, n: int) -> Callable | None:
     """The generator source of an engine whose maximizer scope is closed
     under a known group of relabelings, or None (see the module docstring)."""
-    if kind in ("s_union_max", "s_union_conditioned_max"):
+    if kind in ("s_union_max", "s_union_conditioned_max") or (
+        kind in _PAIR_KINDS and engine == "brute"
+    ):
         return _symmetric_generators(n)
     if kind == "diverse_intersecting_max" and engine == "clique":
         return _max_degree_generators(n)
     return None
 
 
-def _labeled_classes(classes: list[MaximizerClass], n: int) -> list[MaximizerClass]:
-    """Labeled class sizes from a search that kept only the families
-    containing the least j-set, candidate 0.
-
-    A class of j-set families of size f found c0 times has C(n, j) * c0 / f
-    labeled members: count the pairs (F in the class, A in F) both ways;
-    S_n is transitive on the j-sets, so every A lies in c0 class members.
-    The class's least member contains candidate 0, so representatives stay.
-    Raises the cap error when the labeled total exceeds the cap.
-    """
-    out = []
-    for cls in classes:
-        fam = cls.representative[0]
-        size, rest = divmod(comb(n, fam.members[0].bit_count()) * cls.size, len(fam))
-        if rest:
-            raise AssertionError(f"class of {fam} was found {cls.size} times, not a whole orbit")
-        out.append(MaximizerClass(cls.representative, size))
-    if sum(c.size for c in out) > pykern.MAXIMIZER_CAP:
-        raise pykern._over_cap(pykern.MAXIMIZER_CAP)
-    return out
-
-
 # ------------------------------------------------------------------ engines
 
 
 def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
+    """The kernel's result as (F, G) pairs, with the predicate of the
+    maximizers it must return: those holding candidate 0, which both
+    engines' tables put below every other candidate."""
     kern = engines.backend_module(backend)
     if kind == "hemibundled_max":
         (n, k, t, r) = p.require("n", "k", "t", "r")
@@ -483,7 +454,7 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
                 shared &= shared - 1
         gm = [tabs.gmasks[j] for j in _bits(partner)]
         pairs.append((Family.of_masks(p.n, fmasks), Family.of_masks(p.n, gm)))
-    return best, pairs, nodes
+    return best, pairs, nodes, _holding(tabs.cands[0])
 
 
 def _solve_union(kind: str, p: Params, backend: str, deadline):
@@ -492,18 +463,19 @@ def _solve_union(kind: str, p: Params, backend: str, deadline):
     d = s // 2
     if kind == "s_union_max":
         tabs = build_union_tables(n, s, None)
-        cons, r = 0, 0
+        cons, r, required = 0, 0, None
     else:
         (r,) = p.require("r")
         tabs = build_union_tables(n, s, d + 1)
         cons = 1 if s % 2 == 0 else 2
+        required = _holding((1 << d + 1) - 1)  # {1, ..., d+1}
     best, maxers, nodes = kern.clique_bnb(
         len(tabs.vmasks), tabs.adj, tabs.sup, cons, tabs.layer, tabs.vmasks, n, r, deadline
     )
     fams = [
         Family.of_masks(n, [tabs.vmasks[i] for i in _bits(chosen)]) for chosen in maxers
     ]
-    return best, fams, nodes
+    return best, fams, nodes, required
 
 
 def _solve_diversity_clique(p: Params, backend: str, deadline):
@@ -602,7 +574,7 @@ def _solve_diversity_shifted(p: Params, backend: str, deadline):
         r, 0, False, -1, deadline,
     )
     fams = [Family.of_masks(n, [tabs.cands[i] for i in _bits(c)]) for c in maxers]
-    return best, fams, nodes
+    return best, fams, nodes, None
 
 
 def _members_and_partner(chosen: int, masks: list[int], kill: list[int], width: int):
@@ -639,26 +611,29 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
     backend_name = backend or engines.DEFAULT_BACKEND
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     start = time.monotonic()
-    required = None  # the maximizers a reduced search must return
     if problem.kind in _PAIR_KINDS:
-        optimum, maxers, nodes = _solve_pair(problem.kind, p, engine, backend_name, deadline)
+        result = _solve_pair(problem.kind, p, engine, backend_name, deadline)
     elif problem.kind == "diverse_intersecting_max" and engine == "shifted":
-        optimum, maxers, nodes = _solve_diversity_shifted(p, backend_name, deadline)
+        result = _solve_diversity_shifted(p, backend_name, deadline)
     elif problem.kind == "diverse_intersecting_max":
-        optimum, maxers, nodes, required = _solve_diversity_clique(p, backend_name, deadline)
+        result = _solve_diversity_clique(p, backend_name, deadline)
     else:
-        optimum, maxers, nodes = _solve_union(problem.kind, p, backend_name, deadline)
-        if problem.kind == "s_union_conditioned_max":
-            required = _holding((1 << p.s // 2 + 1) - 1)  # {1, ..., d+1}
+        result = _solve_union(problem.kind, p, backend_name, deadline)
+    # required: the predicate of the maximizers a reduced search must return
+    optimum, maxers, nodes, required = result
     elapsed = time.monotonic() - start
     if optimum < 0:
         raise InfeasibleInstanceError(
             "no admissible family satisfies the side constraints at these parameters"
         )
     generators = _scope_generators(problem.kind, engine, p.n)
+    pairs = None
+    if problem.kind in _PAIR_KINDS:  # classified by the F side, which fixes the partner
+        pairs = {F: (F, G) for F, G in maxers}
+        maxers = list(pairs)
     classes = classify_maximizers(maxers, generators, required)
-    if engine == "brute" and problem.kind in _PAIR_KINDS:
-        classes = _labeled_classes(classes, p.n)
+    if pairs is not None:
+        classes = [MaximizerClass(pairs[c.representative], c.size) for c in classes]
     return SearchReport(
         kind=problem.kind,
         params=p,

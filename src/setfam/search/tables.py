@@ -135,7 +135,7 @@ def build_pair_tables(
     objectives and constraints are unchanged by relabeling and S_n is
     transitive on the f_size-sets, so every non-empty family has a
     relabeling that contains candidate 0: the optimum is unchanged, and the
-    callers recover labeled maximizer counts by double counting.  With
+    callers recover the other maximizers by walking their S_n orbits.  With
     ``shifted`` it is the dominance order instead (down-sets, the shifted
     families), which already puts candidate 0 below every other candidate.
     ``succ`` is ``pred`` transposed: the other candidates under candidate 0,

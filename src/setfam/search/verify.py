@@ -14,6 +14,7 @@ from ..family import are_isomorphic
 from . import THEOREMS
 from .expected import expected_classes
 from .problems import (
+    _PAIR_KINDS,
     Problem,
     SearchReport,
     _check_budget,
@@ -129,16 +130,21 @@ class VerifyResult(Record):
 
 def _classes_match(report: SearchReport, expected: list) -> bool:
     """Whether the report's classes are the expected families' classes,
-    one for one.  Where the engine lists classes as orbits, each expected
+    one for one; pairs are compared by their F sides, which fix the
+    partners.  Where the engine lists classes as orbits, each expected
     family is relabeled into the engine's scope and its orbit walked until
     it meets a reported class's representative, the least member of that
     class's orbit; orbits are disjoint, so that is the family's class.  A
     walk that meets none within the largest class size fails.  Elsewhere
     the classes are matched by the isomorphism search."""
+    found = report.class_representatives
+    if report.kind in _PAIR_KINDS:
+        found = [F for F, _ in found]
+        expected = [F for F, _ in expected]
     generators = _scope_generators(report.kind, report.engine, report.params.n)
     if generators is None:
-        return _isomorphic_classes_match(report.class_representatives, expected)
-    reps = {c.representative.members for c in report.classes}
+        return _isomorphic_classes_match(found, expected)
+    reps = {F.members for F in found}
     limit = max((c.size for c in report.classes), default=0)
     tables: dict = {}
     matched = set()
@@ -155,13 +161,9 @@ def _isomorphic_classes_match(found: list, expected: list) -> bool:
     if len(found) != len(expected):
         return False
     taken = [False] * len(expected)
-    for rep in found:
-        fam = rep[0] if isinstance(rep, tuple) else rep
+    for fam in found:
         for i, exp in enumerate(expected):
-            if taken[i]:
-                continue
-            exp_fam = exp[0] if isinstance(exp, tuple) else exp
-            if len(fam) == len(exp_fam) and are_isomorphic(fam, exp_fam):
+            if not taken[i] and len(fam) == len(exp) and are_isomorphic(fam, exp):
                 taken[i] = True
                 break
         else:

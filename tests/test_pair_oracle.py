@@ -3,8 +3,8 @@
 The oracle scores every subset F of the layer by the problem's definition,
 with plain bitmask loops, and classifies the maximizers by trying all n!
 relabelings.  ``solve(..., "brute")`` searches only the families that
-contain the least candidate and recovers labeled counts by double
-counting; optimum, ``maximizer_count``, representatives and class sizes
+contain the least candidate and recovers the others by walking their S_n
+orbits; optimum, ``maximizer_count``, representatives and class sizes
 must agree with the oracle on every backend, and, on larger instances, with
 the search over every labeled family.
 """
@@ -144,7 +144,7 @@ UNREDUCED = [
 def test_reduced_brute_search_matches_the_unreduced_one(compiled, monkeypatch, kind, p):
     """Past the oracle's sizes, and where the two layers of hemibundled
     pairs differ in size (n > 2k + t), compare with the search over every
-    labeled family, whose maximizers are counted one by one."""
+    labeled family, whose list the same orbit walk classifies."""
     reduced = solve(Problem(kind, p, "brute"))
 
     def unreduced_tables(*args, **kwargs):
@@ -153,7 +153,6 @@ def test_reduced_brute_search_matches_the_unreduced_one(compiled, monkeypatch, k
         return tables.PairTables(t.n, t.cands, t.gmasks, t.compat, none, none, t.kill)
 
     monkeypatch.setattr(problems, "build_pair_tables", unreduced_tables)
-    monkeypatch.setattr(problems, "_labeled_classes", lambda classes, n: classes)
     full = solve(Problem(kind, p, "brute"))
     assert full.nodes > reduced.nodes
     assert (reduced.optimum, reduced.maximizer_count) == (full.optimum, full.maximizer_count)

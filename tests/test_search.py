@@ -30,10 +30,8 @@ from setfam.search import (
 from setfam.search import problems
 from setfam.search.expected import expected_classes
 from setfam.search.problems import (
-    MaximizerClass,
     _chunk_tables,
     _images,
-    _labeled_classes,
     _max_degree_generators,
     _symmetric_generators,
 )
@@ -108,12 +106,27 @@ def test_orbit_class_matching_takes_any_relabeled_expected_family(rng, kind, p):
 
 
 def test_engine_agreement_hemibundled():
-    cases = [Params(n=7, k=3, t=0, r=1), Params(n=7, k=3, t=0, r=3), Params(n=8, k=3, t=1, r=2)]
-    if "compiled" in BACKENDS:
-        cases += [Params(n=8, k=3, t=0, r=2), Params(n=8, k=3, t=1, r=3)]
-    for p in cases:
-        a = solve(Problem("hemibundled_max", p, "brute"))
-        b = solve(Problem("hemibundled_max", p, "shifted"))
+    """Brute and shifted agree on the pair kinds that shifting keeps exact:
+    hemibundled pairs, and cross_pair_max."""
+    cases = [
+        ("hemibundled_max", Params(n=7, k=3, t=0, r=1)),
+        ("hemibundled_max", Params(n=7, k=3, t=0, r=3)),
+        ("hemibundled_max", Params(n=8, k=3, t=1, r=2)),
+    ]
+    cases += [
+        ("cross_pair_max", Params(n=n, k=k, r=r))
+        for n, k, r in ((6, 2, 1), (7, 2, 2), (7, 3, 1), (7, 3, 2), (8, 2, 1), (9, 2, 2))
+    ]
+    if "compiled" in BACKENDS:  # n = 8, k = 3: about a second each on the pure-Python kernel
+        cases += [
+            ("hemibundled_max", Params(n=8, k=3, t=0, r=2)),
+            ("hemibundled_max", Params(n=8, k=3, t=1, r=3)),
+            ("cross_pair_max", Params(n=8, k=3, r=2)),
+            ("cross_pair_max", Params(n=8, k=3, r=3)),
+        ]
+    for kind, p in cases:
+        a = solve(Problem(kind, p, "brute"))
+        b = solve(Problem(kind, p, "shifted"))
         assert a.optimum == b.optimum
         # the shifted engine sees a representative of every maximizer class
         assert len(a.classes) == len(b.classes)
@@ -139,6 +152,17 @@ def test_named_specializations_verify_on_their_own_grids():
     assert res.ok and all(r.classes_ok for r in res.rows)
     res = verify_grid("f24", "k=2;n=5..7;r=1..n-k+1", engine="brute")
     assert res.ok
+
+
+def test_brute_pair_kinds_verify_past_the_isomorphism_limit():
+    """The brute pair classes are orbits, found and matched by walking them,
+    so no row reaches the isomorphism search's limit of n <= 12."""
+    from setfam.search.verify import verify_grid
+
+    for theorem, grid in (("f24", "k=2;n=13..14;r=1..2"), ("main1", "k=2;t=0;n=13;r=1..2")):
+        res = verify_grid(theorem, grid, engine="brute")
+        assert res.ok and len(res.rows) > 1
+        assert all(row.bound_ok and row.classes_ok for row in res.rows)
 
 
 def test_f24_classes_exhaustively_at_k3(compiled):
@@ -482,8 +506,12 @@ def test_anchored_walk_lists_the_classes_of_the_whole_list(rng):
         ("diverse_intersecting_max", Params(n=7, k=3, r=1), 1),
         # k=4: some anchored images pass the first orbit level but not the second
         ("diverse_intersecting_max", Params(n=9, k=4, r=3), 0),
+        ("cross_pair_capped", Params(n=6, k=2, r=2), 0),
     ],
-    ids=["s_union_conditioned_max-p0", "diverse_intersecting_max-p1", "diverse_intersecting_max-p2"],
+    ids=[
+        "s_union_conditioned_max-p0", "diverse_intersecting_max-p1", "diverse_intersecting_max-p2",
+        "cross_pair_capped-p3",
+    ],
 )
 def test_anchored_walk_rejects_a_list_missing_an_anchored_maximizer(request, kind, p, lone):
     """The search returns exactly the maximizers its predicate accepts.  The
@@ -495,6 +523,7 @@ def test_anchored_walk_rejects_a_list_missing_an_anchored_maximizer(request, kin
     anchored one that it does not return changes nothing.  ``lone`` counts
     the returned maximizers that are the only anchored member of their
     class."""
+    engine = "clique"
     if kind == "diverse_intersecting_max":
         backend = "python"
         if p.k > 3:  # millions of nodes: too many for the pure-Python kernel
@@ -502,11 +531,15 @@ def test_anchored_walk_rejects_a_list_missing_an_anchored_maximizer(request, kin
             backend = "compiled"
         _, found, _, required = problems._solve_diversity_clique(p, backend, None)
         anchor = ((1 << p.k) - 1) << 1  # H candidate 0, {2, ..., k+1}
+    elif kind == "cross_pair_capped":
+        engine = "brute"
+        _, pairs, _, required = problems._solve_pair(kind, p, engine, "python", None)
+        found = [F for F, _ in pairs]
+        anchor = (1 << p.k) - 1  # candidate 0, {1, ..., k}
     else:
-        _, found, _ = problems._solve_union(kind, p, "python", None)
+        _, found, _, required = problems._solve_union(kind, p, "python", None)
         anchor = 0b111  # {1, 2, 3}
-        required = problems._holding(anchor)
-    generators = problems._scope_generators(kind, "clique", p.n)
+    generators = problems._scope_generators(kind, engine, p.n)
     classes = classify_maximizers(found, generators, required)
     orbits = [problems._orbit(F.members, generators, p.n, {}, 10**6) for F in found]
     images = set().union(*orbits)
@@ -735,14 +768,6 @@ def test_maximizer_cap_counts_the_families_the_orbit_walk_reaches(monkeypatch):
     monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 34)
     with pytest.raises(InfeasibleInstanceError, match=r"^maximizer enumeration exceeded the cap of 34$"):
         solve(problem)
-
-
-def test_labeled_class_sizes_must_be_whole_orbits():
-    # a 3-edge star in K5: 20 labeled copies, 6 of them contain the edge {1, 2}
-    pair = (fam(5, {1, 2}, {1, 3}, {1, 4}), fam(5, {1, 2}, {1, 3}, {1, 4}, {1, 5}))
-    assert _labeled_classes([MaximizerClass(pair, 6)], 5) == [MaximizerClass(pair, 20)]
-    with pytest.raises(AssertionError, match="not a whole orbit"):
-        _labeled_classes([MaximizerClass(pair, 1)], 5)  # 10 * 1 / 3 is no class size
 
 
 def test_shifted_diversity_reports_the_backend_that_ran(compiled):
