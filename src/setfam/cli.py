@@ -354,7 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(s)
     s.add_argument("--engine", default="auto", choices=ENGINES)
     s.add_argument("--backend", default=None, choices=("compiled", "python"))
-    s.add_argument("--max-seconds", type=float, default=None)
+    s.add_argument(
+        "--max-seconds", type=float, default=None,
+        help="time budget of the kernel search, counted from the start of the solve; "
+        "table building and classification are not bounded (exit 4 when it runs out)",
+    )
     s.add_argument("--json", action="store_true")
     s.add_argument("--no-timing", action="store_true")
     s.set_defaults(func=_cmd_search)
@@ -368,8 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("theorem", choices=sorted(THEOREMS))
     v.add_argument("--grid", required=True)
     v.add_argument("--engine", default="auto", choices=ENGINES)
-    v.add_argument("--threads", type=int, default=1)
-    v.add_argument("--max-seconds", type=float, default=None)
+    v.add_argument(
+        "--threads", type=int, default=1,
+        help="run rows in this many threads; only the compiled kernels release the GIL, "
+        "so threads do not speed up the pure-Python kernels",
+    )
+    v.add_argument(
+        "--max-seconds", type=float, default=None,
+        help="time budget of each row's kernel search, counted from the start of its solve; "
+        "table building, classification and expected classes are not bounded",
+    )
     v.add_argument("--json", action="store_true")
     v.add_argument("--no-timing", action="store_true")
     v.set_defaults(func=_cmd_verify)

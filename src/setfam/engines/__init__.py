@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
 
-from ..errors import InfeasibleInstanceError
+from ..errors import InfeasibleInstanceError, ParamRangeError
 from . import pykern
 
 # The width of the compiled kernels' index sets (MAXBITS in fastcore.c): no
@@ -57,4 +57,4 @@ def backend_module(name: str | None = None):
         if _compiled is None:
             raise InfeasibleInstanceError(f"compiled backend requested but {_missing}")
         return _compiled
-    raise ValueError(f"unknown backend {name!r} (expected 'compiled' or 'python')")
+    raise ParamRangeError(f"unknown backend {name!r} (expected 'compiled' or 'python')")

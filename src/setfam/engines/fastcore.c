@@ -11,18 +11,26 @@
  * array that the caller releases with fastcore_free.  No kernel touches a
  * Python object, so the calls run without the interpreter lock.
  *
- * Precondition: the compat (pair) and hcompat (diversity) tables are
- * symmetric.  Each descent narrows the candidates to the new member's row,
- * so every remaining candidate is compatible with every chosen member, and
- * neither kernel tests that again.
+ * pair_bnb and diversity_bnb are two entry points of one partner search,
+ * partner_rec, as in pykern: a chosen family's partner is every member of a
+ * second universe that no chosen member kills, and the walk maximizes
+ * |F| + |partner|.  diversity_bnb maps its tables onto it (H the family, A
+ * the partner) and passes the degree cap and the orbit rows, which the walk
+ * applies only when they are passed; it never asks which problem it solves.
+ * clique_bnb is a search of its own.
  *
- * pair_bnb and diversity_bnb test each node on entry against the deficiency
- * bound of pykern's module docstring: |F| + |partner| + |p| - nu, nu the
- * size of a maximum matching from the remaining candidates p into the
- * partner along the kill rows.  nu depends on the node alone, so the cut
- * does not depend on how either twin grows its matching.  pair_bnb also
- * takes succ, pred transposed: once its walk has passed over candidate i,
- * the later siblings drop the candidates that require i.
+ * Precondition: the compat table (hcompat for diversity_bnb) is symmetric.
+ * Each descent narrows the candidates to the new member's row, so every
+ * remaining candidate is compatible with every chosen member, and the walk
+ * does not test that again.
+ *
+ * The partner search tests each node on entry against the deficiency bound
+ * of pykern's module docstring: |F| + |partner| + |p| - nu, nu the size of
+ * a maximum matching from the remaining candidates p into the partner along
+ * the kill rows.  nu depends on the node alone, so the cut does not depend
+ * on how either twin grows its matching.  It also takes succ, pred
+ * transposed: once its walk has passed over candidate i, the later siblings
+ * drop the candidates that require i.
  */
 
 #include <stdlib.h>
@@ -178,18 +186,24 @@ static int matching(bits p, const word *rows, bits right, int want) {
     return 0;
 }
 
-/* ------------------------------------------------------------ pair BnB */
+/* --------------------------------------------------------- partner BnB */
 
+/* The one walk behind pair_bnb and diversity_bnb, pykern's _partner_search.
+   The degree cap (masks, avoid) and the orbit rows (rows, horbit) are left
+   out when they are not passed: masks NULL, rows 0. */
 typedef struct {
     Search *s;
     const word *compat, *pred, *succ, *kill;
-    bits rmask;
-    int r_min, g_min, g_ge_f, cap_excess;
-} Pair;
+    const word *masks, *avoid; /* the degree cap, or masks NULL */
+    const word *horbit;        /* one row of m words per candidate in rows, in index order */
+    bits rmask, rows;
+    int m, r_min, g_min, g_ge_f, cap_excess, nelems;
+    int degs[MAXBITS + 1];
+} Partner;
 
 /* The score of an admissible family with rc members inside rmask, or -1.
    By pair_bnb's precondition, the capped members are child & partner. */
-static int pair_score(const Pair *c, bits child, int fc, int rc, int gc, bits partner) {
+static int partner_score(const Partner *c, bits child, int fc, int rc, int gc, bits partner) {
     if (rc < c->r_min)
         return -1;
     if (c->cap_excess < 0)
@@ -199,7 +213,28 @@ static int pair_score(const Pair *c, bits child, int fc, int rc, int gc, bits pa
     return gc - over < c->r_min ? -1 : fc + gc - over;
 }
 
-static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits partner) {
+/* The orbit row of candidate b, m words, or NULL when it has none. */
+static const word *orbit_row(const Partner *c, int b) {
+    if (!(c->rows >> b & 1))
+        return NULL;
+    return c->horbit + (size_t)c->m * pop(c->rows & full(b));
+}
+
+/* The degree cap: for every element e, the chosen members holding e are at
+   most the partner members in avoid[e]. */
+static int degrees_fit(const Partner *c, bits partner) {
+    for (int e = 1; e <= c->nelems; e++)
+        if (c->degs[e] > pop(partner & c->avoid[e]))
+            return 0;
+    return 1;
+}
+
+/* orbit is the row of the last chosen candidate at a node with one or two
+   chosen members, else NULL.  Once the walk has handled candidate i
+   (searched its subtree, or skipped it) it drops i's whole orbit: the
+   orbit exclusion of pykern's module docstring. */
+static void partner_rec(Partner *c, bits chosen, int fcount, int rcount, bits p, bits partner,
+                        const word *orbit) {
     Search *s = c->s;
     if (tick(s))
         return;
@@ -217,30 +252,38 @@ static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits 
             ub = 2 * gnode; /* |F| <= |partner| caps the sum at twice the partner */
         if (ub < s->best)
             return;
-        bits here = p; /* i's own subtree keeps the candidates that require i */
+        bits here = p; /* i's own subtree keeps the candidates that require i, and i's orbit */
         p &= ~c->succ[i];
+        if (orbit)
+            p &= ~orbit[i];
         if (c->pred[i] & ~chosen)
             continue;
         bits child = chosen | low, child_partner = partner & ~c->kill[i];
         int fc = fcount + 1, gc = pop(child_partner);
         if (gc < c->g_min || (c->g_ge_f && gc < fc))
             continue;
-        int rc = rcount + (int)(c->rmask >> i & 1);
-        int g = pair_score(c, child, fc, rc, gc, child_partner);
-        if (g >= 0) { /* -1 marks a skipped family */
-            record(s, g, child);
-            if (s->status)
-                return;
+        if (c->masks) {
+            add_degrees(c->degs, c->masks[i], 1);
+            if (!degrees_fit(c, child_partner)) {
+                add_degrees(c->degs, c->masks[i], -1);
+                continue;
+            }
         }
+        int rc = rcount + (int)(c->rmask >> i & 1);
+        int g = partner_score(c, child, fc, rc, gc, child_partner);
+        if (g >= 0) /* -1 marks a skipped family */
+            record(s, g, child);
         bits child_p = c->compat ? here & c->compat[i] : here;
         int child_ub = fc + pop(child_p) + gc;
         if (c->g_ge_f && 2 * gc < child_ub)
             child_ub = 2 * gc;
-        if (child_ub >= s->best) {
-            pair_rec(c, child, fc, rc, child_p, child_partner);
-            if (s->status)
-                return;
-        }
+        if (!s->status && child_ub >= s->best)
+            partner_rec(c, child, fc, rc, child_p, child_partner,
+                        fcount < 2 ? orbit_row(c, i) : NULL);
+        if (c->masks)
+            add_degrees(c->degs, c->masks[i], -1);
+        if (s->status)
+            return;
     }
 }
 
@@ -252,9 +295,36 @@ static void pair_rec(Pair *c, bits chosen, int fcount, int rcount, bits p, bits 
 int pair_bnb(Search *s, int m, const word *compat, const word *pred, const word *succ,
              const word *kill, int ng, const word *rmask, int r_min, int g_min, int g_ge_f,
              int cap_excess) {
-    Pair c = {s, compat, pred, succ, kill, rmask[0], r_min, g_min, g_ge_f, cap_excess};
+    Partner c = {.s = s, .compat = compat, .pred = pred, .succ = succ, .kill = kill,
+                 .rmask = rmask[0], .m = m, .r_min = r_min, .g_min = g_min, .g_ge_f = g_ge_f,
+                 .cap_excess = cap_excess};
     s->best = -1;
-    pair_rec(&c, 0, 0, 0, full(m), full(ng));
+    partner_rec(&c, 0, 0, 0, full(m), full(ng), NULL);
+    return s->status;
+}
+
+/* The walk on the diversity tables: A is H's partner along the akill rows,
+   every candidate but the anchor, candidate 0, requires it (so the root
+   branches on the anchor only), every candidate counts toward r, hmasks
+   and avoid_a are the degree cap deg_e(F) <= deg_1(F) = |A|, and the empty
+   H is the maximizer seeded for r <= 0.  horbit holds one row of mh words
+   for each candidate in rows[0], in index order. */
+int diversity_bnb(Search *s, int mh, const word *hcompat, const word *hmasks,
+                  const word *rows, const word *horbit, const word *akill, int na,
+                  const word *avoid_a, int r, int nelems) {
+    word pred[MAXBITS], succ[MAXBITS];
+    for (int i = 0; i < mh; i++) {
+        pred[i] = i ? 1 : 0;
+        succ[i] = i ? 0 : full(mh) ^ 1;
+    }
+    Partner c = {.s = s, .compat = hcompat, .pred = pred, .succ = succ, .kill = akill,
+                 .masks = hmasks, .avoid = avoid_a, .horbit = horbit, .rmask = full(mh),
+                 .rows = rows[0], .m = mh, .r_min = r, .cap_excess = -1, .nelems = nelems};
+    s->best = -1;
+    if (r <= 0)
+        record(s, na, 0);
+    if (!s->status)
+        partner_rec(&c, 0, 0, 0, full(mh), full(na), NULL);
     return s->status;
 }
 
@@ -371,91 +441,5 @@ int clique_bnb(Search *s, int nverts, const word *adj, const word *sup, int cons
     Clique c = {s, adj, sup, vmasks, layer[0], cons_kind, r, nelems, {0}};
     s->best = -1;
     clique_expand(&c, 0, 0, 0, full(nverts));
-    return s->status;
-}
-
-/* ------------------------------------------------------- diversity BnB */
-
-typedef struct {
-    Search *s;
-    const word *hcompat, *hmasks, *horbit, *akill, *avoid;
-    bits rows; /* the candidates with an orbit row, whose rows horbit holds in order */
-    int mh, r, nelems;
-    int degs[MAXBITS + 1];
-} Diversity;
-
-/* The orbit row of candidate b, mh words, or NULL when it has none. */
-static const word *orbit_row(const Diversity *c, int b) {
-    if (!(c->rows >> b & 1))
-        return NULL;
-    return c->horbit + (size_t)c->mh * pop(c->rows & full(b));
-}
-
-/* deg_e(F) <= deg_1(F) = |A| for every e > 1: the chosen H members
-   containing e are at most the A members avoiding e. */
-static int diversity_feasible(const Diversity *c, bits amask) {
-    for (int e = 2; e <= c->nelems; e++)
-        if (c->degs[e] > pop(amask & c->avoid[e]))
-            return 0;
-    return 1;
-}
-
-/* The walk of pykern's diversity_bnb, scope and anchor included: the root
-   branches on candidate 0 only, so every non-empty H found holds it, and
-   the empty H is the maximizer seeded for r <= 0.  The anchor's node and
-   the nodes just below it walk by orbits: orbit is the row of the highest
-   chosen candidate, and once the walk has handled candidate i (searched its
-   subtree, or found it past the degree cap) it drops i's whole orbit.
-   Every candidate dropped before such a node is part of a whole orbit of a
-   larger group, so the node's state is invariant under its own group (the
-   relabelings fixing element 1 and its chosen members setwise), and a
-   family in a later sibling's subtree that meets i's orbit maps onto one
-   in i's subtree. */
-static void diversity_rec(Diversity *c, bits chosen, int hcount, bits p, bits amask,
-                          const word *orbit) {
-    Search *s = c->s;
-    if (tick(s))
-        return;
-    int acount = pop(amask), pcount = pop(p);
-    /* the deficiency bound: cut when nu >= want */
-    int want = hcount + acount + pcount - s->best + 1;
-    if (want <= acount && want <= pcount && matching(p, c->akill, amask, want))
-        return;
-    while (p) {
-        int i = low_index(p);
-        bits low = (bits)1 << i;
-        p ^= low;
-        if (hcount + 1 + pop(p) + acount < s->best)
-            return;
-        bits child = chosen | low, child_a = amask & ~c->akill[i];
-        int hc2 = hcount + 1;
-        add_degrees(c->degs, c->hmasks[i], 1);
-        if (diversity_feasible(c, child_a)) {
-            if (hc2 >= c->r)
-                record(s, hc2 + pop(child_a), child);
-            bits child_p = p & c->hcompat[i];
-            if (!s->status && hc2 + pop(child_p) + pop(child_a) >= s->best)
-                diversity_rec(c, child, hc2, child_p, child_a,
-                              chosen <= 1 ? orbit_row(c, i) : NULL);
-        }
-        add_degrees(c->degs, c->hmasks[i], -1);
-        if (s->status || !chosen) /* the root branches on the anchor only */
-            return;
-        if (orbit)
-            p &= ~orbit[i];
-    }
-}
-
-/* horbit holds one row of mh words for each candidate in rows[0], in
-   index order. */
-int diversity_bnb(Search *s, int mh, const word *hcompat, const word *hmasks,
-                  const word *rows, const word *horbit, const word *akill, int na,
-                  const word *avoid_a, int r, int nelems) {
-    Diversity c = {s, hcompat, hmasks, horbit, akill, avoid_a, rows[0], mh, r, nelems, {0}};
-    s->best = -1;
-    if (r <= 0)
-        record(s, na, 0);
-    if (!s->status)
-        diversity_rec(&c, 0, 0, full(mh), full(na), NULL);
     return s->status;
 }

@@ -16,9 +16,18 @@ traversal of one kernel must be made to both.  Per-node bookkeeping may
 differ: for example, pykern carries candidate counts and the number of
 ``rmask`` members still needed down the recursion, where the C twin counts
 the chosen ones, and does not store the colour classes that cannot reach
-the incumbent.  All
-index sets are plain int bitsets (candidate universes are capped at 128
-entries by the callers, the width of the C kernels' bitsets).
+the incumbent.  All index sets are plain int bitsets (candidate universes
+are capped at 128 entries by the callers, the width of the C kernels'
+bitsets).
+
+Two of the entry points run one partner search, :func:`_partner_search`.
+A chosen family F has a partner: every member of a second universe that no
+member of F kills.  The search maximizes |F| + |partner|.  :func:`pair_bnb`
+runs it on the pair kinds' tables and rules.  :func:`diversity_bnb` maps
+the diversity tables onto it, H as the family and A as its partner, and
+passes two more sets of rows: the degree cap and the orbit rows.  The
+search applies each only when it is passed, and never asks which problem
+it solves.  :func:`clique_bnb` is a search of its own.
 
 Soundness notes shared by the kernels:
 
@@ -30,8 +39,9 @@ Soundness notes shared by the kernels:
   are therefore complete within each engine's documented scope, and the cap
   counts the ties of the running incumbent, optimal or not.
 * Partner bitsets only shrink as members are added, which makes
-  ``|F| + |remaining| + |partner|`` an admissible bound for the pair kernel.
-* The deficiency bound (``pair_bnb`` and ``diversity_bnb``, at node entry):
+  ``|F| + |remaining| + |partner|`` an admissible bound for the partner
+  search.
+* The deficiency bound (the partner search, at node entry):
   adding a set S of the remaining candidates p removes from the partner P
   every member that a member of S kills, its neighbourhood N(S), so every
   descendant scores at most |F| + |P| + max over S of (|S| - |N(S)|).  By
@@ -61,26 +71,27 @@ Soundness notes shared by the kernels:
   with v.  The maximizers are unchanged; only ties of an incumbent that is
   not optimal are dropped sooner (Bron and Kerbosch, 1973; the pivot
   argument of Tomita, Tanaka and Takahashi, 2006).
-* The orbit exclusion below the anchor (``diversity_bnb``, at the anchor's
-  node and the nodes just below it): once the walk has handled candidate i,
-  searched its subtree or found it past the degree cap, it drops i's whole
-  orbit under the node's group, the relabelings that fix element 1 and the
-  chosen members setwise (orbital branching; Ostrowski, Linderoth, Rossi
-  and Smriglio, Math. Program. 126, 2011).  Every candidate dropped before
-  the node is part of a whole orbit of a larger group, the group of an
-  ancestor, and every table row the node was narrowed by belongs to a
-  chosen member, so the node's state is invariant under its group.  A
+* The orbit exclusion (the partner search with orbit rows, which
+  ``diversity_bnb`` passes for the anchor's node and the nodes just below
+  it): once the walk has handled candidate i, searched its subtree or found
+  it past the degree cap, it drops i's whole orbit under the node's group,
+  the relabelings that fix element 1 and the chosen members setwise
+  (orbital branching; Ostrowski, Linderoth, Rossi and Smriglio, Math.
+  Program. 126, 2011).  Every candidate dropped before the node is part of
+  a whole orbit of a larger group, the group of an ancestor, and every
+  table row the node was narrowed by belongs to a chosen member, so the
+  node's state is invariant under its group.  A
   family in a later sibling's subtree that meets i's orbit is therefore
   carried by the group onto one that holds i and avoids everything dropped
   before i, which lies in i's subtree, with the same score and the same
   feasibility: when i's subtree was searched or cut, the family is found or
   below the incumbent.  Every class keeps a maximizer; the callers' orbit
   walk recovers the rest (:func:`setfam.search.problems._diversity_returned`).
-* Precondition: ``compat`` (pair kernel) and ``hcompat`` (diversity
-  kernel) are symmetric, j in row i exactly when i in row j.  Each descent
-  narrows the candidates to the new member's row, so every remaining
-  candidate is compatible with every chosen member, and neither kernel
-  tests that again.
+* Precondition: ``compat`` (the partner search; ``hcompat`` for
+  ``diversity_bnb``) is symmetric, j in row i exactly when i in row j.
+  Each descent narrows the candidates to the new member's row, so every
+  remaining candidate is compatible with every chosen member, and the
+  search does not test that again.
 """
 
 from __future__ import annotations
@@ -99,6 +110,16 @@ def _over_time(nodes: int, best: int) -> TimeBudgetExceededError:
 
 def _over_cap(cap: int) -> InfeasibleInstanceError:
     return InfeasibleInstanceError(f"maximizer enumeration exceeded the cap of {cap}")
+
+
+def _indices(x: int) -> list[int]:
+    """The indices of the set bits of ``x``, in ascending order."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def _matching(p: int, rows: list[int], right: int, want: int, owner: list[int]) -> int:
@@ -201,7 +222,8 @@ def pair_bnb(
                 succ[i], which leaves their candidates.  The pred test stays,
                 because compat can remove a predecessor without passing it.
     rmask       candidates that count toward r_min: all of them for the pair
-                kinds, those avoiding element 1 for shifted diversity
+                kinds and diversity, those avoiding element 1 for shifted
+                diversity
     r_min       minimum number of chosen members inside rmask for a family
                 to be scored
     g_min       minimum |partner|; the partner only shrinks, so falling
@@ -222,14 +244,41 @@ def pair_bnb(
 
     Returns (best, maximizers as chosen-index bitsets, node_count).
     """
+    return _partner_search(
+        m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess, deadline
+    )
+
+
+def _partner_search(m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess,
+                    deadline, slots=None, avoid=None, orbits=None, empty=False):
+    """The walk behind :func:`pair_bnb` and :func:`diversity_bnb`: the
+    arguments of :func:`pair_bnb`, and two sets of rows, each applied only
+    when it is passed.
+
+    slots, avoid  the degree cap: slots[i] lists the slots that candidate i
+                  raises, and a family is feasible only while, for every
+                  slot j, at most |partner & avoid[j]| chosen members raise
+                  j.  Feasibility only falls along the walk, so a violation
+                  prunes the subtree.
+    orbits        orbits[b][i] is candidate i's orbit under the group of a
+                  node with one or two chosen members, b the one added last.
+                  Once such a node's walk has handled candidate i, searched
+                  its subtree or skipped it, it drops i's whole orbit (the
+                  orbit exclusion of the module docstring).  A node with no
+                  row for b, and every deeper node, walks every candidate.
+
+    With ``empty`` the empty family, which scores ng, is a maximizer from
+    the start.
+    """
     cap = MAXIMIZER_CAP
     nodes = 0
-    best = -1
-    maxers: list[int] = []
+    best, maxers = (ng, [0]) if empty else (-1, [])
     keep = [~k for k in kill]
     owner = [0] * ng
+    degs = [0] * len(avoid or ())  # degs[j]: the chosen members that raise slot j
 
-    def rec(chosen: int, fcount: int, need: int, p: int, pcount: int, partner: int) -> None:
+    def rec(chosen: int, fcount: int, need: int, p: int, pcount: int, partner: int,
+            orbit: list[int] | None) -> None:
         nonlocal nodes, best, maxers
         nodes += 1
         if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
@@ -250,9 +299,12 @@ def pair_bnb(
                 return
             pcount -= 1
             i = low.bit_length() - 1
-            here, here_count = p, pcount  # i's own subtree keeps succ[i]
+            here, here_count = p, pcount  # i's own subtree keeps succ[i] and i's orbit
             if p & succ[i]:
                 p &= ~succ[i]
+                pcount = p.bit_count()
+            if orbit is not None:
+                p &= ~orbit[i]
                 pcount = p.bit_count()
             if pred[i] & ~chosen:
                 continue
@@ -260,6 +312,24 @@ def pair_bnb(
             gc = child_partner.bit_count()
             if gc < g_min or (g_ge_f and gc < fc):
                 continue
+            if slots is not None:
+                # the degree cap; i raises only its own slots, so they fail first
+                fits = False
+                for j in slots[i]:
+                    if degs[j] >= (child_partner & avoid[j]).bit_count():
+                        break
+                else:
+                    for j in slots[i]:
+                        degs[j] += 1
+                    for d, av in zip(degs, avoid):
+                        if d > (child_partner & av).bit_count():
+                            for j in slots[i]:
+                                degs[j] -= 1
+                            break
+                    else:
+                        fits = True
+                if not fits:
+                    continue
             size = fc + gc
             # rmask members still missing for r_min; 0 stays 0
             cneed = need and (need - 1 if low & rmask else need)
@@ -284,9 +354,13 @@ def pair_bnb(
                 child_p = here & compat[i]
                 child_pcount = child_p.bit_count()
             if size + child_pcount >= best and not (g_ge_f and 2 * gc < best):
-                rec(chosen | low, fc, cneed, child_p, child_pcount, child_partner)
+                rec(chosen | low, fc, cneed, child_p, child_pcount, child_partner,
+                    orbits.get(i) if orbits is not None and fcount < 2 else None)
+            if slots is not None:
+                for j in slots[i]:
+                    degs[j] -= 1
 
-    rec(0, 0, max(r_min, 0), (1 << m) - 1, m, (1 << ng) - 1)
+    rec(0, 0, max(r_min, 0), (1 << m) - 1, m, (1 << ng) - 1, None)
     return best, maxers, nodes
 
 
@@ -343,7 +417,7 @@ def clique_bnb(
     apart = [~(a | 1 << v) for v, a in enumerate(adj)]
     # what stays a candidate once v is passed over: neither v nor its supersets
     keep = [~(u | 1 << v) for v, u in enumerate(sup)]
-    elems = [[e + 1 for e in range(nelems) if vm >> e & 1] for vm in vmasks]
+    elems = [_indices(vm << 1) for vm in vmasks]
     degs = [0] * (nelems + 1)  # degs[e] of element e over chosen layer vertices
 
     def infeasible(laycount: int, p: int) -> bool:
@@ -466,21 +540,22 @@ def diversity_bnb(
 
     The family splits as H (members avoiding 1, enumerated) plus A (members
     containing 1, always the full set of candidates meeting every H member:
-    adding a compatible 1-member never hurts any constraint).  Feasibility
-    of the degree cap ``deg_e(F) <= deg_1(F)`` is monotone decreasing along
-    the search, so its violation prunes the subtree.  Diversity of a
-    feasible family equals |H|.
+    adding a compatible 1-member never hurts any constraint).  So A is H's
+    partner along the ``akill`` rows, and the search is the pair kernel's
+    walk maximizing |H| + |A|, every H member counting toward r, with the
+    degree cap ``deg_e(F) <= deg_1(F)`` as its degree rows: the chosen H
+    members containing e are at most the A members avoiding e, for every
+    element e but 1, which no H member contains.  Diversity of a feasible
+    family equals |H|.
 
-    Each node is first tested against the deficiency bound (module
-    docstring), with the H candidates on one side and the A candidates
-    still in on the other, joined by the ``akill`` rows.
-
-    The root branches on candidate 0 only, so every non-empty H found holds
-    it.  For the callers' tables, where the H candidates are the k-sets
-    avoiding element 1, no maximizer class is lost: the stabilizer of 1 is
-    transitive on those k-sets and keeps the scope and every constraint, so
-    every non-empty H has a relabeled copy in scope that holds candidate 0.
-    The empty H, seeded for r <= 0, is the one maximizer without it.
+    Every candidate but the anchor requires it (the anchor rows of
+    :func:`setfam.search.tables.build_pair_tables`), so the root branches on
+    candidate 0 only and every non-empty H found holds it.  For the callers'
+    tables, where the H candidates are the k-sets avoiding element 1, no
+    maximizer class is lost: the stabilizer of 1 is transitive on those
+    k-sets and keeps the scope and every constraint, so every non-empty H
+    has a relabeled copy in scope that holds candidate 0.  The empty H,
+    seeded for r <= 0, is the one maximizer without it.
 
     horbit[b] maps each candidate to its orbit under the relabelings that
     fix element 1 and candidates 0 and b setwise.  The anchor's node walks
@@ -494,78 +569,11 @@ def diversity_bnb(
     Returns (best, maximizers as H bitsets, node_count); each maximizer's A
     is every A candidate outside the ``akill`` rows of its H members.
     """
-    cap = MAXIMIZER_CAP
-    nodes = 0
-    best = -1
-    maxers: list[int] = []
-    full_a = (1 << na) - 1
-    # degs[j] and avoid[j] belong to element j + 2: the cap binds every
-    # element but 1, which no H member contains
-    degs = [0] * max(nelems - 1, 0)
-    avoid = avoid_a[2:nelems + 1]
-    elems = [[j for j in range(nelems - 1) if hm >> j + 1 & 1] for hm in hmasks]
-    owner = [0] * na
-
-    if r <= 0:
-        best, maxers = na, [0]
-
-    def rec(chosen: int, hcount: int, p: int, pcount: int, amask: int, acount: int,
-            orbit: list[int] | None) -> None:
-        nonlocal nodes, best, maxers
-        nodes += 1
-        if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
-            raise _over_time(nodes, best)
-        # cut when |H| + |A| + |p| - nu < best, that is nu >= want
-        want = hcount + acount + pcount - best + 1
-        if want <= acount and want <= pcount and _matching(p, akill, amask, want, owner) >= want:
-            return
-        hc2 = hcount + 1
-        while p:
-            low = p & -p
-            p ^= low
-            pcount -= 1
-            if hc2 + pcount + acount < best:
-                return
-            i = low.bit_length() - 1
-            am2 = amask & ~akill[i]
-            # the chosen H members containing e are at most the A members
-            # avoiding it: deg_e(F) <= |A| = deg_1(F).  Member i raises the
-            # degrees of its own elements, so those fail first.
-            es = elems[i]
-            for j in es:
-                if degs[j] >= (am2 & avoid[j]).bit_count():
-                    break
-            else:
-                for j in es:
-                    degs[j] += 1
-                for d, av in zip(degs, avoid):
-                    if d > (am2 & av).bit_count():
-                        break
-                else:
-                    ac2 = am2.bit_count()
-                    child = chosen | low
-                    if hc2 >= r:
-                        value = hc2 + ac2
-                        if value > best:
-                            best = value
-                            maxers = [child]
-                        elif value == best:
-                            if len(maxers) >= cap:
-                                raise _over_cap(cap)
-                            maxers.append(child)
-                    child_p = p & hcompat[i]
-                    child_pcount = child_p.bit_count()
-                    if hc2 + child_pcount + ac2 >= best:
-                        # the anchor's node and the nodes just below it walk by orbits
-                        rec(child, hc2, child_p, child_pcount, am2, ac2,
-                            horbit.get(i) if chosen <= 1 else None)
-                for j in es:
-                    degs[j] -= 1
-            if not chosen:  # the root branches on the anchor, candidate 0, only
-                return
-            if orbit is not None:  # i's orbit is handled (module docstring)
-                p &= ~orbit[i]
-                pcount = p.bit_count()
-
-    rec(0, 0, (1 << mh) - 1, mh, full_a, na, None)
-    return best, maxers, nodes
+    full = (1 << mh) - 1
+    pred, succ = [0] + [1] * (mh - 1), [full & ~1] + [0] * (mh - 1)
+    # slot j is element j + 2
+    slots = [_indices(hm >> 1) for hm in hmasks]
+    return _partner_search(
+        mh, hcompat, pred, succ, akill, na, full, r, 0, False, -1, deadline,
+        slots=slots, avoid=avoid_a[2:nelems + 1], orbits=horbit, empty=r <= 0,
+    )

@@ -1,16 +1,19 @@
-"""The three kernels against exhaustive enumeration.
+"""The three kernel entry points against exhaustive enumeration.
 
-Both kernels cut a node by the deficiency bound |F| + |partner| + |p| - nu,
+``pair_bnb`` and ``diversity_bnb`` are two entry points of one partner
+search, which cuts a node by the deficiency bound |F| + |partner| + |p| - nu,
 where nu is the size of a maximum matching from the remaining candidates p
 into the partner (see :mod:`setfam.engines.pykern`).  The matching helper is
-checked against the deficiency form of Hall's theorem, and each kernel, on
-random small tables, against a plain loop over every family: the optimum and
-the maximizer set must be the enumeration's, and the compiled twin must give
-the same optimum, maximizers and ``nodes``.  The diversity kernel gets
-identity orbit rows, so it walks every candidate.  The clique kernel is checked
-the same way on random graphs, without its down-set cut, once with no side
-constraint and once with each of its two, and with its down-set cut on the
-s-union graphs the callers build, against every down-set clique.
+checked against the deficiency form of Hall's theorem, and each entry point,
+on random small tables, against a plain loop over every family: the optimum
+and the maximizer set must be the enumeration's, and the compiled twin must
+give the same optimum, maximizers and ``nodes``.  ``pair_bnb`` runs the
+search without the degree cap and the orbit rows, which apply only when they
+are passed; ``diversity_bnb`` passes both, with identity orbit rows, so it
+walks every candidate.  The clique kernel is checked the same way on
+random graphs, without its down-set cut, once with no side constraint and
+once with each of its two, and with its down-set cut on the s-union graphs
+the callers build, against every down-set clique.
 """
 
 import random
