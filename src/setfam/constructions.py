@@ -17,9 +17,16 @@ k-set that meets them all (Main Theorem 1), the same shifted one element up
 top.  So ``H_k``, and the top layer of ``W_star_odd``, are ``J_kr`` at
 r = n-k, and ``main1_pair_star_kr1`` is ``main1_pair_r_sets`` at
 r = n-k-t+1.
+
+:func:`construct` is memoized per process, since a verify grid asks for
+the same constructions on many rows.  Its results are shared and
+read-only: a :class:`~setfam.family.Family` is frozen, and a pair is a
+tuple.  A call that fails is never cached.
 """
 
 from __future__ import annotations
+
+import functools
 
 from ._record import Record
 from .bounds import (
@@ -256,6 +263,11 @@ def is_pair_tag(tag: str) -> bool:
     return tag in _PAIRS
 
 
+# Constructions kept: a verify sweep checks a few dozen distinct ones.
+_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def construct(cid: ConstructionId):
     """Build the family (or the (F, G) pair for the hemibundled extremal
     tags, G being the largest family cross-intersecting with F)."""

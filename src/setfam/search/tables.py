@@ -5,10 +5,17 @@ sets that order is a linear extension of coordinatewise dominance, which is
 what lets the down-set (shifted family) traversal decide predecessors
 before successors.  The s-union clique vertices run the other way (see
 :func:`build_union_tables`).
+
+The three ``build_*`` functions are memoized per process: a table depends
+only on its arguments, and a verify grid asks for the same (n, k, t) tables
+again for every r.  So every caller of one key shares one table, and every
+table row is a tuple: the tables are read-only.  A build that fails is
+never cached.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -23,13 +30,17 @@ from ..shifting import dominates
 # over 100M compiled-kernel nodes instead of failing at once.
 MAX_AMEMBERS = 64
 
+# Tables kept per builder: a verify sweep meets a few (n, k, t) keys, and a
+# table of 128 candidates holds under 40 kB.
+_CACHE_SIZE = 32
+
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InfeasibleInstanceError(msg)
 
 
-def dominance_pred(masks: list[int]) -> list[int]:
+def dominance_pred(masks) -> tuple[int, ...]:
     """pred[i] is the bitset of the indices j != i whose set masks[i]
     coordinatewise dominates; ``masks`` is a full layer sorted by value.
 
@@ -49,10 +60,10 @@ def dominance_pred(masks: list[int]) -> list[int]:
             j = index[a - (low >> 1)]
             bits |= pred[j] | 1 << j
         pred.append(bits)
-    return pred
+    return tuple(pred)
 
 
-def dominance_succ(masks: list[int]) -> list[int]:
+def dominance_succ(masks) -> tuple[int, ...]:
     """succ[i] is the bitset of the indices j != i whose set coordinatewise
     dominates masks[i]: :func:`dominance_pred` transposed, for the same
     full layer sorted by value.
@@ -74,10 +85,10 @@ def dominance_succ(masks: list[int]) -> list[int]:
             if j is not None:  # x+1 lies in the universe
                 bits |= succ[j] | 1 << j
         succ[i] = bits
-    return succ
+    return tuple(succ)
 
 
-def overlap_table(masks: list[int], others: list[int], n: int, t: int) -> list[int]:
+def overlap_table(masks, others, n: int, t: int) -> tuple[int, ...]:
     """Row i is the bitset of the indices j with |masks[i] & others[j]| >= t.
 
     Built from per-element containment bitsets: the row is the OR over the
@@ -97,27 +108,28 @@ def overlap_table(masks: list[int], others: list[int], n: int, t: int) -> list[i
                 both &= contains[e]
             bits |= both
         rows.append(bits)
-    return rows
+    return tuple(rows)
 
 
-def disjoint_table(masks: list[int], others: list[int], n: int) -> list[int]:
+def disjoint_table(masks, others, n: int) -> tuple[int, ...]:
     """Row i is the bitset of the indices j with masks[i] & others[j] empty."""
     full = (1 << len(others)) - 1
-    return [full ^ bits for bits in overlap_table(masks, others, n, 1)]
+    return tuple(full ^ bits for bits in overlap_table(masks, others, n, 1))
 
 
 class PairTables(Record):
     __slots__ = ("n", "cands", "gmasks", "compat", "pred", "succ", "kill")
 
     n: int
-    cands: list[int]       # F-side candidate masks
-    gmasks: list[int]      # partner universe masks
-    compat: list[int] | None
-    pred: list[int]
-    succ: list[int]        # pred transposed
-    kill: list[int]
+    cands: tuple[int, ...]   # F-side candidate masks
+    gmasks: tuple[int, ...]  # partner universe masks
+    compat: tuple[int, ...] | None
+    pred: tuple[int, ...]
+    succ: tuple[int, ...]    # pred transposed
+    kill: tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def build_pair_tables(
     n: int,
     f_size: int,
@@ -141,8 +153,8 @@ def build_pair_tables(
     ``succ`` is ``pred`` transposed: the other candidates under candidate 0,
     or the dominance successors.
     """
-    cands = layer_masks(n, f_size)
-    gmasks = [] if g_size is None else layer_masks(n, g_size)
+    cands = tuple(layer_masks(n, f_size))
+    gmasks = () if g_size is None else tuple(layer_masks(n, g_size))
     m = len(cands)
     _require(m <= MAX_BITS, f"candidate universe C({n},{f_size}) = {m} exceeds {MAX_BITS}")
     _require(
@@ -154,12 +166,12 @@ def build_pair_tables(
     if shifted:
         pred, succ = dominance_pred(cands), dominance_succ(cands)
     else:
-        pred, succ = [0] + [1] * (m - 1), [full & ~1] + [0] * (m - 1)
+        pred, succ = (0,) + (1,) * (m - 1), (full & ~1,) + (0,) * (m - 1)
     if not gmasks:
-        kill = [0] * m
+        kill = (0,) * m
     elif t_inter == 1 and g_size == f_size:
         # one layer on both sides, compat "meets": kill, "misses", is its complement
-        kill = [full ^ row for row in compat]
+        kill = tuple(full ^ row for row in compat)
     else:
         kill = disjoint_table(cands, gmasks, n)
     return PairTables(n, cands, gmasks, compat, pred, succ, kill)
@@ -169,12 +181,13 @@ class CliqueTables(Record):
     __slots__ = ("n", "vmasks", "adj", "sup", "layer")
 
     n: int
-    vmasks: list[int]
-    adj: list[int]
-    sup: list[int]        # sup[v]: the vertices whose sets strictly contain v's
+    vmasks: tuple[int, ...]
+    adj: tuple[int, ...]
+    sup: tuple[int, ...]  # sup[v]: the vertices whose sets strictly contain v's
     layer: int            # vertex bitset of the constrained layer
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def build_union_tables(n: int, s: int, constrained_layer: int | None) -> CliqueTables:
     """Vertices are all subsets of [n] with at most s elements; edges join
     pairs whose union stays within s elements.
@@ -228,22 +241,22 @@ def build_union_tables(n: int, s: int, constrained_layer: int | None) -> CliqueT
         for i, m in enumerate(vmasks):
             if m.bit_count() == constrained_layer:
                 layer |= 1 << i
-    return CliqueTables(n, vmasks, adj, sup, layer)
+    return CliqueTables(n, tuple(vmasks), tuple(adj), tuple(sup), layer)
 
 
 class DiversityTables(Record):
     __slots__ = ("n", "hmasks", "amasks", "hcompat", "horbit", "akill", "avoid_a")
 
     n: int
-    hmasks: list[int]     # candidates avoiding element 1
-    amasks: list[int]     # candidates containing element 1
-    hcompat: list[int]
-    horbit: dict[int, list[int]]  # see diversity_orbits
-    akill: list[int]
-    avoid_a: list[int]    # indexed by element, A-candidates avoiding it
+    hmasks: tuple[int, ...]  # candidates avoiding element 1
+    amasks: tuple[int, ...]  # candidates containing element 1
+    hcompat: tuple[int, ...]
+    horbit: dict[int, tuple[int, ...]]  # see diversity_orbits
+    akill: tuple[int, ...]
+    avoid_a: tuple[int, ...]  # indexed by element, A-candidates avoiding it
 
 
-def diversity_orbits(hmasks: list[int]) -> dict[int, list[int]]:
+def diversity_orbits(hmasks) -> dict[int, tuple[int, ...]]:
     """The orbit rows of the diversity kernel's two top levels below the
     root, for the H candidates ``hmasks`` sorted by value.
 
@@ -259,13 +272,13 @@ def diversity_orbits(hmasks: list[int]) -> dict[int, list[int]]:
     """
     h0 = hmasks[0]
 
-    def row(hb: int) -> list[int]:
+    def row(hb: int) -> tuple[int, ...]:
         keys = [((m & h0 & hb).bit_count(), (m & h0 & ~hb).bit_count(), (m & hb & ~h0).bit_count())
                 for m in hmasks]
         orbits: dict[tuple[int, int, int], int] = {}
         for i, key in enumerate(keys):
             orbits[key] = orbits.get(key, 0) | 1 << i
-        return [orbits[key] for key in keys]
+        return tuple(orbits[key] for key in keys)
 
     least: dict[int, int] = {}  # |B & H_0| to its least candidate
     for i, m in enumerate(hmasks):
@@ -273,10 +286,11 @@ def diversity_orbits(hmasks: list[int]) -> dict[int, list[int]]:
     return {b: row(hmasks[b]) for b in sorted(b for t, b in least.items() if t)}
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def build_diversity_tables(n: int, k: int) -> DiversityTables:
     layer = layer_masks(n, k)
-    hmasks = [m for m in layer if not m & 1]
-    amasks = [m for m in layer if m & 1]
+    hmasks = tuple(m for m in layer if not m & 1)
+    amasks = tuple(m for m in layer if m & 1)
     _require(
         len(hmasks) <= MAX_BITS,
         f"C({n - 1},{k}) = {len(hmasks)} candidates exceed {MAX_BITS}",
@@ -287,7 +301,7 @@ def build_diversity_tables(n: int, k: int) -> DiversityTables:
     )
     hcompat = overlap_table(hmasks, hmasks, n, 1)
     akill = disjoint_table(hmasks, amasks, n)
-    avoid_a = [0] + disjoint_table([1 << e for e in range(n)], amasks, n)
+    avoid_a = (0,) + disjoint_table([1 << e for e in range(n)], amasks, n)
     return DiversityTables(n, hmasks, amasks, hcompat, diversity_orbits(hmasks), akill, avoid_a)
 
 

@@ -9,6 +9,8 @@ import pytest
 
 import setfam.cli
 from setfam import engines
+from setfam.constructions import construct
+from setfam.search import tables
 from setfam.search.verify import verify_grid
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -44,6 +46,28 @@ def test_benchmark_tracer_sees_every_layer(request, monkeypatch, backend):
         "search.problems.classify",
         "search.expected",
     } <= names
+
+
+def test_benchmark_tracer_counts_memoized_calls(monkeypatch):
+    """The table builders and ``construct`` are memoized where they are
+    defined, behind the names the tracer wraps, so a warm call is still a
+    traced call: the same row run twice, cold and then warm, records one
+    ``search.tables`` span each time and as many constructions."""
+    monkeypatch.setattr(engines, "DEFAULT_BACKEND", "python")
+    monkeypatch.syspath_prepend(str(BENCH))
+    from spans import Tracer
+
+    for build in (tables.build_pair_tables, tables.build_union_tables,
+                  tables.build_diversity_tables, construct):
+        build.cache_clear()
+    counts = []
+    for _ in range(2):
+        tracer = Tracer()
+        with tracer.installed():
+            assert verify_grid("main1", "k=3;t=0;n=7;r=2", "shifted").ok
+        names = [rec["name"] for rec in tracer.spans]
+        counts.append((names.count("search.tables"), names.count("constructions.construct")))
+    assert counts[0] == counts[1] and counts[0][0] == 1 and counts[0][1] > 0, counts
 
 
 def test_benchmark_tracer_sees_the_cli_layers(monkeypatch, tmp_path, capsys):

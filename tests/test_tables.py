@@ -34,10 +34,10 @@ DOMINANCE_CASES = [
 @pytest.mark.parametrize("n,k", DOMINANCE_CASES)
 def test_dominance_pred_matches_pairwise_definition(n, k):
     masks = layer_masks(n, k)
-    expected = [
+    expected = tuple(
         _bitset(j for j in range(len(masks)) if j != i and dominates(a, masks[j]))
         for i, a in enumerate(masks)
-    ]
+    )
     assert dominance_pred(masks) == expected
 
 
@@ -45,9 +45,9 @@ def test_dominance_pred_matches_pairwise_definition(n, k):
 def test_dominance_succ_is_pred_transposed(n, k):
     masks = layer_masks(n, k)
     pred = dominance_pred(masks)
-    assert dominance_succ(masks) == [
+    assert dominance_succ(masks) == tuple(
         _bitset(j for j in range(len(masks)) if pred[j] >> i & 1) for i in range(len(masks))
-    ]
+    )
     tabs = build_pair_tables(n, k, None, None, shifted=True)
     assert (tabs.pred, tabs.succ) == (pred, dominance_succ(masks))
 
@@ -73,39 +73,39 @@ PAIR_CASES = [
 def test_pair_tables_match_pairwise_definitions(n, f_size, g_size, t_inter):
     tabs = build_pair_tables(n, f_size, g_size, t_inter, shifted=False)
     cands, gmasks = tabs.cands, tabs.gmasks
-    assert tabs.kill == [
+    assert tabs.kill == tuple(
         _bitset(j for j, g in enumerate(gmasks) if not a & g) for a in cands
-    ]
+    )
     if t_inter is None:
         assert tabs.compat is None
     else:
-        assert tabs.compat == [
+        assert tabs.compat == tuple(
             _bitset(j for j, b in enumerate(cands) if (a & b).bit_count() >= t_inter)
             for a in cands
-        ]
+        )
     if f_size == g_size:  # a capped search needs the partner universe to be the candidates
         assert tabs.cands == tabs.gmasks
-    assert tabs.pred == [0] + [1] * (len(cands) - 1)  # every family contains candidate 0
-    assert tabs.succ == [(1 << len(cands)) - 2] + [0] * (len(cands) - 1)  # pred transposed
+    assert tabs.pred == (0,) + (1,) * (len(cands) - 1)  # every family contains candidate 0
+    assert tabs.succ == ((1 << len(cands)) - 2,) + (0,) * (len(cands) - 1)  # pred transposed
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3), (8, 3), (8, 4), (9, 3)])
 def test_diversity_tables_match_pairwise_definitions(n, k):
     tabs = build_diversity_tables(n, k)
     hmasks, amasks = tabs.hmasks, tabs.amasks
-    assert tabs.hcompat == [
+    assert tabs.hcompat == tuple(
         _bitset(j for j, b in enumerate(hmasks) if a & b) for a in hmasks
-    ]
-    assert tabs.akill == [
+    )
+    assert tabs.akill == tuple(
         _bitset(j for j, a in enumerate(amasks) if not h & a) for h in hmasks
-    ]
-    assert tabs.avoid_a == [0] + [
+    )
+    assert tabs.avoid_a == (0,) + tuple(
         _bitset(j for j, a in enumerate(amasks) if not a >> (e - 1) & 1)
         for e in range(1, n + 1)
-    ]
+    )
 
 
-def _closure_orbits(n: int, hmasks: list[int], blocks: list[int]) -> list[int]:
+def _closure_orbits(n: int, hmasks: list[int], blocks: list[int]) -> tuple[int, ...]:
     """Row i the bitset of the candidates that transpositions of two
     elements in one part of [n] carry candidate i to, part by part: the
     parts are cut out by the element masks ``blocks``."""
@@ -123,7 +123,7 @@ def _closure_orbits(n: int, hmasks: list[int], blocks: list[int]) -> list[int]:
                     if rows[i] != rows[j]:
                         rows[i] = rows[j] = rows[i] | rows[j]
                         changed = True
-    return rows
+    return tuple(rows)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(7, 11) for k in (3, 4)])
@@ -154,14 +154,16 @@ def test_union_tables_match_pairwise_definitions(n, s, layer):
     # with a constrained layer, only the anchor {1..layer} and its neighbours
     anchor = 0 if layer is None else (1 << layer) - 1
     # descending masks: the kernel's walk, from the top index down, meets small sets first
-    assert vmasks == sorted((m for m in range(1 << n) if (m | anchor).bit_count() <= s), reverse=True)
-    assert tabs.adj == [
+    assert vmasks == tuple(
+        sorted((m for m in range(1 << n) if (m | anchor).bit_count() <= s), reverse=True)
+    )
+    assert tabs.adj == tuple(
         _bitset(j for j, b in enumerate(vmasks) if j != i and (a | b).bit_count() <= s)
         for i, a in enumerate(vmasks)
-    ]
-    assert tabs.sup == [
+    )
+    assert tabs.sup == tuple(
         _bitset(j for j, b in enumerate(vmasks) if a != b and a & b == a) for a in vmasks
-    ]
+    )
     assert tabs.layer == _bitset(i for i, a in enumerate(vmasks) if a.bit_count() == layer)
 
 
