@@ -9,6 +9,7 @@ and sorted by numeric bit-vector value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 
@@ -48,6 +49,10 @@ __all__ = [
 
 MAX_UNIVERSE = 63
 ISO_MAX_UNIVERSE = 12
+
+# Signatures and verdicts kept per process: a verify sweep meets about a
+# hundred distinct families and a few dozen (found, expected) pairs.
+_ISO_CACHE_SIZE = 1024
 
 
 def mask_of(elements: Iterable[int], n: int) -> int:
@@ -338,9 +343,11 @@ def apply_permutation(F: Family, perm: tuple[int, ...]) -> Family:
     return Family.of_masks(F.n, out)
 
 
-def _element_signatures(F: Family) -> list[tuple]:
+@functools.lru_cache(maxsize=_ISO_CACHE_SIZE)
+def _element_signatures(F: Family) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per element 1..n, its degree in each layer as sorted (size, degree)
-    pairs; a relabeling permutes this list."""
+    pairs; a relabeling permutes this tuple.  Memoized per family, and a
+    tuple of tuples, so that no caller can change a shared value."""
     counts = [[0] * (F.n + 1) for _ in range(F.n)]  # [x-1][size]
     for m in F.members:
         c = m.bit_count()
@@ -348,7 +355,7 @@ def _element_signatures(F: Family) -> list[tuple]:
             low = m & -m
             counts[low.bit_length() - 1][c] += 1
             m ^= low
-    return [tuple((c, d) for c, d in enumerate(row) if d) for row in counts]
+    return tuple(tuple((c, d) for c, d in enumerate(row) if d) for row in counts)
 
 
 def iso_invariant(F: Family) -> tuple:
@@ -356,11 +363,15 @@ def iso_invariant(F: Family) -> tuple:
 
     Equal on isomorphic families.  It fixes the member-size multiset (the
     layer degrees of a layer i >= 1 sum to i times its size), and with it
-    the maximum degree and the diversity.
+    the maximum degree and the diversity.  It reads the per-process memo of
+    element signatures that :func:`are_isomorphic` shares, which holds at
+    most ``_ISO_CACHE_SIZE`` (1024) families; a call that raises caches
+    nothing.
     """
     return (len(F), tuple(sorted(_element_signatures(F))))
 
 
+@functools.lru_cache(maxsize=_ISO_CACHE_SIZE)
 def are_isomorphic(F: Family, G: Family) -> IsoCertificate:
     """Search for a relabeling of [n] carrying F onto G.
 
@@ -369,6 +380,11 @@ def are_isomorphic(F: Family, G: Family) -> IsoCertificate:
     backtracking then only maps within matching signature classes, checking
     fully-assigned members along the way.  Exact for n <= 12 (rejected
     above); every verification instance in this package has n <= 10.
+
+    The verdict is memoized per process on the ordered pair (F, G), for at
+    most ``_ISO_CACHE_SIZE`` (1024) pairs; a certificate is checked when it
+    is found, and errors are never cached, so they are raised on every call.
+    The uncached search is ``are_isomorphic.__wrapped__``.
     """
     if F.n != G.n:
         raise UniverseMismatchError(f"universe mismatch: {F.n} vs {G.n}")

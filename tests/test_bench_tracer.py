@@ -10,6 +10,7 @@ import pytest
 import setfam.cli
 from setfam import engines
 from setfam.constructions import construct
+from setfam.family import _element_signatures, are_isomorphic
 from setfam.search import tables
 from setfam.search.verify import verify_grid
 
@@ -49,16 +50,18 @@ def test_benchmark_tracer_sees_every_layer(request, monkeypatch, backend):
 
 
 def test_benchmark_tracer_counts_memoized_calls(monkeypatch):
-    """The table builders and ``construct`` are memoized where they are
-    defined, behind the names the tracer wraps, so a warm call is still a
-    traced call: the same row run twice, cold and then warm, records one
-    ``search.tables`` span each time and as many constructions."""
+    """The table builders, ``construct`` and ``are_isomorphic`` are memoized
+    where they are defined, behind the names the tracer wraps, so a warm call
+    is still a traced call: the same row run twice, cold and then warm,
+    records one ``search.tables`` span each time, as many constructions, and
+    the same three ``family.are_isomorphic.verify`` spans."""
     monkeypatch.setattr(engines, "DEFAULT_BACKEND", "python")
     monkeypatch.syspath_prepend(str(BENCH))
     from spans import Tracer
 
     for build in (tables.build_pair_tables, tables.build_union_tables,
-                  tables.build_diversity_tables, construct):
+                  tables.build_diversity_tables, construct,
+                  _element_signatures, are_isomorphic):
         build.cache_clear()
     counts = []
     for _ in range(2):
@@ -66,8 +69,10 @@ def test_benchmark_tracer_counts_memoized_calls(monkeypatch):
         with tracer.installed():
             assert verify_grid("main1", "k=3;t=0;n=7;r=2", "shifted").ok
         names = [rec["name"] for rec in tracer.spans]
-        counts.append((names.count("search.tables"), names.count("constructions.construct")))
-    assert counts[0] == counts[1] and counts[0][0] == 1 and counts[0][1] > 0, counts
+        counts.append((names.count("search.tables"), names.count("constructions.construct"),
+                       names.count("family.are_isomorphic.verify")))
+    assert counts[0] == counts[1], counts
+    assert counts[0][0] == 1 and counts[0][1] > 0 and counts[0][2] == 3, counts
 
 
 def test_benchmark_tracer_sees_the_cli_layers(monkeypatch, tmp_path, capsys):

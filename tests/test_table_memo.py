@@ -1,15 +1,20 @@
-"""The candidate tables and the expected constructions are built once per
-process: ``build_pair_tables``, ``build_union_tables``,
-``build_diversity_tables`` and ``construct`` are memoized.  Every caller of
+"""The candidate tables, the expected constructions and the isomorphism
+layer are computed once per process: ``build_pair_tables``,
+``build_union_tables``, ``build_diversity_tables``, ``construct``,
+``_element_signatures`` and ``are_isomorphic`` are memoized.  Every caller of
 one key then shares one object, so these tests hold the memo to a read-only
 contract and check that a warm cache, or one filled by several threads at
 once, changes no report."""
 
+import re
+
 import pytest
+from conftest import random_family
 
 from setfam.bounds import Params
 from setfam.constructions import ConstructionId, construct
-from setfam.errors import InfeasibleInstanceError, ParamRangeError
+from setfam.errors import InfeasibleInstanceError, ParamRangeError, UniverseMismatchError
+from setfam.family import Family, _element_signatures, apply_permutation, are_isomorphic
 from setfam.search import Problem, SearchReport, expected, problems, solve, tables
 from setfam.search.verify import verify_grid
 
@@ -36,6 +41,14 @@ GRIDS = [
     ("diversity", "k=3;n=7;r=1..4", "clique"),
     ("katona", "n=6;s=2,4", "auto"),
     ("main5", "n=7;s=4;r=1..3", "clique"),
+    # the four grids of the benchmark's verify-shifted workload and the
+    # shifted diversity grid: their classes and expected matches go through
+    # the isomorphism memo
+    ("main1", "k=3;t=0,1;n=7..9;r=1..5", "shifted"),
+    ("main1", "k=3;t=0;n=10;r=1..6", "shifted"),
+    ("w23", "k=3;t=0,1;n=2k+t+1..2k+t+2", "shifted"),
+    ("f16", "k=3;t=0;n=7..8", "shifted"),
+    ("diversity", "k=3;n=7..9;r=1..n-k", "shifted"),
 ]
 
 
@@ -43,6 +56,8 @@ def _clear_caches() -> None:
     for name in BUILDERS:
         getattr(tables, name).cache_clear()
     construct.cache_clear()
+    _element_signatures.cache_clear()
+    are_isomorphic.cache_clear()
 
 
 def _frozen(value) -> bool:
@@ -125,3 +140,45 @@ def test_failed_builds_are_never_cached(build, args, message):
     assert len(seen) == 1 and message in seen.pop()
     assert build.cache_info().currsize == size
 
+
+def test_memoized_isomorphism_matches_the_uncached_search(rng):
+    """On random pairs and random relabelings, in both argument orders, a
+    cold and a warm call give the certificate of the uncached search, and
+    every signature the memo holds is a tuple of tuples."""
+    _clear_caches()
+    search = are_isomorphic.__wrapped__
+    for _ in range(120):
+        n = rng.randint(2, 7)
+        F = random_family(rng, n, max_size=8)
+        if rng.random() < 0.5:
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            G = apply_permutation(F, tuple(perm))
+        else:
+            G = random_family(rng, n, max_size=8)
+        for a, b in ((F, G), (G, F)):
+            fresh = search(a, b)
+            assert are_isomorphic(a, b) == fresh and are_isomorphic(a, b) == fresh
+            if fresh:
+                assert apply_permutation(a, fresh.permutation) == b
+        for fam in (F, G):
+            sig = _element_signatures(fam)
+            assert isinstance(sig, tuple) and len(sig) == n
+            assert all(isinstance(row, tuple) and all(isinstance(p, tuple) for p in row)
+                       for row in sig)
+    assert are_isomorphic.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("args,error,message", [
+    ((Family.of_sets(5, [(1, 2)]), Family.of_sets(6, [(1, 2)])),
+     UniverseMismatchError, "universe mismatch: 5 vs 6"),
+    ((Family.of_sets(13, [(1, 2)]), Family.of_sets(13, [(2, 3)])),
+     InfeasibleInstanceError, "isomorphism search supports n <= 12 (got n=13)"),
+])
+def test_failed_isomorphism_searches_are_never_cached(args, error, message):
+    sizes = (are_isomorphic.cache_info().currsize, _element_signatures.cache_info().currsize)
+    for _ in range(2):
+        with pytest.raises(error, match=re.escape(message)):
+            are_isomorphic(*args)
+    assert (are_isomorphic.cache_info().currsize,
+            _element_signatures.cache_info().currsize) == sizes
