@@ -15,9 +15,12 @@
  * partner_rec, as in pykern: a chosen family's partner is every member of a
  * second universe that no chosen member kills, and the walk maximizes
  * |F| + |partner|.  diversity_bnb maps its tables onto it (H the family, A
- * the partner) and passes the degree cap and the orbit rows, which the walk
- * applies only when they are passed; it never asks which problem it solves.
- * clique_bnb is a search of its own.
+ * the partner) and passes the degree cap.  Both may pass the candidates'
+ * element sets, which turn on the orbit rule: at every node the walk drops
+ * the whole orbit of each candidate it has handled, under the relabelings
+ * that fix the chosen members, as pykern's module docstring argues.  The
+ * walk applies each only when it is passed; it never asks which problem it
+ * solves.  clique_bnb is a search of its own.
  *
  * Precondition: the compat table (hcompat for diversity_bnb) is symmetric.
  * Each descent narrows the candidates to the new member's row, so every
@@ -189,16 +192,17 @@ static int matching(bits p, const word *rows, bits right, int want) {
 /* --------------------------------------------------------- partner BnB */
 
 /* The one walk behind pair_bnb and diversity_bnb, pykern's _partner_search.
-   The degree cap (masks, avoid) and the orbit rows (rows, horbit) are left
-   out when they are not passed: masks NULL, rows 0. */
+   The degree cap (slots, avoid) and the orbit rule (masks) are left out when
+   they are not passed: slots NULL, masks NULL. */
 typedef struct {
     Search *s;
     const word *compat, *pred, *succ, *kill;
-    const word *masks, *avoid; /* the degree cap, or masks NULL */
-    const word *horbit;        /* one row of m words per candidate in rows, in index order */
-    bits rmask, rows;
+    const word *slots, *avoid; /* the degree cap, or slots NULL */
+    const word *masks;         /* the candidates' element sets, or NULL */
+    bits rmask;
     int m, r_min, g_min, g_ge_f, cap_excess, nelems;
     int degs[MAXBITS + 1];
+    bits holding[MAXBITS]; /* holding[e]: the candidates whose element set holds e */
 } Partner;
 
 /* The score of an admissible family with rc members inside rmask, or -1.
@@ -213,13 +217,6 @@ static int partner_score(const Partner *c, bits child, int fc, int rc, int gc, b
     return gc - over < c->r_min ? -1 : fc + gc - over;
 }
 
-/* The orbit row of candidate b, m words, or NULL when it has none. */
-static const word *orbit_row(const Partner *c, int b) {
-    if (!(c->rows >> b & 1))
-        return NULL;
-    return c->horbit + (size_t)c->m * pop(c->rows & full(b));
-}
-
 /* The degree cap: for every element e, the chosen members holding e are at
    most the partner members in avoid[e]. */
 static int degrees_fit(const Partner *c, bits partner) {
@@ -229,12 +226,59 @@ static int degrees_fit(const Partner *c, bits partner) {
     return 1;
 }
 
-/* orbit is the row of the last chosen candidate at a node with one or two
-   chosen members, else NULL.  Once the walk has handled candidate i
-   (searched its subtree, or skipped it) it drops i's whole orbit: the
-   orbit exclusion of pykern's module docstring. */
+/* A node's atoms, pykern's _Orbits: atoms[0] is the union of the atoms of
+   one element, atoms[1..natoms-1] the others, and natoms is 0 once every
+   atom has one element (the group is trivial) or without the orbit rule. */
+
+/* The candidates of p in candidate i's orbit: those that agree with i on
+   atoms[0], one AND per element, and meet every other atom in as many
+   elements as i does, counted over the atom's elements (exact[t]: the
+   candidates meeting the elements counted so far in t). */
+static bits orbit(const Partner *c, const bits *atoms, int natoms, int i, bits p) {
+    bits mask = c->masks[i];
+    for (bits f = atoms[0]; f && p; f &= f - 1) {
+        int e = low_index(f);
+        p &= mask >> e & 1 ? c->holding[e] : ~c->holding[e];
+    }
+    for (int a = 1; a < natoms && p; a++) {
+        int want = pop(mask & atoms[a]);
+        bits exact[want + 1];
+        exact[0] = p;
+        for (int t = 1; t <= want; t++)
+            exact[t] = 0;
+        for (bits f = atoms[a]; f; f &= f - 1) {
+            bits rows = c->holding[low_index(f)];
+            for (int t = want; t > 0; t--)
+                exact[t] = (exact[t] & ~rows) | (exact[t - 1] & rows);
+            exact[0] &= ~rows;
+        }
+        p = exact[want];
+    }
+    return p;
+}
+
+/* The atoms below a node, once a member with element set mask is chosen;
+   returns their count. */
+static int split(const bits *atoms, int natoms, bits mask, bits *below) {
+    int n = 1;
+    below[0] = atoms[0];
+    for (int a = 1; a < natoms; a++) {
+        bits parts[2] = {atoms[a] & mask, atoms[a] & ~mask};
+        for (int k = 0; k < 2; k++) {
+            if (parts[k] & (parts[k] - 1))
+                below[n++] = parts[k];
+            else
+                below[0] |= parts[k];
+        }
+    }
+    return n > 1 ? n : 0;
+}
+
+/* Once the walk has handled candidate i (searched its subtree, or skipped
+   it) it drops i's whole orbit under the node's group: the orbit exclusion
+   of pykern's module docstring. */
 static void partner_rec(Partner *c, bits chosen, int fcount, int rcount, bits p, bits partner,
-                        const word *orbit) {
+                        const bits *atoms, int natoms) {
     Search *s = c->s;
     if (tick(s))
         return;
@@ -243,6 +287,7 @@ static void partner_rec(Partner *c, bits chosen, int fcount, int rcount, bits p,
     int want = fcount + gnode + pcount - s->best + 1;
     if (want <= gnode && want <= pcount && matching(p, c->kill, partner, want))
         return;
+    bits below[natoms ? 2 * natoms : 1]; /* the atoms of each child in turn */
     while (p) {
         int i = low_index(p);
         bits low = (bits)1 << i;
@@ -254,18 +299,18 @@ static void partner_rec(Partner *c, bits chosen, int fcount, int rcount, bits p,
             return;
         bits here = p; /* i's own subtree keeps the candidates that require i, and i's orbit */
         p &= ~c->succ[i];
-        if (orbit)
-            p &= ~orbit[i];
+        if (natoms)
+            p &= ~orbit(c, atoms, natoms, i, p);
         if (c->pred[i] & ~chosen)
             continue;
         bits child = chosen | low, child_partner = partner & ~c->kill[i];
         int fc = fcount + 1, gc = pop(child_partner);
         if (gc < c->g_min || (c->g_ge_f && gc < fc))
             continue;
-        if (c->masks) {
-            add_degrees(c->degs, c->masks[i], 1);
+        if (c->slots) {
+            add_degrees(c->degs, c->slots[i], 1);
             if (!degrees_fit(c, child_partner)) {
-                add_degrees(c->degs, c->masks[i], -1);
+                add_degrees(c->degs, c->slots[i], -1);
                 continue;
             }
         }
@@ -278,28 +323,42 @@ static void partner_rec(Partner *c, bits chosen, int fcount, int rcount, bits p,
         if (c->g_ge_f && 2 * gc < child_ub)
             child_ub = 2 * gc;
         if (!s->status && child_ub >= s->best)
-            partner_rec(c, child, fc, rc, child_p, child_partner,
-                        fcount < 2 ? orbit_row(c, i) : NULL);
-        if (c->masks)
-            add_degrees(c->degs, c->masks[i], -1);
+            partner_rec(c, child, fc, rc, child_p, child_partner, below,
+                        natoms ? split(atoms, natoms, c->masks[i], below) : 0);
+        if (c->slots)
+            add_degrees(c->degs, c->slots[i], -1);
         if (s->status)
             return;
     }
 }
 
+/* Fill the holding rows and run the walk from the root, whose one atom is
+   the union of the element sets. */
+static void partner_root(Partner *c, int ng) {
+    bits root[2] = {0, 0};
+    if (c->masks)
+        for (int i = 0; i < c->m; i++) {
+            root[1] |= c->masks[i];
+            for (bits f = c->masks[i]; f; f &= f - 1)
+                c->holding[low_index(f)] |= (bits)1 << i;
+        }
+    partner_rec(c, 0, 0, 0, full(c->m), full(ng), root, root[1] & (root[1] - 1) ? 2 : 0);
+}
+
 /* rmask holds the candidates that count toward r_min: all of them for the
    pair kinds, those avoiding element 1 for shifted diversity.  succ[i] holds
-   the candidates whose pred row holds i.
+   the candidates whose pred row holds i.  masks is NULL, or the candidates'
+   element sets when every table is unchanged by relabeling their union.
    Precondition with a cap (cap_excess >= 0): the partner universe is the
    candidate universe, index for index. */
 int pair_bnb(Search *s, int m, const word *compat, const word *pred, const word *succ,
              const word *kill, int ng, const word *rmask, int r_min, int g_min, int g_ge_f,
-             int cap_excess) {
+             int cap_excess, const word *masks) {
     Partner c = {.s = s, .compat = compat, .pred = pred, .succ = succ, .kill = kill,
-                 .rmask = rmask[0], .m = m, .r_min = r_min, .g_min = g_min, .g_ge_f = g_ge_f,
-                 .cap_excess = cap_excess};
+                 .masks = masks, .rmask = rmask[0], .m = m, .r_min = r_min, .g_min = g_min,
+                 .g_ge_f = g_ge_f, .cap_excess = cap_excess};
     s->best = -1;
-    partner_rec(&c, 0, 0, 0, full(m), full(ng), NULL);
+    partner_root(&c, ng);
     return s->status;
 }
 
@@ -307,24 +366,23 @@ int pair_bnb(Search *s, int m, const word *compat, const word *pred, const word 
    every candidate but the anchor, candidate 0, requires it (so the root
    branches on the anchor only), every candidate counts toward r, hmasks
    and avoid_a are the degree cap deg_e(F) <= deg_1(F) = |A|, and the empty
-   H is the maximizer seeded for r <= 0.  horbit holds one row of mh words
-   for each candidate in rows[0], in index order. */
-int diversity_bnb(Search *s, int mh, const word *hcompat, const word *hmasks,
-                  const word *rows, const word *horbit, const word *akill, int na,
-                  const word *avoid_a, int r, int nelems) {
+   H is the maximizer seeded for r <= 0.  With symmetric, hmasks are also
+   the element sets of the orbit rule. */
+int diversity_bnb(Search *s, int mh, const word *hcompat, const word *hmasks, const word *akill,
+                  int na, const word *avoid_a, int r, int nelems, int symmetric) {
     word pred[MAXBITS], succ[MAXBITS];
     for (int i = 0; i < mh; i++) {
         pred[i] = i ? 1 : 0;
         succ[i] = i ? 0 : full(mh) ^ 1;
     }
     Partner c = {.s = s, .compat = hcompat, .pred = pred, .succ = succ, .kill = akill,
-                 .masks = hmasks, .avoid = avoid_a, .horbit = horbit, .rmask = full(mh),
-                 .rows = rows[0], .m = mh, .r_min = r, .cap_excess = -1, .nelems = nelems};
+                 .slots = hmasks, .avoid = avoid_a, .masks = symmetric ? hmasks : NULL,
+                 .rmask = full(mh), .m = mh, .r_min = r, .cap_excess = -1, .nelems = nelems};
     s->best = -1;
     if (r <= 0)
         record(s, na, 0);
     if (!s->status)
-        partner_rec(&c, 0, 0, 0, full(mh), full(na), NULL);
+        partner_root(&c, na);
     return s->status;
 }
 

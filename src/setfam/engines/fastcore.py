@@ -12,6 +12,7 @@ call.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 
 from ..errors import InfeasibleInstanceError
@@ -38,7 +39,14 @@ def _words(values, count: int) -> bytes:
     """The first ``count`` bitsets of ``values`` as 16-byte words."""
     if len(values) < count:
         raise ValueError(f"table has {len(values)} rows where {count} are needed")
-    return b"".join(v.to_bytes(_WORD, "little") for v in values[:count])
+    return _encoded(tuple(values[:count]))
+
+
+@functools.lru_cache(maxsize=256)
+def _encoded(rows: tuple[int, ...]) -> bytes:
+    """``rows`` as 16-byte words, encoded once per process: the callers'
+    tables are memoized tuples, passed again on every call."""
+    return b"".join(v.to_bytes(_WORD, "little") for v in rows)
 
 
 def _require_width(*sizes: int) -> None:
@@ -54,9 +62,9 @@ class Kernels:
         i, w = ctypes.c_int, ctypes.c_char_p
         search = ctypes.POINTER(_Search)
         signatures = {
-            "pair_bnb": [i, w, w, w, w, i, w, i, i, i, i],
+            "pair_bnb": [i, w, w, w, w, i, w, i, i, i, i, w],
             "clique_bnb": [i, w, w, i, w, w, i, i],
-            "diversity_bnb": [i, w, w, w, w, w, i, w, i, i],
+            "diversity_bnb": [i, w, w, w, i, w, i, i, i],
         }
         for name, argtypes in signatures.items():
             fn = getattr(lib, name)
@@ -86,7 +94,7 @@ class Kernels:
         return s.best, words, s.nodes
 
     def pair_bnb(self, m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess,
-                 deadline=None):
+                 masks, deadline=None):
         """See :func:`setfam.engines.pykern.pair_bnb`."""
         _require_width(m, ng)
         return self._run(
@@ -94,6 +102,7 @@ class Kernels:
             None if compat is None else _words(compat, m),
             _words(pred, m), _words(succ, m),
             _words(kill, m), ng, _words([rmask], 1), r_min, g_min, bool(g_ge_f), cap_excess,
+            None if masks is None else _words(masks, m),
         )
 
     def clique_bnb(self, nverts, adj, sup, cons_kind, layer, vmasks, nelems, r, deadline=None):
@@ -104,16 +113,11 @@ class Kernels:
             cons_kind, _words([layer], 1), _words(vmasks, nverts), nelems, r,
         )
 
-    def diversity_bnb(self, mh, hcompat, hmasks, horbit, akill, na, avoid_a, r, nelems,
+    def diversity_bnb(self, mh, hcompat, hmasks, akill, na, avoid_a, r, nelems, symmetric,
                       deadline=None):
-        """See :func:`setfam.engines.pykern.diversity_bnb`.  The orbit rows
-        travel as the bitset of the candidates that have one, and the rows
-        themselves in index order."""
+        """See :func:`setfam.engines.pykern.diversity_bnb`."""
         _require_width(mh, na, nelems)
-        rows = sorted(horbit)
         return self._run(
             self._diversity_bnb, deadline, mh, _words(hcompat, mh), _words(hmasks, mh),
-            _words([sum(1 << b for b in rows)], 1),
-            b"".join(_words(horbit[b], mh) for b in rows),
-            _words(akill, mh), na, _words(avoid_a, nelems + 1), r, nelems,
+            _words(akill, mh), na, _words(avoid_a, nelems + 1), r, nelems, bool(symmetric),
         )

@@ -16,16 +16,18 @@ traversal of one kernel must be made to both.  Per-node bookkeeping may
 differ: for example, pykern carries candidate counts and the number of
 ``rmask`` members still needed down the recursion, where the C twin counts
 the chosen ones, and does not store the colour classes that cannot reach
-the incumbent.  All index sets are plain int bitsets (candidate universes
-are capped at 128 entries by the callers, the width of the C kernels'
-bitsets).
+the incumbent; pykern keeps each node's orbits in a memo per table, where
+the C twin counts the handled candidate's orbit afresh.  All index sets are
+plain int bitsets (candidate universes are capped at 128 entries by the
+callers, the width of the C kernels' bitsets).
 
 Two of the entry points run one partner search, :func:`_partner_search`.
 A chosen family F has a partner: every member of a second universe that no
 member of F kills.  The search maximizes |F| + |partner|.  :func:`pair_bnb`
 runs it on the pair kinds' tables and rules.  :func:`diversity_bnb` maps
 the diversity tables onto it, H as the family and A as its partner, and
-passes two more sets of rows: the degree cap and the orbit rows.  The
+passes the degree cap as one more set of rows.  Both may pass the
+candidates' element sets, which turn on the orbit exclusion below.  The
 search applies each only when it is passed, and never asks which problem
 it solves.  :func:`clique_bnb` is a search of its own.
 
@@ -71,22 +73,31 @@ Soundness notes shared by the kernels:
   with v.  The maximizers are unchanged; only ties of an incumbent that is
   not optimal are dropped sooner (Bron and Kerbosch, 1973; the pivot
   argument of Tomita, Tanaka and Takahashi, 2006).
-* The orbit exclusion (the partner search with orbit rows, which
-  ``diversity_bnb`` passes for the anchor's node and the nodes just below
-  it): once the walk has handled candidate i, searched its subtree or found
-  it past the degree cap, it drops i's whole orbit under the node's group,
-  the relabelings that fix element 1 and the chosen members setwise
-  (orbital branching; Ostrowski, Linderoth, Rossi and Smriglio, Math.
-  Program. 126, 2011).  Every candidate dropped before the node is part of
-  a whole orbit of a larger group, the group of an ancestor, and every
-  table row the node was narrowed by belongs to a chosen member, so the
-  node's state is invariant under its group.  A
-  family in a later sibling's subtree that meets i's orbit is therefore
-  carried by the group onto one that holds i and avoids everything dropped
-  before i, which lies in i's subtree, with the same score and the same
-  feasibility: when i's subtree was searched or cut, the family is found or
-  below the incumbent.  Every class keeps a maximizer; the callers' orbit
-  walk recovers the rest (:func:`setfam.search.problems._diversity_returned`).
+* The orbit exclusion (the partner search with element sets, which every
+  table closed under relabeling passes): a node's group is the
+  relabelings of the elements that fix every chosen member setwise (for
+  ``diversity_bnb`` also element 1, which no H candidate holds).  It is the
+  product of the symmetric groups on the Venn atoms of the chosen members
+  (:class:`_Orbits`), and two candidates share an orbit exactly when they
+  meet every atom in equally many elements.  Once the walk has handled
+  candidate i, searched its subtree or found it past a side constraint, it
+  drops i's whole orbit (orbital branching; Ostrowski, Linderoth, Rossi
+  and Smriglio, Math. Program. 126, 2011).  This holds at every level: a
+  child's group fixes one member more, so it lies inside its parent's
+  group, every candidate dropped before a node is part of a whole orbit of
+  an ancestor's group, and every table row the node was narrowed by
+  belongs to a chosen member.  So the node's candidates, partner and
+  degrees are invariant under its group.  A family in a later sibling's
+  subtree that meets i's orbit is therefore carried by the group onto one
+  that holds i and avoids everything dropped before i, which lies in i's
+  subtree, with the same score and the same feasibility: when i's subtree
+  was searched or cut, the family is found or below the incumbent.  Every
+  class keeps a maximizer; the callers' orbit walk recovers the rest, and
+  :func:`walk_returns` replays the walk to say which ones the search
+  returns.  At the root the group is transitive on the callers'
+  candidates, so the root branches once, as the anchor rows
+  (:func:`anchor_rows`) make it anyway.  Once every atom has one element
+  the group is trivial, and that node and its subtree skip the orbit work.
 * Precondition: ``compat`` (the partner search; ``hcompat`` for
   ``diversity_bnb``) is symmetric, j in row i exactly when i in row j.
   Each descent narrows the candidates to the new member's row, so every
@@ -96,6 +107,7 @@ Soundness notes shared by the kernels:
 
 from __future__ import annotations
 
+import functools
 import time
 
 from ..errors import InfeasibleInstanceError, TimeBudgetExceededError
@@ -208,6 +220,7 @@ def pair_bnb(
     g_min: int,
     g_ge_f: bool,
     cap_excess: int,
+    masks: list[int] | None,
     deadline: float | None = None,
 ):
     """Maximize |F| + |partner(F)| over families drawn from an m-candidate
@@ -234,6 +247,12 @@ def pair_bnb(
                 the partner; the score drops by one per member over the cap
                 (the partner gives up exactly its overlap excess), and
                 families whose reduced partner falls below r_min are skipped
+    masks       the candidates' element sets, when every table is unchanged
+                by relabeling the elements of their union (the brute pair
+                tables are): the walk then branches once per orbit at every
+                node (the orbit exclusion of the module docstring).  None
+                walks every candidate, as the shifted tables need: their
+                down-set order is not closed under relabeling.
 
     Precondition with a cap (cap_excess >= 0): the partner universe is the
     candidate universe, index for index, so the chosen members inside the
@@ -245,30 +264,117 @@ def pair_bnb(
     Returns (best, maximizers as chosen-index bitsets, node_count).
     """
     return _partner_search(
-        m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess, deadline
+        m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess, deadline,
+        masks=masks,
     )
 
 
+class _Orbits:
+    """The orbits of the partner search's nodes, from the candidates'
+    element sets ``masks``.
+
+    A node's group is the relabelings of U, the union of the masks, that fix
+    every chosen member setwise: the product of the symmetric groups on the
+    atoms of the partition that the chosen members cut out of U (their Venn
+    atoms).  Two candidates share an orbit exactly when they meet every atom
+    in equally many elements.  A node's atoms are a tuple (fixed, A_1, ...),
+    ``fixed`` the union of the atoms of one element and A_1, ... the others
+    in ascending order; or None once every atom has one element, since the
+    group is then trivial and so is every group below it.  The root's atoms
+    are U alone.
+
+    An orbit is the AND of one row per atom: the candidates that agree with
+    the handled one on ``fixed``, one AND per element, and for each other
+    atom the candidates that meet it in as many elements, counted over the
+    atom's elements from per-element rows.  Each is built once per process
+    and table (:func:`_orbits`), for all the nodes whose chosen members cut
+    out the same atoms.  Threads that share a table may build an entry
+    twice; both builds give the same value.
+    """
+
+    __slots__ = ("root", "_masks", "_holding", "_all", "_nodes")
+
+    def __init__(self, masks: tuple[int, ...]):
+        union = 0
+        holding: dict[int, int] = {}  # element bit -> the candidates holding it
+        for j, mask in enumerate(masks):
+            union |= mask
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                holding[low] = holding.get(low, 0) | 1 << j
+        self._holding = holding
+        self._all = (1 << len(masks)) - 1
+        self._masks = masks
+        self._nodes: dict[tuple[int, ...], list] = {}  # atoms -> steps
+        self.root = (0, union) if union & (union - 1) else None
+
+    def node(self, atoms: tuple[int, ...]) -> list:
+        """The steps of the nodes with ``atoms``: entry i is None until
+        :meth:`step` builds it."""
+        steps = self._nodes.get(atoms)
+        if steps is None:
+            steps = self._nodes[atoms] = [None] * len(self._masks)
+        return steps
+
+    def step(self, atoms: tuple[int, ...], steps: list, i: int) -> tuple:
+        """Candidate i's orbit at the nodes with ``atoms``, and the atoms of
+        the child that adds it, stored as ``steps[i]``."""
+        mask = self._masks[i]
+        orbit = self._all
+        fixed = atoms[0]
+        while fixed:
+            low = fixed & -fixed
+            fixed ^= low
+            orbit &= self._holding[low] if mask & low else ~self._holding[low]
+        fixed = atoms[0]
+        big = []
+        for atom in atoms[1:]:
+            orbit &= self._meeting(atom, (mask & atom).bit_count())
+            for part in (atom & mask, atom & ~mask):
+                if part & (part - 1):
+                    big.append(part)
+                else:
+                    fixed |= part
+        steps[i] = orbit, (fixed, *sorted(big)) if big else None
+        return steps[i]
+
+    def _meeting(self, atom: int, c: int) -> int:
+        """The candidates that meet ``atom`` in exactly c elements:
+        exact[t] holds those meeting the elements counted so far in t."""
+        exact = [self._all] + [0] * c
+        while atom:
+            low = atom & -atom
+            atom ^= low
+            rows = self._holding[low]
+            for t in range(c, 0, -1):
+                exact[t] = exact[t] & ~rows | exact[t - 1] & rows
+            exact[0] &= ~rows
+        return exact[c]
+
+
+@functools.lru_cache(maxsize=32)
+def _orbits(masks: tuple[int, ...]) -> _Orbits:
+    """The orbit rows of one table, shared by every search and replay on it."""
+    return _Orbits(masks)
+
+
 def _partner_search(m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess,
-                    deadline, slots=None, avoid=None, orbits=None, empty=False):
+                    deadline, masks=None, slots=None, avoid=None, empty=False):
     """The walk behind :func:`pair_bnb` and :func:`diversity_bnb`: the
-    arguments of :func:`pair_bnb`, and two sets of rows, each applied only
-    when it is passed.
+    arguments of :func:`pair_bnb`, and the degree cap, applied only when it
+    is passed.
 
     slots, avoid  the degree cap: slots[i] lists the slots that candidate i
                   raises, and a family is feasible only while, for every
                   slot j, at most |partner & avoid[j]| chosen members raise
                   j.  Feasibility only falls along the walk, so a violation
                   prunes the subtree.
-    orbits        orbits[b][i] is candidate i's orbit under the group of a
-                  node with one or two chosen members, b the one added last.
-                  Once such a node's walk has handled candidate i, searched
-                  its subtree or skipped it, it drops i's whole orbit (the
-                  orbit exclusion of the module docstring).  A node with no
-                  row for b, and every deeper node, walks every candidate.
 
-    With ``empty`` the empty family, which scores ng, is a maximizer from
-    the start.
+    With ``masks``, each node carries its atoms (:class:`_Orbits`), and once
+    its walk has handled candidate i, searched its subtree or skipped it, it
+    drops i's whole orbit.  With ``empty`` the empty family, which scores
+    ng, is a maximizer from the start.
     """
     cap = MAXIMIZER_CAP
     nodes = 0
@@ -276,9 +382,10 @@ def _partner_search(m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f
     keep = [~k for k in kill]
     owner = [0] * ng
     degs = [0] * len(avoid or ())  # degs[j]: the chosen members that raise slot j
+    rule = None if masks is None else _orbits(tuple(masks))
 
     def rec(chosen: int, fcount: int, need: int, p: int, pcount: int, partner: int,
-            orbit: list[int] | None) -> None:
+            atoms: tuple[int, ...] | None) -> None:
         nonlocal nodes, best, maxers
         nodes += 1
         if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
@@ -291,6 +398,8 @@ def _partner_search(m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f
             return
         twice = 2 * gnode  # |F| <= |partner| caps the sum at twice the partner
         fc = fcount + 1
+        if atoms is not None:
+            steps = rule.node(atoms)
         while p:
             low = p & -p
             p ^= low
@@ -303,9 +412,11 @@ def _partner_search(m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f
             if p & succ[i]:
                 p &= ~succ[i]
                 pcount = p.bit_count()
-            if orbit is not None:
-                p &= ~orbit[i]
-                pcount = p.bit_count()
+            if atoms is not None:
+                step = steps[i] or rule.step(atoms, steps, i)
+                if p & step[0]:
+                    p &= ~step[0]
+                    pcount = p.bit_count()
             if pred[i] & ~chosen:
                 continue
             child_partner = partner & keep[i]
@@ -355,13 +466,70 @@ def _partner_search(m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f
                 child_pcount = child_p.bit_count()
             if size + child_pcount >= best and not (g_ge_f and 2 * gc < best):
                 rec(chosen | low, fc, cneed, child_p, child_pcount, child_partner,
-                    orbits.get(i) if orbits is not None and fcount < 2 else None)
+                    atoms and step[1])
             if slots is not None:
                 for j in slots[i]:
                     degs[j] -= 1
 
-    rec(0, 0, max(r_min, 0), (1 << m) - 1, m, (1 << ng) - 1, None)
+    rec(0, 0, max(r_min, 0), (1 << m) - 1, m, (1 << ng) - 1, rule and rule.root)
     return best, maxers, nodes
+
+
+def anchor_rows(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pred and succ rows under which every candidate but candidate 0
+    requires it, so the walk's root branches on candidate 0 only."""
+    return (0,) + (1,) * (m - 1), (((1 << m) - 1) & ~1,) + (0,) * (m - 1)
+
+
+def walk_returns(masks, compat, pred, succ):
+    """The maximizers that the partner search with the orbit rule returns
+    on these tables, the candidates' element sets ``masks`` among them, as
+    a predicate on a family's member masks in ascending order: the members
+    found in ``masks`` are its chosen candidates, in index order when
+    ``masks`` ascend, as the callers' do.
+
+    The walk reaches a family's members in index order, and no bound, side
+    constraint or cap cuts the path to a maximizer: a bound cuts only below
+    the incumbent, and every constraint that ends a subtree holds on every
+    part of a feasible family.  So the search returns a maximizer exactly
+    when each member is reached, and its subtree entered, at the node of
+    the members before it.  The predicate replays the walk along those
+    nodes, each walked once per predicate.
+    """
+    rule = _orbits(tuple(masks))
+    index = {mask: i for i, mask in enumerate(masks)}
+    # node -> {candidate entered: the candidates and atoms of its subtree}
+    walked: dict[int, dict[int, tuple]] = {}
+
+    def walk(chosen: int, p: int, atoms: tuple[int, ...] | None) -> dict[int, tuple]:
+        entered = {}
+        steps = atoms and rule.node(atoms)
+        while p:
+            low = p & -p
+            p ^= low
+            i = low.bit_length() - 1
+            here = p
+            p &= ~succ[i]
+            step = atoms and (steps[i] or rule.step(atoms, steps, i))
+            if step:
+                p &= ~step[0]
+            if not pred[i] & ~chosen:
+                entered[i] = here if compat is None else here & compat[i], step and step[1]
+        return entered
+
+    def returned(members) -> bool:
+        chosen, p, atoms = 0, (1 << len(masks)) - 1, rule.root
+        for i in (index[m] for m in members if m in index):
+            entered = walked.get(chosen)
+            if entered is None:
+                entered = walked[chosen] = walk(chosen, p, atoms)
+            if i not in entered:
+                return False
+            chosen |= 1 << i
+            p, atoms = entered[i]
+        return True
+
+    return returned
 
 
 def clique_bnb(
@@ -526,12 +694,12 @@ def diversity_bnb(
     mh: int,
     hcompat: list[int],
     hmasks: list[int],
-    horbit: dict[int, list[int]],
     akill: list[int],
     na: int,
     avoid_a: list[int],
     r: int,
     nelems: int,
+    symmetric: bool,
     deadline: float | None = None,
 ):
     """Maximum intersecting k-uniform family with diversity >= r, searched
@@ -548,8 +716,7 @@ def diversity_bnb(
     element e but 1, which no H member contains.  Diversity of a feasible
     family equals |H|.
 
-    Every candidate but the anchor requires it (the anchor rows of
-    :func:`setfam.search.tables.build_pair_tables`), so the root branches on
+    Every candidate but the anchor requires it (:func:`anchor_rows`), so the root branches on
     candidate 0 only and every non-empty H found holds it.  For the callers'
     tables, where the H candidates are the k-sets avoiding element 1, no
     maximizer class is lost: the stabilizer of 1 is transitive on those
@@ -557,23 +724,21 @@ def diversity_bnb(
     has a relabeled copy in scope that holds candidate 0.  The empty H,
     seeded for r <= 0, is the one maximizer without it.
 
-    horbit[b] maps each candidate to its orbit under the relabelings that
-    fix element 1 and candidates 0 and b setwise.  The anchor's node walks
-    by row 0, and the node below it that adds b by row b, or by no row when
-    horbit has none for b.  Once such a walk has handled candidate i it
-    drops i's whole orbit (the orbit exclusion of the module docstring), so
-    it branches once per orbit.  Identity rows, horbit[b][i] = 1 << i, give
-    the unreduced walk.  The callers recover the other relabeled copies by
-    walking orbits (:func:`setfam.search.problems.classify_maximizers`).
+    With ``symmetric`` the tables are unchanged by relabeling the elements
+    2..n, as the callers' are, and the walk branches once per orbit at every
+    node, the orbits those of ``hmasks`` (:func:`pair_bnb`'s ``masks``).
+    Without it the walk visits every candidate below the anchor.  The
+    callers recover the other relabeled copies by walking orbits
+    (:func:`setfam.search.problems.classify_maximizers`).
 
     Returns (best, maximizers as H bitsets, node_count); each maximizer's A
     is every A candidate outside the ``akill`` rows of its H members.
     """
-    full = (1 << mh) - 1
-    pred, succ = [0] + [1] * (mh - 1), [full & ~1] + [0] * (mh - 1)
+    pred, succ = anchor_rows(mh)
     # slot j is element j + 2
     slots = [_indices(hm >> 1) for hm in hmasks]
     return _partner_search(
-        mh, hcompat, pred, succ, akill, na, full, r, 0, False, -1, deadline,
-        slots=slots, avoid=avoid_a[2:nelems + 1], orbits=horbit, empty=r <= 0,
+        mh, hcompat, pred, succ, akill, na, (1 << mh) - 1, r, 0, False, -1, deadline,
+        masks=hmasks if symmetric else None, slots=slots, avoid=avoid_a[2:nelems + 1],
+        empty=r <= 0,
     )

@@ -37,10 +37,11 @@ but s_union_max search only the maximizers that hold a fixed anchor
 member: the brute pair kinds candidate 0, the least j-set {1, ..., j};
 s_union_conditioned_max the (d+1)-set {1, ..., d+1} (see
 :func:`build_union_tables`); and the diversity ``clique`` engine the H
-member {2, ..., k+1} (see :func:`setfam.engines.pykern.diversity_bnb`),
-where it also branches once per orbit at the anchor's node and the node
-below it, so it returns only the anchored maximizers that
-:func:`_diversity_returned` accepts.
+member {2, ..., k+1} (see :func:`setfam.engines.pykern.diversity_bnb`).
+The brute pair kinds and the diversity ``clique`` engine also branch once
+per orbit at every node of their partner search, so they return only the
+anchored maximizers that a replay of that walk accepts
+(:func:`setfam.engines.pykern.walk_returns`).
 Their ``nodes`` count that search, and the walk recovers every other
 maximizer, so ``maximizer_count`` and the classes are those of the whole
 scope.  The ``shifted`` scopes are not closed under relabeling, so those
@@ -85,7 +86,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:  # names used only in annotations, never imported at run time
     from collections.abc import Callable, Iterator
 
-    from .tables import DiversityTables
 
 __all__ = [
     "KINDS",
@@ -239,8 +239,9 @@ def classify_maximizers(
     built here when the list does not hold it.  Without ``required`` the
     list holds every maximizer of the scope; with it (a predicate on sorted
     member-mask tuples), every maximizer it accepts, as a reduced search
-    returns them (:func:`_holding`, :func:`_diversity_returned`), and at
-    least one of each class.  A relabeled image that the list should hold
+    returns them (:func:`_holding`,
+    :func:`setfam.engines.pykern.walk_returns`), and at least one of each
+    class.  A relabeled image that the list should hold
     and does not means the list or the generators are wrong, and raises
     ``AssertionError``.  More families reached than
     ``pykern.MAXIMIZER_CAP`` raise the kernels' cap error.
@@ -422,8 +423,9 @@ def _scope_generators(kind: str, engine: str, n: int) -> Callable | None:
 
 def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
     """The kernel's result as (F, G) pairs, with the predicate of the
-    maximizers it must return: those holding candidate 0, which both
-    engines' tables put below every other candidate."""
+    maximizers it must return (:func:`setfam.engines.pykern.walk_returns`),
+    which all hold candidate 0, or None for the shifted engine, whose walk has no orbit rule and
+    whose result is classified by isomorphism."""
     kern = engines.backend_module(backend)
     if kind == "hemibundled_max":
         (n, k, t, r) = p.require("n", "k", "t", "r")
@@ -439,9 +441,10 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
         tabs = build_pair_tables(n, k, k, t_inter=None, shifted=False)
         rules = (r, r, False, r - 1)
     m = len(tabs.cands)
+    masks = None if engine == "shifted" else tabs.cands  # see build_pair_tables
     best, maxers, nodes = kern.pair_bnb(
         m, tabs.compat, tabs.pred, tabs.succ, tabs.kill, len(tabs.gmasks), (1 << m) - 1, *rules,
-        deadline,
+        masks, deadline,
     )
     pairs = []
     for chosen in maxers:
@@ -454,7 +457,9 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
                 shared &= shared - 1
         gm = [tabs.gmasks[j] for j in _bits(partner)]
         pairs.append((Family.of_masks(p.n, fmasks), Family.of_masks(p.n, gm)))
-    return best, pairs, nodes, _holding(tabs.cands[0])
+    if masks is None:
+        return best, pairs, nodes, None
+    return best, pairs, nodes, pykern.walk_returns(masks, tabs.compat, tabs.pred, tabs.succ)
 
 
 def _solve_union(kind: str, p: Params, backend: str, deadline):
@@ -480,79 +485,27 @@ def _solve_union(kind: str, p: Params, backend: str, deadline):
 
 def _solve_diversity_clique(p: Params, backend: str, deadline):
     """The kernel's result as families, with the predicate of the
-    maximizers it must return (:func:`_diversity_returned`)."""
+    maximizers it must return (:func:`setfam.engines.pykern.walk_returns`)."""
     kern = engines.backend_module(backend)
     (n, k, r) = p.require("n", "k", "r")
     tabs = build_diversity_tables(n, k)
+    mh = len(tabs.hmasks)
     best, maxers, nodes = kern.diversity_bnb(
-        len(tabs.hmasks), tabs.hcompat, tabs.hmasks, tabs.horbit, tabs.akill,
-        len(tabs.amasks), tabs.avoid_a, r, n, deadline,
+        mh, tabs.hcompat, tabs.hmasks, tabs.akill, len(tabs.amasks), tabs.avoid_a, r, n, True,
+        deadline,
     )
     fams = []
     for hbits in maxers:
         masks, abits = _members_and_partner(hbits, tabs.hmasks, tabs.akill, len(tabs.amasks))
         masks += [tabs.amasks[i] for i in _bits(abits)]
         fams.append(Family.of_masks(n, masks))
-    return best, fams, nodes, _diversity_returned(tabs)
+    required = pykern.walk_returns(tabs.hmasks, tabs.hcompat, *pykern.anchor_rows(mh))
+    return best, fams, nodes, required
 
 
 def _holding(anchor: int) -> Callable:
     """The maximizers an anchored search returns: those holding ``anchor``."""
     return lambda members: anchor in members
-
-
-def _diversity_returned(tabs: DiversityTables) -> Callable:
-    """The maximizers :func:`setfam.engines.pykern.diversity_bnb` returns
-    on the tables ``tabs``, as a predicate on sorted member-mask tuples.
-
-    The kernel walks the H candidates in index order, and at the anchor's
-    node and the nodes just below it drops each handled candidate's orbit
-    (``tabs.horbit``).  No bound cuts the path to a maximizer, and the
-    degree cap holds on every part of a feasible H, so a maximizer whose H
-    is 0 < i < j < ... is returned exactly when the walk at the anchor's
-    node reaches i and keeps the rest of H in i's subtree, and the walk at
-    node {0, i} reaches j and keeps the rest in j's.  Below that every
-    candidate is walked.  With the callers' tables, i is the least candidate
-    of the first anchor-row orbit that H minus the anchor meets, ordered by
-    least candidate, and j likewise in row i, counting only the candidates
-    node {0, i} still has.
-    """
-    def walk(p: int, orbit: list[int] | None) -> dict[int, int]:
-        """Each candidate the walk over ``p`` reaches, to its subtree's candidates."""
-        reached = {}
-        while p:
-            low = p & -p
-            p ^= low
-            i = low.bit_length() - 1
-            reached[i] = p & tabs.hcompat[i]
-            if orbit is not None:
-                p &= ~orbit[i]
-        return reached
-
-    top = walk(tabs.hcompat[0] & ~1, tabs.horbit.get(0))
-    below = {i: walk(p, tabs.horbit.get(i)) for i, p in top.items()}
-    index = {m: i for i, m in enumerate(tabs.hmasks)}
-    anchor = tabs.hmasks[0]
-
-    def returned(members: tuple[int, ...]) -> bool:
-        if anchor not in members:
-            return False
-        rest = 0
-        for m in members:
-            if not m & 1:  # an H member
-                rest |= 1 << index[m]
-        rest ^= 1
-        reached = top  # what the walk reaches at the anchor's node, then at node {0, i}
-        while rest and reached is not None:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            if i not in reached or rest & ~reached[i]:
-                return False
-            reached = below[i] if reached is top else None
-        return True
-
-    return returned
 
 
 def _solve_diversity_shifted(p: Params, backend: str, deadline):
@@ -571,7 +524,7 @@ def _solve_diversity_shifted(p: Params, backend: str, deadline):
     avoid_1 = sum(1 << i for i, a in enumerate(tabs.cands) if not a & 1)
     best, maxers, nodes = engines.backend_module(backend).pair_bnb(
         len(tabs.cands), tabs.compat, tabs.pred, tabs.succ, tabs.kill, 0, avoid_1,
-        r, 0, False, -1, deadline,
+        r, 0, False, -1, None, deadline,
     )
     fams = [Family.of_masks(n, [tabs.cands[i] for i in _bits(c)]) for c in maxers]
     return best, fams, nodes, None

@@ -21,6 +21,7 @@ from math import comb
 
 from .._record import Record
 from ..engines import MAX_BITS
+from ..engines.pykern import anchor_rows
 from ..errors import InfeasibleInstanceError
 from ..family import elements_of, layer_masks
 from ..shifting import dominates
@@ -142,14 +143,19 @@ def build_pair_tables(
     then empty).  ``t_inter`` (when given) restricts F to pairwise
     intersections of at least that depth.
 
-    ``pred`` makes every candidate but the least one require candidate 0,
-    so the kernel searches only the families that contain it.  The pair
-    objectives and constraints are unchanged by relabeling and S_n is
-    transitive on the f_size-sets, so every non-empty family has a
-    relabeling that contains candidate 0: the optimum is unchanged, and the
-    callers recover the other maximizers by walking their S_n orbits.  With
-    ``shifted`` it is the dominance order instead (down-sets, the shifted
-    families), which already puts candidate 0 below every other candidate.
+    ``pred`` makes every candidate but the least one require candidate 0
+    (:func:`setfam.engines.pykern.anchor_rows`), so the kernel searches only
+    the families that contain it.  The pair objectives and constraints are
+    unchanged by relabeling and S_n is transitive on the f_size-sets, so
+    every non-empty family has a relabeling that contains candidate 0: the
+    optimum is unchanged, and the callers recover the other maximizers by
+    walking their S_n orbits.  These tables are unchanged by relabeling, so
+    the callers also pass ``cands`` as the kernel's element masks, and it
+    branches once per orbit at every node; at the root that orbit is every
+    candidate, as the anchor rows already make it.  With ``shifted`` it is
+    the dominance order instead (down-sets, the shifted families), which
+    already puts candidate 0 below every other candidate; that order is not
+    closed under relabeling, so that kernel walks every candidate.
     ``succ`` is ``pred`` transposed: the other candidates under candidate 0,
     or the dominance successors.
     """
@@ -166,7 +172,7 @@ def build_pair_tables(
     if shifted:
         pred, succ = dominance_pred(cands), dominance_succ(cands)
     else:
-        pred, succ = (0,) + (1,) * (m - 1), (full & ~1,) + (0,) * (m - 1)
+        pred, succ = anchor_rows(m)
     if not gmasks:
         kill = (0,) * m
     elif t_inter == 1 and g_size == f_size:
@@ -245,45 +251,14 @@ def build_union_tables(n: int, s: int, constrained_layer: int | None) -> CliqueT
 
 
 class DiversityTables(Record):
-    __slots__ = ("n", "hmasks", "amasks", "hcompat", "horbit", "akill", "avoid_a")
+    __slots__ = ("n", "hmasks", "amasks", "hcompat", "akill", "avoid_a")
 
     n: int
     hmasks: tuple[int, ...]  # candidates avoiding element 1
     amasks: tuple[int, ...]  # candidates containing element 1
     hcompat: tuple[int, ...]
-    horbit: dict[int, tuple[int, ...]]  # see diversity_orbits
     akill: tuple[int, ...]
     avoid_a: tuple[int, ...]  # indexed by element, A-candidates avoiding it
-
-
-def diversity_orbits(hmasks) -> dict[int, tuple[int, ...]]:
-    """The orbit rows of the diversity kernel's two top levels below the
-    root, for the H candidates ``hmasks`` sorted by value.
-
-    Row b maps each candidate i to the bitset of its orbit under the
-    relabelings that fix element 1 and fix H_0 and H_b setwise (H_i is
-    candidate i): the products of the symmetric groups on the atoms {1},
-    H_0 & H_b, H_0 - H_b, H_b - H_0 and the rest.  Two k-sets avoiding 1
-    share an orbit exactly when they meet the three middle atoms in equally
-    many elements.  There is a row for the anchor, candidate 0 (its orbits
-    are the candidates with equal |B & H_0|), and one for the least
-    candidate of each of those orbits that meets H_0: the candidates the
-    kernel branches on below the anchor.
-    """
-    h0 = hmasks[0]
-
-    def row(hb: int) -> tuple[int, ...]:
-        keys = [((m & h0 & hb).bit_count(), (m & h0 & ~hb).bit_count(), (m & hb & ~h0).bit_count())
-                for m in hmasks]
-        orbits: dict[tuple[int, int, int], int] = {}
-        for i, key in enumerate(keys):
-            orbits[key] = orbits.get(key, 0) | 1 << i
-        return tuple(orbits[key] for key in keys)
-
-    least: dict[int, int] = {}  # |B & H_0| to its least candidate
-    for i, m in enumerate(hmasks):
-        least.setdefault((m & h0).bit_count(), i)
-    return {b: row(hmasks[b]) for b in sorted(b for t, b in least.items() if t)}
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -302,7 +277,7 @@ def build_diversity_tables(n: int, k: int) -> DiversityTables:
     hcompat = overlap_table(hmasks, hmasks, n, 1)
     akill = disjoint_table(hmasks, amasks, n)
     avoid_a = (0,) + disjoint_table([1 << e for e in range(n)], amasks, n)
-    return DiversityTables(n, hmasks, amasks, hcompat, diversity_orbits(hmasks), akill, avoid_a)
+    return DiversityTables(n, hmasks, amasks, hcompat, akill, avoid_a)
 
 
 def shifted_family_count_reference(n: int, k: int) -> int:

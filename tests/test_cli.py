@@ -199,7 +199,7 @@ SEARCH_TEXT = [
         "  class x60: Family(n=6, {{1,2} {1,3}})\n"
         "  class x120: Family(n=6, {{1,2} {1,3} {1,4} {1,5} {2,6}})\n"
         "note      : partner shown with the lowest-indexed overlap members dropped\n",
-        364,
+        50,
     ),
     (
         "s_union_conditioned_max --n 6 --s 4 --r 1 --engine clique",
@@ -271,7 +271,7 @@ def test_katona_verifies_past_n7_while_the_vertices_fit(capsys):
 
 def test_search_timeout_exit_code(capsys):
     code, _, err = run(
-        capsys, "search", "cross_pair_max", "--n", "8", "--k", "3", "--r", "2",
+        capsys, "search", "cross_pair_capped", "--n", "7", "--k", "3", "--r", "2",
         "--engine", "brute", "--backend", "python", "--max-seconds", "0.01",
     )
     assert code == 4 and "timeout" in err
@@ -558,8 +558,8 @@ def test_python_search_json_matches_stored_output(capsys, name, args):
 
 
 def test_verify_reports_timed_out_rows_and_runs_the_rest(capsys):
-    # k=2 needs 79 nodes; k=3 reaches the first clock check at node 8192
-    argv = ("verify", "f24", "--grid", "n=7;k=2..3;r=2", "--engine", "brute",
+    # k=2 needs 77 nodes; k=3 reaches the first clock check at node 8192
+    argv = ("verify", "main3", "--grid", "n=7;k=2..3;r=2", "--engine", "brute",
             "--max-seconds", "0")
     code, out, _ = run(capsys, *argv, "--json", "--no-timing")
     assert code == 4
@@ -570,13 +570,13 @@ def test_verify_reports_timed_out_rows_and_runs_the_rest(capsys):
         "params": {"k": 3, "n": 7, "r": 2},
         "status": "timeout",
         "reason": "search exceeded its time budget after 8192 nodes",
-        "best_so_far": "30",
+        "best_so_far": "29",
     }
     code, out, _ = run(capsys, *argv)
     assert code == 4
     lines = out.splitlines()
     assert lines[0].startswith("OK  ") and lines[1].startswith("TIME  ")
-    assert lines[1].endswith("after 8192 nodes (best so far: 30)")
+    assert lines[1].endswith("after 8192 nodes (best so far: 29)")
     assert lines[-1] == "TIMEOUT"
 
 

@@ -7,13 +7,15 @@ into the partner (see :mod:`setfam.engines.pykern`).  The matching helper is
 checked against the deficiency form of Hall's theorem, and each entry point,
 on random small tables, against a plain loop over every family: the optimum
 and the maximizer set must be the enumeration's, and the compiled twin must
-give the same optimum, maximizers and ``nodes``.  ``pair_bnb`` runs the
-search without the degree cap and the orbit rows, which apply only when they
-are passed; ``diversity_bnb`` passes both, with identity orbit rows, so it
-walks every candidate.  The clique kernel is checked the same way on
-random graphs, without its down-set cut, once with no side constraint and
-once with each of its two, and with its down-set cut on the s-union graphs
-the callers build, against every down-set clique.
+give the same optimum, maximizers and ``nodes``.  Random tables have no
+symmetry, so both entry points run there without the orbit rule (no element
+masks for ``pair_bnb``, ``symmetric`` false for ``diversity_bnb``), and walk
+every candidate; ``pair_bnb`` also runs without the degree cap, which
+applies only when it is passed.  The orbit rule is held equal on both
+backends on the callers' own tables.  The clique kernel is checked the same
+way on random graphs, without its down-set cut, once with no side
+constraint and once with each of its two, and with its down-set cut on the
+s-union graphs the callers build, against every down-set clique.
 """
 
 import random
@@ -21,7 +23,9 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from setfam.bounds import Params
 from setfam.engines import pykern
+from setfam.search import Problem, solve
 from setfam.search.tables import build_union_tables
 
 
@@ -99,10 +103,11 @@ def pair_instances(draw):
     g_ge_f = draw(st.booleans())
     # a cap needs the partner universe to be the candidate universe
     cap_excess = draw(st.integers(0, 3)) if ng == m and draw(st.booleans()) else -1
-    return m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess
+    return m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess, None
 
 
-def _pair_oracle(m, compat, pred, _succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess):
+def _pair_oracle(m, compat, pred, _succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess,
+                 _masks):
     best, found = -1, []
     for fam in range(1, 1 << m):
         members = _members(fam)
@@ -143,16 +148,13 @@ def diversity_instances(draw):
     hcompat = _symmetric(draw, mh)
     # H members avoid element 1, the bit 0
     hmasks = [draw(st.integers(0, (1 << nelems - 1) - 1)) << 1 for _ in range(mh)]
-    # identity orbit rows, which walk every candidate: random tables have no
-    # symmetry to branch on
-    horbit = {b: [1 << i for i in range(mh)] for b in range(mh)}
     akill = [draw(st.integers(0, (1 << na) - 1)) for _ in range(mh)]
     avoid_a = [0] + [draw(st.integers(0, (1 << na) - 1)) for _ in range(nelems)]
     r = draw(st.integers(0, 3))
-    return mh, hcompat, hmasks, horbit, akill, na, avoid_a, r, nelems
+    return mh, hcompat, hmasks, akill, na, avoid_a, r, nelems, False
 
 
-def _diversity_oracle(mh, hcompat, hmasks, _horbit, akill, na, avoid_a, r, nelems):
+def _diversity_oracle(mh, hcompat, hmasks, akill, na, avoid_a, r, nelems, _symmetric):
     best, found = -1, []
     for h in range(1 << mh):
         if h and not h & 1:
@@ -183,6 +185,49 @@ def test_diversity_kernel_matches_exhaustive_enumeration(compiled_kernels, args)
     best, maxers, nodes = pykern.diversity_bnb(*args)
     assert (best, sorted(maxers)) == _diversity_oracle(*args)
     assert compiled_kernels.diversity_bnb(*args) == (best, maxers, nodes)
+
+
+def test_orbit_rule_gives_equal_walks_on_both_backends(compiled_kernels, monkeypatch):
+    """Record the partner searches of brute pair and diversity solves, which
+    pass their element masks, and replay each on the compiled kernels: the
+    same optimum, maximizers and ``nodes``.  cross_pair_capped (6,2,2) walks
+    nodes with a nontrivial group down to depth 3 at least: on [6], three
+    2-sets leave two elements with the same memberships."""
+    calls = []
+    for name in ("pair_bnb", "diversity_bnb"):
+        def record(*args, _kernel=getattr(pykern, name), _name=name):
+            result = _kernel(*args)
+            calls.append((_name, args, result))
+            return result
+
+        monkeypatch.setattr(pykern, name, record)
+    cases = [
+        ("cross_pair_capped", Params(n=6, k=2, r=2)),
+        ("cross_pair_capped", Params(n=7, k=2, r=3)),
+        ("cross_pair_max", Params(n=7, k=3, r=1)),
+        ("hemibundled_max", Params(n=7, k=3, t=0, r=2)),
+        ("hemibundled_max", Params(n=8, k=2, t=1, r=2)),
+        ("diverse_intersecting_max", Params(n=7, k=3, r=0)),
+        ("diverse_intersecting_max", Params(n=9, k=3, r=2)),
+    ]
+    for kind, p in cases:
+        solve(Problem(kind, p, "clique" if kind == "diverse_intersecting_max" else "brute"),
+              backend="python")
+    assert len(calls) == len(cases)
+    for name, args, expected in calls:
+        assert (args[11] is not None) if name == "pair_bnb" else args[8]  # the orbit rule is on
+        assert getattr(compiled_kernels, name)(*args) == expected, (name, args[0])
+    _, args, (_, maxers, _) = calls[0]
+    rule = pykern._orbits(args[11])
+    depths = set()
+    for chosen in maxers:  # the depth at which each maximizer's path meets a trivial group
+        atoms, depth = rule.root, 0
+        for i in _members(chosen):
+            atoms, depth = rule.step(atoms, rule.node(atoms), i)[1], depth + 1
+            if atoms is None:
+                depths.add(depth)
+                break
+    assert depths and min(depths) > 3
 
 
 @st.composite

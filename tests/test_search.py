@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import sysconfig
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,6 @@ from setfam.search.problems import (
     _symmetric_generators,
 )
 from setfam.search.tables import (
-    DiversityTables,
     build_diversity_tables,
     build_pair_tables,
     shifted_family_count_reference,
@@ -309,7 +309,7 @@ def test_skipped_capped_families_are_never_maximizers(request, backend):
     m = len(tabs.cands)
     best, maxers, _ = kern.pair_bnb(
         m, tabs.compat, tabs.pred, tabs.succ, tabs.kill, len(tabs.gmasks), (1 << m) - 1,
-        4, 4, False, 3,
+        4, 4, False, 3, tabs.cands,
     )
     assert (best, maxers) == (-1, [])
 
@@ -521,9 +521,10 @@ def test_anchored_walk_rejects_a_list_missing_an_anchored_maximizer(request, kin
     walk from any anchored member of a class reaches every returned one, so
     a list missing one of them raises, even when it holds another anchored
     member of the class.  A class with no anchored member left is no longer
-    reached at all.  The diversity search branches once per orbit below its
-    anchor, so it returns only some of the anchored maximizers; dropping an
-    anchored one that it does not return changes nothing.  ``lone`` counts
+    reached at all.  The partner searches of the diversity and pair kinds
+    branch once per orbit at every node, so they return only some of the
+    anchored maximizers; dropping an anchored one that they do not return
+    changes nothing.  ``lone`` counts
     the returned maximizers that are the only anchored member of their
     class."""
     engine = "clique"
@@ -548,7 +549,7 @@ def test_anchored_walk_rejects_a_list_missing_an_anchored_maximizer(request, kin
     images = set().union(*orbits)
     assert {F.members for F in found} == {m for m in images if required(m)}
     unreturned = sorted(m for m in images if anchor in m and not required(m))
-    assert bool(unreturned) == (kind == "diverse_intersecting_max")
+    assert bool(unreturned) == (kind != "s_union_conditioned_max")
     caught = 0
     for i, (F, orbit) in enumerate(zip(found, orbits)):
         rest = found[:i] + found[i + 1:]
@@ -567,35 +568,107 @@ def test_anchored_walk_rejects_a_list_missing_an_anchored_maximizer(request, kin
         assert classify_maximizers(listed[:i] + listed[i + 1:], generators, required) == classes
 
 
-def _identity_orbits(n: int, k: int) -> DiversityTables:
-    """The diversity tables with identity orbit rows, horbit[b][i] = 1 << i
-    for every b: the kernel then walks every candidate below the anchor."""
-    tabs = build_diversity_tables(n, k)
-    identity = [1 << i for i in range(len(tabs.hmasks))]
-    horbit = {b: identity for b in range(len(tabs.hmasks))}
-    return DiversityTables(*(
-        horbit if name == "horbit" else getattr(tabs, name) for name in DiversityTables.__slots__
-    ))
+def _pair_instances(limit: int):
+    """Every brute pair instance whose tables hold at most ``limit`` sets,
+    at every r its bound admits, as (kind, params)."""
+    for n in range(2, 10):
+        for k in range(1, n + 1):
+            for kind in ("hemibundled_max", "cross_pair_max", "cross_pair_capped"):
+                for t in range(n - k + 1) if kind == "hemibundled_max" else (None,):
+                    if max(comb(n, k), comb(n, k + (t or 0))) > limit:
+                        continue
+                    for r in range(n + 2):
+                        p = Params(n=n, k=k, t=t, r=r)
+                        try:
+                            problems.bound_for(kind, p)
+                        except ParamRangeError:
+                            continue
+                        yield kind, p
+
+
+def _compare_walks(reduced, unreduced, anchor: int, generators) -> None:
+    """``reduced`` and ``unreduced`` run one ``problems._solve_*`` call, the
+    first as is, branching once per orbit, the second walking every
+    candidate below the anchor.  Both give the same optimum and the same
+    classes, or the same cap error, raised by the kernel or by the orbit
+    walk that counts the maximizers.  The replay predicate of the reduced
+    walk accepts every family it returns, and among the unreduced walk's
+    maximizers exactly those."""
+
+    def outcome(run, *args):
+        try:
+            return run(*args)
+        except InfeasibleInstanceError as exc:
+            return str(exc)
+
+    got, full = outcome(reduced), outcome(unreduced)
+    if isinstance(got, str):  # the walk that visits fewer nodes keeps fewer ties
+        assert full == got
+        return
+    best, found, nodes, required = got
+    assert all(required(F.members) for F in found)
+    classes = outcome(classify_maximizers, found, generators, required)
+    if isinstance(full, str):
+        assert classes == full
+        return
+    full_best, full_found, full_nodes, _ = full
+    assert {F.members for F in full_found if required(F.members)} == {F.members for F in found}
+    full_classes = classify_maximizers(full_found, generators, problems._holding(anchor))
+    assert (best, classes) == (full_best, full_classes) and nodes <= full_nodes
+
+
+def test_orbit_branching_keeps_every_pair_report(compiled, monkeypatch):
+    """The differential test of the orbit rule on the brute pair kinds:
+    every instance with at most 35 candidates, at every r.  The unreduced
+    walk is the kernel without the element masks.  The maximizer cap sits
+    just above the largest count that fits (59,048 families at
+    hemibundled_max (6,3,0,1)), so that the rows past it, which both walks
+    must fail alike, fail sooner."""
+    monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 60_000)
+    seen = set()
+    for kind, p in _pair_instances(35):
+        seen.add(kind)
+
+        def reduced(kind=kind, p=p):
+            best, pairs, nodes, required = problems._solve_pair(kind, p, "brute", "compiled", None)
+            return best, [F for F, _ in pairs], nodes, required
+
+        def unreduced(run=compiled.pair_bnb):
+            with monkeypatch.context() as patch:
+                patch.setattr(compiled, "pair_bnb", lambda *args: run(*args[:11], None, *args[12:]))
+                return reduced()
+
+        anchor = (1 << p.k + (p.t or 0)) - 1  # candidate 0, {1, ..., k + t}
+        _compare_walks(reduced, unreduced, anchor, problems._scope_generators(kind, "brute", p.n))
+    assert seen == set(problems._PAIR_KINDS)
 
 
 def test_orbit_branching_keeps_every_diversity_report(compiled, monkeypatch):
-    """Branching once per orbit at the anchor's node and the node below it
-    gives the optimum, maximizer count, classes and representatives of the
-    unreduced walk (identity orbit rows) on every k=3, n=7..9 row, with
-    fewer nodes, equal on both backends."""
-    rows = [Params(n=n, k=3, r=r) for n in (7, 8, 9) for r in range(n - 2)]
+    """The same differential test on every k=3, n=7..9 diversity row, the
+    unreduced walk running diversity_bnb without ``symmetric``.  Both
+    backends give the reduced walk's report, ``nodes`` included."""
+    for n in (7, 8, 9):
+        for r in range(n - 2):
+            p = Params(n=n, k=3, r=r)
 
-    def reports(backend):
-        return [solve(Problem("diverse_intersecting_max", p, "clique"), backend=backend) for p in rows]
+            def reduced(p=p):
+                return problems._solve_diversity_clique(p, "compiled", None)
 
-    reduced, fast = reports("python"), reports("compiled")
-    monkeypatch.setattr(problems, "build_diversity_tables", _identity_orbits)
-    unreduced, unreduced_fast = reports("python"), reports("compiled")
-    for p, rep, rep_fast, full, full_fast in zip(rows, reduced, fast, unreduced, unreduced_fast):
-        assert (rep.optimum, rep.maximizer_count, rep.classes) == (
-            full.optimum, full.maximizer_count, full.classes
-        ), p
-        assert rep_fast.nodes == rep.nodes < full.nodes == full_fast.nodes, p
+            def unreduced(run=compiled.diversity_bnb):
+                with monkeypatch.context() as patch:
+                    patch.setattr(compiled, "diversity_bnb", lambda *args: run(*args[:8], False))
+                    return reduced()
+
+            generators = problems._scope_generators("diverse_intersecting_max", "clique", n)
+            _compare_walks(reduced, unreduced, 0b1110, generators)  # H's anchor {2, 3, 4}
+            reports = [solve(Problem("diverse_intersecting_max", p, "clique"), backend=backend)
+                       for backend in ("python", "compiled")]
+            assert [_fields(rep) for rep in reports[1:]] == [_fields(reports[0])], p
+
+
+def _fields(report: SearchReport) -> tuple:
+    """Every report field but ``backend`` and ``elapsed``."""
+    return tuple(getattr(report, f) for f in SearchReport.__slots__ if f not in ("backend", "elapsed"))
 
 
 def test_degenerate_base_lists_classes_without_assertion():
@@ -710,7 +783,7 @@ def test_kernels_leave_their_tables_unchanged(backend, request, monkeypatch):
 def _assert_times_out(backend: str) -> None:
     with pytest.raises(TimeBudgetExceededError) as info:
         solve(
-            Problem("cross_pair_max", Params(n=8, k=3, r=2), "brute"),
+            Problem("cross_pair_capped", Params(n=7, k=3, r=2), "brute"),
             max_seconds=0.01,
             backend=backend,
         )
@@ -730,7 +803,7 @@ def test_time_budget_raises_cleanly_on_compiled(compiled):
 @pytest.mark.parametrize(
     "kind,p,eng,best",
     [
-        ("cross_pair_max", Params(n=8, k=3, r=2), "brute", 42),
+        ("cross_pair_capped", Params(n=7, k=3, r=2), "brute", 29),
         ("s_union_conditioned_max", Params(n=8, s=5, r=1), "clique", 53),
         ("diverse_intersecting_max", Params(n=9, k=4, r=1), "clique", 53),
     ],

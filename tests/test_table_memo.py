@@ -4,7 +4,9 @@ layer are computed once per process: ``build_pair_tables``,
 ``_element_signatures`` and ``are_isomorphic`` are memoized.  Every caller of
 one key then shares one object, so these tests hold the memo to a read-only
 contract and check that a warm cache, or one filled by several threads at
-once, changes no report."""
+once, changes no report.  The partner search's orbit rows
+(``pykern._orbits``), which each search fills in on first use, are cleared
+with the rest for the cold runs."""
 
 import re
 
@@ -13,6 +15,7 @@ from conftest import random_family
 
 from setfam.bounds import Params
 from setfam.constructions import ConstructionId, construct
+from setfam.engines import pykern
 from setfam.errors import InfeasibleInstanceError, ParamRangeError, UniverseMismatchError
 from setfam.family import Family, _element_signatures, apply_permutation, are_isomorphic
 from setfam.search import Problem, SearchReport, expected, problems, solve, tables
@@ -58,12 +61,11 @@ def _clear_caches() -> None:
     construct.cache_clear()
     _element_signatures.cache_clear()
     are_isomorphic.cache_clear()
+    pykern._orbits.cache_clear()
 
 
 def _frozen(value) -> bool:
-    """An int, None, a tuple of ints, or (``horbit``) a dict of such tuples."""
-    if isinstance(value, dict):
-        return all(isinstance(row, tuple) and _frozen(row) for row in value.values())
+    """An int, None, or a tuple of ints."""
     if isinstance(value, tuple):
         return all(isinstance(x, int) for x in value)
     return value is None or isinstance(value, int)

@@ -4,12 +4,12 @@ from math import comb
 
 import pytest
 
+from setfam.engines import pykern
 from setfam.errors import InfeasibleInstanceError
 from setfam.search.tables import (
     build_diversity_tables,
     build_pair_tables,
     build_union_tables,
-    diversity_orbits,
     dominance_pred,
     dominance_succ,
     layer_masks,
@@ -128,21 +128,37 @@ def _closure_orbits(n: int, hmasks: list[int], blocks: list[int]) -> tuple[int, 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(7, 11) for k in (3, 4)])
 def test_diversity_orbit_rows_match_transposition_closure(n, k):
-    """Row b of horbit holds the orbits of the relabelings that fix element
-    1 and H_0 and H_b setwise, and there is a row for the anchor and for the
-    least candidate of each anchor-row orbit that meets H_0."""
-    hmasks = [m for m in layer_masks(n, k) if not m & 1]
-    horbit = diversity_orbits(hmasks)
-    h0 = hmasks[0]
-    anchor_row = _closure_orbits(n, hmasks, [1, h0])
-    assert sorted(horbit) == sorted(
-        {(anchor_row[i] & -anchor_row[i]).bit_length() - 1 for i, m in enumerate(hmasks) if m & h0}
-    )
-    assert horbit[0] == anchor_row
-    for b, row in horbit.items():
-        assert row == _closure_orbits(n, hmasks, [1, h0, hmasks[b]]), b
+    """The orbit rule of the partner search on the diversity H candidates,
+    at the root, the anchor's node, each node below it, and one path down
+    to a trivial group: at a node with chosen members B_1, ..., the orbit
+    of every candidate is its closure under the transpositions that fix
+    element 1 and every B_j setwise."""
+    hmasks = tuple(m for m in layer_masks(n, k) if not m & 1)
+    rule = pykern._Orbits(hmasks)
     if comb(n - 1, k - 1) <= 64:
-        assert build_diversity_tables(n, k).horbit == horbit
+        assert tuple(build_diversity_tables(n, k).hmasks) == hmasks
+
+    def check(path) -> bool:
+        """Whether the group at the node of ``path`` is still nontrivial."""
+        atoms = rule.root
+        for b in path:
+            atoms = atoms and rule.step(atoms, rule.node(atoms), b)[1]
+        closure = _closure_orbits(n, hmasks, [1, *(hmasks[b] for b in path)])
+        if atoms is None:
+            assert closure == tuple(1 << i for i in range(len(hmasks))), path
+            return False
+        steps = rule.node(atoms)
+        orbits = tuple((steps[i] or rule.step(atoms, steps, i))[0] for i in range(len(hmasks)))
+        assert orbits == closure, path
+        return True
+
+    assert check(()) and check((0,))
+    for b in range(1, len(hmasks)):
+        assert check((0, b))
+    path = [0]
+    while check(path):  # down to a trivial group: the anchor, then the top candidates
+        path.append(len(hmasks) - len(path))
+    assert len(path) > 3
 
 
 @pytest.mark.parametrize(
