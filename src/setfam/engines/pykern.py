@@ -716,8 +716,9 @@ def diversity_bnb(
     element e but 1, which no H member contains.  Diversity of a feasible
     family equals |H|.
 
-    Every candidate but the anchor requires it (:func:`anchor_rows`), so the root branches on
-    candidate 0 only and every non-empty H found holds it.  For the callers'
+    Every candidate but the anchor requires it (:func:`anchor_rows`), so
+    the root branches on candidate 0 only and every non-empty H found holds
+    it.  For the callers'
     tables, where the H candidates are the k-sets avoiding element 1, no
     maximizer class is lost: the stabilizer of 1 is transitive on those
     k-sets and keeps the scope and every constraint, so every non-empty H
