@@ -495,6 +495,14 @@ def walk_returns(masks, compat, pred, succ):
     when each member is reached, and its subtree entered, at the node of
     the members before it.  The predicate replays the walk along those
     nodes, each walked once per predicate.
+
+    Of each orbit of maximizers that hold candidate 0, the search returns
+    the least, its members' indices compared as ascending tuples.  Were one
+    of its members i dropped at a node on its path, as part of the orbit of
+    a candidate j that the node handled before the member the path goes
+    through, the relabeling that carries i onto j and fixes the node's
+    chosen members would give a family of the orbit that holds j, which the
+    least does not, and lacks only members above j: a smaller one.
     """
     rule = _orbits(tuple(masks))
     index = {mask: i for i, mask in enumerate(masks)}

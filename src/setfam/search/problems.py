@@ -241,10 +241,10 @@ def classify_maximizers(
     member-mask tuples), every maximizer it accepts, as a reduced search
     returns them (:func:`_holding`,
     :func:`setfam.engines.pykern.walk_returns`), and at least one of each
-    class.  A relabeled image that the list should hold
-    and does not means the list or the generators are wrong, and raises
-    ``AssertionError``.  More families reached than
-    ``pykern.MAXIMIZER_CAP`` raise the kernels' cap error.
+    class.  A relabeled image that the list should hold and does not means
+    the list or the generators are wrong, and raises ``AssertionError``.
+    More families reached than ``pykern.MAXIMIZER_CAP`` raise the kernels'
+    cap error.
     """
     if generators is not None:
         return _orbit_classes(families, generators, required)
@@ -424,8 +424,8 @@ def _scope_generators(kind: str, engine: str, n: int) -> Callable | None:
 def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
     """The kernel's result as (F, G) pairs, with the predicate of the
     maximizers it must return (:func:`setfam.engines.pykern.walk_returns`),
-    which all hold candidate 0, or None for the shifted engine, whose walk has no orbit rule and
-    whose result is classified by isomorphism."""
+    which all hold candidate 0; or None for the shifted engine, whose walk
+    has no orbit rule and whose result is classified by isomorphism."""
     kern = engines.backend_module(backend)
     if kind == "hemibundled_max":
         (n, k, t, r) = p.require("n", "k", "t", "r")
@@ -585,7 +585,7 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
         pairs = {F: (F, G) for F, G in maxers}
         maxers = list(pairs)
     classes = classify_maximizers(maxers, generators, required)
-    if pairs is not None:
+    if pairs is not None:  # each representative, the least of its class, was returned
         classes = [MaximizerClass(pairs[c.representative], c.size) for c in classes]
     return SearchReport(
         kind=problem.kind,

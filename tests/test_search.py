@@ -40,7 +40,6 @@ from setfam.search.problems import (
     _symmetric_generators,
 )
 from setfam.search.tables import (
-    build_diversity_tables,
     build_pair_tables,
     shifted_family_count_reference,
 )
@@ -524,9 +523,8 @@ def test_anchored_walk_rejects_a_list_missing_an_anchored_maximizer(request, kin
     reached at all.  The partner searches of the diversity and pair kinds
     branch once per orbit at every node, so they return only some of the
     anchored maximizers; dropping an anchored one that they do not return
-    changes nothing.  ``lone`` counts
-    the returned maximizers that are the only anchored member of their
-    class."""
+    changes nothing.  ``lone`` counts the returned maximizers that are the
+    only anchored member of their class."""
     engine = "clique"
     if kind == "diverse_intersecting_max":
         backend = "python"
@@ -586,14 +584,15 @@ def _pair_instances(limit: int):
                         yield kind, p
 
 
-def _compare_walks(reduced, unreduced, anchor: int, generators) -> None:
+def _compare_walks(reduced, unreduced, anchor: int, generators) -> tuple | None:
     """``reduced`` and ``unreduced`` run one ``problems._solve_*`` call, the
     first as is, branching once per orbit, the second walking every
     candidate below the anchor.  Both give the same optimum and the same
     classes, or the same cap error, raised by the kernel or by the orbit
     walk that counts the maximizers.  The replay predicate of the reduced
     walk accepts every family it returns, and among the unreduced walk's
-    maximizers exactly those."""
+    maximizers exactly those.  Returns the two walks' ``nodes`` when both
+    kernels finish."""
 
     def outcome(run, *args):
         try:
@@ -604,17 +603,18 @@ def _compare_walks(reduced, unreduced, anchor: int, generators) -> None:
     got, full = outcome(reduced), outcome(unreduced)
     if isinstance(got, str):  # the walk that visits fewer nodes keeps fewer ties
         assert full == got
-        return
+        return None
     best, found, nodes, required = got
     assert all(required(F.members) for F in found)
     classes = outcome(classify_maximizers, found, generators, required)
     if isinstance(full, str):
         assert classes == full
-        return
+        return None
     full_best, full_found, full_nodes, _ = full
     assert {F.members for F in full_found if required(F.members)} == {F.members for F in found}
     full_classes = classify_maximizers(full_found, generators, problems._holding(anchor))
-    assert (best, classes) == (full_best, full_classes) and nodes <= full_nodes
+    assert (best, classes) == (full_best, full_classes)
+    return nodes, full_nodes
 
 
 def test_orbit_branching_keeps_every_pair_report(compiled, monkeypatch):
@@ -625,7 +625,7 @@ def test_orbit_branching_keeps_every_pair_report(compiled, monkeypatch):
     hemibundled_max (6,3,0,1)), so that the rows past it, which both walks
     must fail alike, fail sooner."""
     monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 60_000)
-    seen = set()
+    seen, fewer, ran = set(), 0, 0
     for kind, p in _pair_instances(35):
         seen.add(kind)
 
@@ -639,8 +639,14 @@ def test_orbit_branching_keeps_every_pair_report(compiled, monkeypatch):
                 return reduced()
 
         anchor = (1 << p.k + (p.t or 0)) - 1  # candidate 0, {1, ..., k + t}
-        _compare_walks(reduced, unreduced, anchor, problems._scope_generators(kind, "brute", p.n))
+        nodes = _compare_walks(reduced, unreduced, anchor,
+                               problems._scope_generators(kind, "brute", p.n))
+        if nodes is not None:
+            assert nodes[0] <= nodes[1], (kind, p)
+            fewer += nodes[0] < nodes[1]
+            ran += 1
     assert seen == set(problems._PAIR_KINDS)
+    assert fewer > ran // 2
 
 
 def test_orbit_branching_keeps_every_diversity_report(compiled, monkeypatch):
@@ -660,7 +666,8 @@ def test_orbit_branching_keeps_every_diversity_report(compiled, monkeypatch):
                     return reduced()
 
             generators = problems._scope_generators("diverse_intersecting_max", "clique", n)
-            _compare_walks(reduced, unreduced, 0b1110, generators)  # H's anchor {2, 3, 4}
+            nodes, full_nodes = _compare_walks(reduced, unreduced, 0b1110, generators)  # {2, 3, 4}
+            assert nodes < full_nodes, p
             reports = [solve(Problem("diverse_intersecting_max", p, "clique"), backend=backend)
                        for backend in ("python", "compiled")]
             assert [_fields(rep) for rep in reports[1:]] == [_fields(reports[0])], p
@@ -803,7 +810,7 @@ def test_time_budget_raises_cleanly_on_compiled(compiled):
 @pytest.mark.parametrize(
     "kind,p,eng,best",
     [
-        ("cross_pair_capped", Params(n=7, k=3, r=2), "brute", 29),
+        ("cross_pair_max", Params(n=8, k=3, r=4), "brute", 32),
         ("s_union_conditioned_max", Params(n=8, s=5, r=1), "clique", 53),
         ("diverse_intersecting_max", Params(n=9, k=4, r=1), "clique", 53),
     ],
