@@ -471,7 +471,10 @@ def _partner_search(m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f
                 for j in slots[i]:
                     degs[j] -= 1
 
-    rec(0, 0, max(r_min, 0), (1 << m) - 1, m, (1 << ng) - 1, rule and rule.root)
+    try:
+        rec(0, 0, max(r_min, 0), (1 << m) - 1, m, (1 << ng) - 1, rule and rule.root)
+    finally:
+        del rec  # rec's closure holds rec: break the cycle, on a raise too
     return best, maxers, nodes
 
 
@@ -694,7 +697,10 @@ def clique_bnb(
                     return
             colour -= 1
 
-    expand(0, 0, 0, (1 << nverts) - 1)
+    try:
+        expand(0, 0, 0, (1 << nverts) - 1)
+    finally:
+        del expand, walk  # each one's closure holds the other: break the cycle
     return best, maxers, nodes
 
 

@@ -51,7 +51,10 @@ classify by ``are_isomorphic``.
 from __future__ import annotations
 
 import time
+from functools import reduce
+from itertools import compress
 from math import comb
+from operator import or_
 
 from .._record import Record
 from ..bounds import (
@@ -84,7 +87,7 @@ from .tables import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # names used only in annotations, never imported at run time
-    from collections.abc import Callable, Iterator
+    from collections.abc import Callable, Iterator, Sequence
 
 
 __all__ = [
@@ -346,6 +349,9 @@ def _images(members: tuple[int, ...], tables: list[list[int]]) -> list[int]:
     if len(tables) == 1:
         table = tables[0]
         return [table[m] for m in members]
+    if len(tables) == 2:  # n = 9..16
+        lo, hi = tables
+        return [lo[m & 255] | hi[m >> 8] for m in members]
     out = []
     for m in members:
         image = 0
@@ -425,7 +431,9 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
     """The kernel's result as (F, G) pairs, with the predicate of the
     maximizers it must return (:func:`setfam.engines.pykern.walk_returns`),
     which all hold candidate 0; or None for the shifted engine, whose walk
-    has no orbit rule and whose result is classified by isomorphism."""
+    has no orbit rule and whose result is classified by isomorphism.  F is
+    the chosen candidates, G the partner universe outside their kill rows,
+    both :func:`_select`-ed from tables that ascend, so already sorted."""
     kern = engines.backend_module(backend)
     if kind == "hemibundled_max":
         (n, k, t, r) = p.require("n", "k", "t", "r")
@@ -446,17 +454,19 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
         m, tabs.compat, tabs.pred, tabs.succ, tabs.kill, len(tabs.gmasks), (1 << m) - 1, *rules,
         masks, deadline,
     )
+    full = (1 << len(tabs.gmasks)) - 1
     pairs = []
     for chosen in maxers:
-        fmasks, partner = _members_and_partner(chosen, tabs.cands, tabs.kill, len(tabs.gmasks))
+        partner = full & ~reduce(or_, _select(tabs.kill, chosen), 0)
         if kind == "cross_pair_capped":
             # drop the overlap excess deterministically: lowest shared first
             shared = chosen & partner
             for _ in range(shared.bit_count() - (p.r - 1)):
                 partner ^= shared & -shared
                 shared &= shared - 1
-        gm = [tabs.gmasks[j] for j in _bits(partner)]
-        pairs.append((Family.of_masks(p.n, fmasks), Family.of_masks(p.n, gm)))
+        pairs.append(
+            (Family(n, _select(tabs.cands, chosen)), Family(n, _select(tabs.gmasks, partner)))
+        )
     if masks is None:
         return best, pairs, nodes, None
     return best, pairs, nodes, pykern.walk_returns(masks, tabs.compat, tabs.pred, tabs.succ)
@@ -477,15 +487,16 @@ def _solve_union(kind: str, p: Params, backend: str, deadline):
     best, maxers, nodes = kern.clique_bnb(
         len(tabs.vmasks), tabs.adj, tabs.sup, cons, tabs.layer, tabs.vmasks, n, r, deadline
     )
-    fams = [
-        Family.of_masks(n, [tabs.vmasks[i] for i in _bits(chosen)]) for chosen in maxers
-    ]
+    fams = [Family.of_masks(n, _select(tabs.vmasks, chosen)) for chosen in maxers]
     return best, fams, nodes, required
 
 
 def _solve_diversity_clique(p: Params, backend: str, deadline):
     """The kernel's result as families, with the predicate of the
-    maximizers it must return (:func:`setfam.engines.pykern.walk_returns`)."""
+    maximizers it must return (:func:`setfam.engines.pykern.walk_returns`).
+    H is the chosen candidates, A the star members outside their ``akill``
+    rows, both :func:`_select`-ed; H avoids element 1 and A holds it, so
+    the two interleave and the family sorts them."""
     kern = engines.backend_module(backend)
     (n, k, r) = p.require("n", "k", "r")
     tabs = build_diversity_tables(n, k)
@@ -494,11 +505,11 @@ def _solve_diversity_clique(p: Params, backend: str, deadline):
         mh, tabs.hcompat, tabs.hmasks, tabs.akill, len(tabs.amasks), tabs.avoid_a, r, n, True,
         deadline,
     )
+    full = (1 << len(tabs.amasks)) - 1
     fams = []
     for hbits in maxers:
-        masks, abits = _members_and_partner(hbits, tabs.hmasks, tabs.akill, len(tabs.amasks))
-        masks += [tabs.amasks[i] for i in _bits(abits)]
-        fams.append(Family.of_masks(n, masks))
+        abits = full & ~reduce(or_, _select(tabs.akill, hbits), 0)
+        fams.append(Family.of_masks(n, _select(tabs.hmasks, hbits) + _select(tabs.amasks, abits)))
     required = pykern.walk_returns(tabs.hmasks, tabs.hcompat, *pykern.anchor_rows(mh))
     return best, fams, nodes, required
 
@@ -526,27 +537,19 @@ def _solve_diversity_shifted(p: Params, backend: str, deadline):
         len(tabs.cands), tabs.compat, tabs.pred, tabs.succ, tabs.kill, 0, avoid_1,
         r, 0, False, -1, None, deadline,
     )
-    fams = [Family.of_masks(n, [tabs.cands[i] for i in _bits(c)]) for c in maxers]
+    fams = [Family(n, _select(tabs.cands, c)) for c in maxers]  # the candidates ascend
     return best, fams, nodes, None
 
 
-def _members_and_partner(chosen: int, masks: list[int], kill: list[int], width: int):
-    """The masks of the chosen candidates, and their partner: the bitset of
-    the width-entry universe that no chosen candidate kills (a pair's G, or
-    the A side of a diversity family).  One walk over the bits of ``chosen``."""
-    members = []
-    partner = (1 << width) - 1
-    for i in _bits(chosen):
-        members.append(masks[i])
-        partner &= ~kill[i]
-    return members, partner
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits as compress's selectors
 
 
-def _bits(x: int) -> Iterator[int]:
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def _select(entries: Sequence[int], bits: int) -> tuple[int, ...]:
+    """The entries at the set bits of ``bits``, in index order; a set bit at
+    or past ``len(entries)`` raises IndexError, as indexing would."""
+    if bits >> len(entries):
+        raise IndexError(f"bitset {bits:#x} selects past the {len(entries)} entries")
+    return tuple(compress(entries, bin(bits).encode()[:1:-1].translate(_DIGIT_FLAGS)))
 
 
 def _check_budget(max_seconds: float | None) -> None:

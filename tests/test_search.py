@@ -1,4 +1,5 @@
 import copy
+import gc
 import importlib
 import itertools
 import os
@@ -37,10 +38,13 @@ from setfam.search.problems import (
     _chunk_tables,
     _images,
     _max_degree_generators,
+    _select,
     _symmetric_generators,
 )
 from setfam.search.tables import (
+    build_diversity_tables,
     build_pair_tables,
+    build_union_tables,
     shifted_family_count_reference,
 )
 from setfam.search.verify import _classes_match
@@ -446,7 +450,7 @@ def test_orbit_classes_match_bruteforce_on_closed_lists(rng):
 
 
 def test_chunk_tables_relabel_like_apply_permutation(rng):
-    for n in (2, 5, 8, 9, 16, 17, 24, 30):  # one to four 8-bit chunks
+    for n in (2, 5, 8, 9, 12, 16, 17, 24, 30):  # one to four 8-bit chunks
         for _ in range(5):
             F = random_family(rng, n) if n <= 16 else fam(n, *(
                 rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(12)
@@ -455,6 +459,21 @@ def test_chunk_tables_relabel_like_apply_permutation(rng):
             rng.shuffle(perm)
             images = _images(F.members, _chunk_tables(tuple(perm), n))
             assert Family.of_masks(n, images) == apply_permutation(F, tuple(perm))
+
+
+def test_select_takes_the_entries_at_the_set_bits(rng):
+    for width in (0, 1, 63, 64, 65, 127, engines.MAX_BITS):
+        entries = tuple(rng.getrandbits(16) for _ in range(width))
+        full = (1 << width) - 1
+        picks = {0, full ^ full >> 1, full}  # none, the top bit, all
+        picks |= {rng.getrandbits(width) for _ in range(20)}
+        for bits in sorted(picks):
+            want = tuple(e for i, e in enumerate(entries) if bits >> i & 1)
+            assert _select(entries, bits) == want
+            assert _select(list(entries), bits) == want
+        for past in (1 << width, full + (1 << width + 5)):
+            with pytest.raises(IndexError):
+                _select(entries, past)
 
 
 def test_orbit_walk_rejects_a_list_that_is_not_closed():
@@ -881,6 +900,61 @@ def test_maximizer_cap_counts_the_families_the_orbit_walk_reaches(monkeypatch):
     monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 34)
     with pytest.raises(InfeasibleInstanceError, match=r"^maximizer enumeration exceeded the cap of 34$"):
         solve(problem)
+
+
+def _kernel_call(kernel: str):
+    """One pykern kernel on the tables of a small verify row, as a function
+    of the deadline, each with at least two maximizers: the pair kernel on
+    main1 (7,3,0,2) brute without and with element masks, the diversity
+    kernel on (7,3,1), the clique kernel on main5 (7,5,1)."""
+    if kernel.startswith("pair"):
+        t = build_pair_tables(7, 3, 3, t_inter=1, shifted=False)
+        m, masks = len(t.cands), t.cands if kernel == "pair_masks" else None
+        return lambda deadline: pykern.pair_bnb(
+            m, t.compat, t.pred, t.succ, t.kill, len(t.gmasks), (1 << m) - 1, 2, 0, False, -1,
+            masks, deadline,
+        )
+    if kernel == "diversity":
+        d = build_diversity_tables(7, 3)
+        return lambda deadline: pykern.diversity_bnb(
+            len(d.hmasks), d.hcompat, d.hmasks, d.akill, len(d.amasks), d.avoid_a, 1, 7, True,
+            deadline,
+        )
+    u = build_union_tables(7, 5, 3)
+    return lambda deadline: pykern.clique_bnb(
+        len(u.vmasks), u.adj, u.sup, 2, u.layer, u.vmasks, 7, 1, deadline
+    )
+
+
+def _garbage_after(call) -> tuple:
+    """The error ``call`` raised (or None), and the number of objects it
+    left that only the cycle collector frees; the collector is off during
+    the call, so none is freed before it is counted."""
+    raised = None
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            call()
+        except (InfeasibleInstanceError, TimeBudgetExceededError) as exc:  # no traceback kept
+            raised = type(exc)
+        return raised, gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kernel", ["pair", "pair_masks", "diversity", "clique"])
+def test_kernel_calls_leave_no_reference_cycles(monkeypatch, kernel):
+    """The kernels' recursive closures refer to themselves (the partner
+    search's rec) or to each other (clique_bnb's expand and walk); each call
+    clears them as it ends, whether it returns, hits the maximizer cap or
+    runs out of time."""
+    call = _kernel_call(kernel)
+    assert _garbage_after(lambda: call(None)) == (None, 0)
+    monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 1)
+    assert _garbage_after(lambda: call(None)) == (InfeasibleInstanceError, 0)
+    monkeypatch.setattr(pykern, "_CHECK_MASK", 0)  # read the clock at every node
+    assert _garbage_after(lambda: call(0)) == (TimeBudgetExceededError, 0)
 
 
 def test_shifted_diversity_reports_the_backend_that_ran(compiled):
