@@ -15,11 +15,12 @@ Reports are therefore byte-identical across backends, and a change to the
 traversal of one kernel must be made to both.  Per-node bookkeeping may
 differ: for example, pykern carries candidate counts and the number of
 ``rmask`` members still needed down the recursion, where the C twin counts
-the chosen ones, and does not store the colour classes that cannot reach
-the incumbent; pykern keeps each node's orbits in a memo per table, where
-the C twin counts the handled candidate's orbit afresh.  All index sets are
-plain int bitsets (candidate universes are capped at 128 entries by the
-callers, the width of the C kernels' bitsets).
+the chosen ones; pykern keeps each node's orbits in a memo per table, where
+the C twin counts the handled candidate's orbit afresh; pykern finds the
+forced vertices of ``clique_bnb`` inside its colouring pass, where the C
+twin scans for them before colouring.  All index sets are plain int
+bitsets (candidate universes are capped at 128 entries by the callers, the
+width of the C kernels' bitsets).
 
 Two of the entry points run one partner search, :func:`_partner_search`.
 A chosen family F has a partner: every member of a second universe that no
@@ -62,7 +63,14 @@ Soundness notes shared by the kernels:
   every maximum feasible clique below the node holds them too: no maximizer
   is lost.  In the s-union graphs a candidate whose set lies inside a
   forced vertex's set is adjacent to every candidate as well, so it is
-  forced with it, and the down-set cut (``sup``) still holds.
+  forced with it, and the down-set cut (``sup``) still holds.  The greedy
+  colouring of the candidates finds them: a forced vertex joins no class
+  another vertex starts (the first step drops the starter's neighbours),
+  so the class it starts holds it alone, and a singleton class whose
+  vertex has no non-neighbour among the candidates is forced by
+  definition.  Removing the forced vertices leaves every other class as it
+  was, in the same order, so the classes of the rest are those of
+  colouring the candidates without them.
 * The last branch (``clique_bnb``): once the walk has searched the subtree
   of a vertex v adjacent to every other candidate still in the walk, the
   node returns.  Forcing leaves no such v at node entry, but the walk drops
@@ -564,10 +572,11 @@ def clique_bnb(
 
     Both constraints survive adding vertices, so maximum feasible cliques
     are maximal and only leaves need scoring.  A child is entered only when
-    it and its candidates can still meet the constraint.  At node entry the
-    forced vertices (module docstring) join the clique, and the same test
-    runs again on the result: at a leaf no candidates are left, so that
-    test was the leaf's own, and every leaf is feasible.
+    it and its candidates can still meet the constraint.  At node entry one
+    greedy colouring pass bounds the clique and finds the forced vertices
+    (module docstring); these join the clique, and the same test runs again
+    on the result: at a leaf no candidates are left, so that test was the
+    leaf's own, and every leaf is feasible.
 
     sup[v] is the set of vertices whose sets strictly contain v's set, and
     the search looks only for down-sets: a maximum feasible s-union family Q
@@ -614,18 +623,28 @@ def clique_bnb(
         nodes += 1
         if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
             raise _over_time(nodes, best)
-        # The forced vertices (module docstring).  A candidate's non-neighbours
-        # are not forced either, so the scan skips them.
+        # Greedy colouring: a clique among the vertices of colours <= c has
+        # at most c of them.  A class that closes as a singleton {w}, with no
+        # non-neighbour of w left in p, holds a forced vertex (module
+        # docstring) and is no colour.
         forced = 0
-        rest = p
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            far = p & apart[low.bit_length() - 1]
-            if far:
-                rest &= ~far
-            else:
+        classes = []
+        uncoloured = p
+        while uncoloured:
+            low = uncoloured & -uncoloured
+            far = apart[low.bit_length() - 1]
+            avail = uncoloured & far
+            if not avail and not p & far:
                 forced |= low
+                uncoloured ^= low
+                continue
+            cls = low
+            while avail:
+                low = avail & -avail
+                cls |= low
+                avail &= apart[low.bit_length() - 1]
+            uncoloured ^= cls
+            classes.append(cls)
         p ^= forced
         flay = forced & layer
         laycount += flay.bit_count()
@@ -638,11 +657,11 @@ def clique_bnb(
             for e in raised:
                 degs[e] += 1
         if not infeasible(laycount, p):
-            walk(q | forced, qcount + forced.bit_count(), laycount, p)
+            walk(q | forced, qcount + forced.bit_count(), laycount, p, classes)
         for e in raised:
             degs[e] -= 1
 
-    def walk(q: int, qcount: int, laycount: int, p: int) -> None:
+    def walk(q: int, qcount: int, laycount: int, p: int, classes: list[int]) -> None:
         nonlocal best, maxers
         if not p:
             if qcount > best:
@@ -653,25 +672,9 @@ def clique_bnb(
                     raise _over_cap(cap)
                 maxers.append(q)
             return
-        # Greedy colouring: a clique among the vertices of colours <= c has
-        # at most c of them.  The walk below goes down from the top colour
-        # and stops at the first colour c with qcount + c < best; best only
-        # rises, so the classes below best - qcount are never walked.
-        first = best - qcount
-        classes = []
-        colour = 0
-        uncoloured = p
-        while uncoloured:
-            colour += 1
-            avail = uncoloured
-            cls = 0
-            while avail:
-                low = avail & -avail
-                cls |= low
-                avail &= apart[low.bit_length() - 1]
-            uncoloured ^= cls
-            if colour >= first:
-                classes.append(cls)
+        # The walk goes down from the top colour and stops at the first
+        # colour c with qcount + c < best.
+        colour = len(classes)
         local_p = p
         for cls in reversed(classes):
             cls &= local_p

@@ -631,7 +631,10 @@ def enumerate_shifted(n: int, k: int, predicate: Callable[[Family], bool] | None
                 continue
             yield from rec(chosen | (1 << i), fmasks + (masks[i],), i + 1)
 
-    yield from rec(0, (), 0)
+    try:
+        yield from rec(0, (), 0)
+    finally:
+        del rec  # its closure holds itself: break the cycle
 
 
 # ----------------------------------------------------- layer-pair invariant

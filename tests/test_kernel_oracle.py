@@ -15,12 +15,15 @@ applies only when it is passed.  The orbit rule is held equal on both
 backends on the callers' own tables.  The clique kernel is checked the same
 way on random graphs, without its down-set cut, once with no side
 constraint and once with each of its two, and with its down-set cut on the
-s-union graphs the callers build, against every down-set clique.
+s-union graphs the callers build, against every down-set clique.  The
+clique walk of the callers' own rows is pinned too, so that a change to its
+nodes shows without a compiler.
 """
 
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from setfam.bounds import Params
@@ -346,3 +349,31 @@ def test_clique_kernel_with_its_down_set_cut_matches_enumeration(compiled_kernel
     best, maxers, nodes = pykern.clique_bnb(*args)
     assert (best, sorted(maxers)) == _clique_oracle(_down_set_cliques(args[5], args[1]), *args)
     assert compiled_kernels.clique_bnb(*args) == (best, maxers, nodes)
+
+
+@pytest.mark.parametrize(
+    "n, s, r, expected",
+    [
+        (7, 5, 1, (42, 65, 1553)),
+        (7, 5, 2, (42, 13, 1420)),
+        (7, 5, 3, (42, 13, 1403)),
+        (6, 5, 1, (32, 1320, 2485)),
+        (7, 4, 1, (24, 4, 23)),
+        (8, 4, 2, (28, 3, 21)),
+        (7, 5, None, (44, 7, 1148)),
+        (6, 5, None, (32, 2646, 5034)),
+    ],
+)
+def test_clique_walk_of_the_union_rows_is_pinned(n, s, r, expected):
+    """The optimum, the number of maximizers and ``nodes`` of the pure-Python
+    clique kernel on the tables of main5 (layer s//2 + 1, side constraint 2
+    for odd s and 1 for even s) and, with r None, of s_union_max (no layer,
+    no side constraint)."""
+    if r is None:
+        tabs, cons_kind, r = build_union_tables(n, s, None), 0, 0
+    else:
+        tabs, cons_kind = build_union_tables(n, s, s // 2 + 1), 2 if s % 2 else 1
+    best, maxers, nodes = pykern.clique_bnb(
+        len(tabs.vmasks), tabs.adj, tabs.sup, cons_kind, tabs.layer, tabs.vmasks, n, r
+    )
+    assert (best, len(maxers), nodes) == expected

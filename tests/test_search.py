@@ -957,6 +957,12 @@ def test_kernel_calls_leave_no_reference_cycles(monkeypatch, kernel):
     assert _garbage_after(lambda: call(0)) == (TimeBudgetExceededError, 0)
 
 
+def test_enumerate_shifted_leaves_no_reference_cycle():
+    """enumerate_shifted's recursive generator refers to itself; the stream
+    clears it as it ends."""
+    assert _garbage_after(lambda: list(enumerate_shifted(6, 3))) == (None, 0)
+
+
 def test_shifted_diversity_reports_the_backend_that_ran(compiled):
     problem = Problem("diverse_intersecting_max", Params(n=9, k=4, r=2), "shifted")
     fast, slow = solve(problem), solve(problem, backend="python")
