@@ -363,19 +363,15 @@ int pair_bnb(Search *s, int m, const word *compat, const word *pred, const word 
 }
 
 /* The walk on the diversity tables: A is H's partner along the akill rows,
-   every candidate but the anchor, candidate 0, requires it (so the root
-   branches on the anchor only), every candidate counts toward r, hmasks
-   and avoid_a are the degree cap deg_e(F) <= deg_1(F) = |A|, and the empty
-   H is the maximizer seeded for r <= 0.  With symmetric, hmasks are also
-   the element sets of the orbit rule. */
+   there are no order rows, every candidate counts toward r, hmasks and
+   avoid_a are the degree cap deg_e(F) <= deg_1(F) = |A|, and the empty H
+   is the maximizer seeded for r <= 0.  With symmetric, hmasks are also the
+   element sets of the orbit rule, whose root step branches on candidate 0
+   only. */
 int diversity_bnb(Search *s, int mh, const word *hcompat, const word *hmasks, const word *akill,
                   int na, const word *avoid_a, int r, int nelems, int symmetric) {
-    word pred[MAXBITS], succ[MAXBITS];
-    for (int i = 0; i < mh; i++) {
-        pred[i] = i ? 1 : 0;
-        succ[i] = i ? 0 : full(mh) ^ 1;
-    }
-    Partner c = {.s = s, .compat = hcompat, .pred = pred, .succ = succ, .kill = akill,
+    static const word none[MAXBITS];
+    Partner c = {.s = s, .compat = hcompat, .pred = none, .succ = none, .kill = akill,
                  .slots = hmasks, .avoid = avoid_a, .masks = symmetric ? hmasks : NULL,
                  .rmask = full(mh), .m = mh, .r_min = r, .cap_excess = -1, .nelems = nelems};
     s->best = -1;

@@ -103,9 +103,10 @@ Soundness notes shared by the kernels:
   class keeps a maximizer; the callers' orbit walk recovers the rest, and
   :func:`walk_returns` replays the walk to say which ones the search
   returns.  At the root the group is transitive on the callers'
-  candidates, so the root branches once, as the anchor rows
-  (:func:`anchor_rows`) make it anyway.  Once every atom has one element
-  the group is trivial, and that node and its subtree skip the orbit work.
+  candidates, so the root branches once, on candidate 0, and every
+  non-empty family the search returns holds it: this is the search's only
+  symmetry break.  Once every atom has one element the group is trivial,
+  and that node and its subtree skip the orbit work.
 * Precondition: ``compat`` (the partner search; ``hcompat`` for
   ``diversity_bnb``) is symmetric, j in row i exactly when i in row j.
   Each descent narrows the candidates to the new member's row, so every
@@ -486,18 +487,13 @@ def _partner_search(m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f
     return best, maxers, nodes
 
 
-def anchor_rows(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pred and succ rows under which every candidate but candidate 0
-    requires it, so the walk's root branches on candidate 0 only."""
-    return (0,) + (1,) * (m - 1), (((1 << m) - 1) & ~1,) + (0,) * (m - 1)
-
-
-def walk_returns(masks, compat, pred, succ):
+def walk_returns(masks, compat):
     """The maximizers that the partner search with the orbit rule returns
     on these tables, the candidates' element sets ``masks`` among them, as
     a predicate on a family's member masks in ascending order: the members
     found in ``masks`` are its chosen candidates, in index order when
-    ``masks`` ascend, as the callers' do.
+    ``masks`` ascend, as the callers' do.  Every caller that passes masks
+    passes empty order rows, so the replay has none.
 
     The walk reaches a family's members in index order, and no bound, side
     constraint or cap cuts the path to a maximizer: a bound cuts only below
@@ -507,13 +503,13 @@ def walk_returns(masks, compat, pred, succ):
     the members before it.  The predicate replays the walk along those
     nodes, each walked once per predicate.
 
-    Of each orbit of maximizers that hold candidate 0, the search returns
-    the least, its members' indices compared as ascending tuples.  Were one
-    of its members i dropped at a node on its path, as part of the orbit of
-    a candidate j that the node handled before the member the path goes
-    through, the relabeling that carries i onto j and fixes the node's
-    chosen members would give a family of the orbit that holds j, which the
-    least does not, and lacks only members above j: a smaller one.
+    Of each orbit of maximizers, the search returns the least, its members'
+    indices compared as ascending tuples.  Were one of its members i
+    dropped at a node on its path, as part of the orbit of a candidate j
+    that the node handled before the member the path goes through, the
+    relabeling that carries i onto j and fixes the node's chosen members
+    would give a family of the orbit that holds j, which the least does
+    not, and lacks only members above j: a smaller one.
     """
     rule = _orbits(tuple(masks))
     index = {mask: i for i, mask in enumerate(masks)}
@@ -528,12 +524,10 @@ def walk_returns(masks, compat, pred, succ):
             p ^= low
             i = low.bit_length() - 1
             here = p
-            p &= ~succ[i]
             step = atoms and (steps[i] or rule.step(atoms, steps, i))
             if step:
                 p &= ~step[0]
-            if not pred[i] & ~chosen:
-                entered[i] = here if compat is None else here & compat[i], step and step[1]
+            entered[i] = here if compat is None else here & compat[i], step and step[1]
         return entered
 
     def returned(members) -> bool:
@@ -720,8 +714,7 @@ def diversity_bnb(
     deadline: float | None = None,
 ):
     """Maximum intersecting k-uniform family with diversity >= r, searched
-    in the symmetry-reduced scope where the maximum degree sits at element 1
-    and H holds the anchor, candidate 0.
+    in the scope where the maximum degree sits at element 1.
 
     The family splits as H (members avoiding 1, enumerated) plus A (members
     containing 1, always the full set of candidates meeting every H member:
@@ -733,30 +726,25 @@ def diversity_bnb(
     element e but 1, which no H member contains.  Diversity of a feasible
     family equals |H|.
 
-    Every candidate but the anchor requires it (:func:`anchor_rows`), so
-    the root branches on candidate 0 only and every non-empty H found holds
-    it.  For the callers'
-    tables, where the H candidates are the k-sets avoiding element 1, no
-    maximizer class is lost: the stabilizer of 1 is transitive on those
-    k-sets and keeps the scope and every constraint, so every non-empty H
-    has a relabeled copy in scope that holds candidate 0.  The empty H,
-    seeded for r <= 0, is the one maximizer without it.
-
     With ``symmetric`` the tables are unchanged by relabeling the elements
     2..n, as the callers' are, and the walk branches once per orbit at every
     node, the orbits those of ``hmasks`` (:func:`pair_bnb`'s ``masks``).
-    Without it the walk visits every candidate below the anchor.  The
+    For the callers' tables, where the H candidates are the k-sets avoiding
+    element 1, the root step of that rule branches on candidate 0 only, as
+    the stabilizer of 1 is transitive on those k-sets, so every non-empty H
+    found holds it; the empty H, seeded for r <= 0, is the one maximizer
+    without it.  Without ``symmetric`` the walk visits every family.  The
     callers recover the other relabeled copies by walking orbits
     (:func:`setfam.search.problems.classify_maximizers`).
 
     Returns (best, maximizers as H bitsets, node_count); each maximizer's A
     is every A candidate outside the ``akill`` rows of its H members.
     """
-    pred, succ = anchor_rows(mh)
+    none = (0,) * mh  # no order rows
     # slot j is element j + 2
     slots = [_indices(hm >> 1) for hm in hmasks]
     return _partner_search(
-        mh, hcompat, pred, succ, akill, na, (1 << mh) - 1, r, 0, False, -1, deadline,
+        mh, hcompat, none, none, akill, na, (1 << mh) - 1, r, 0, False, -1, deadline,
         masks=hmasks if symmetric else None, slots=slots, avoid=avoid_a[2:nelems + 1],
         empty=r <= 0,
     )

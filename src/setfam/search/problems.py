@@ -7,8 +7,8 @@ full layer minus the disjointness family), so the search ranges over F
 only.
 
 ``_KIND_ENGINES`` lists the engines each kind runs.  The brute pair kinds
-search only the families that contain the least candidate (see
-:func:`build_pair_tables`), so their ``nodes`` count that reduced search.
+branch once per orbit at every node (see :func:`build_pair_tables`), so
+their ``nodes`` count that reduced search.
 The s-union kinds search only down-sets, which every maximum s-union
 family is (see :func:`setfam.engines.pykern.clique_bnb`), so their
 ``nodes`` count that smaller search.  The pair kernel and the diversity
@@ -32,16 +32,17 @@ group: the scope of the s-union kinds and of the brute pair kinds is every
 maximum family (a pair's F side, its partner being a function of F),
 closed under S_n, and the diversity ``clique`` engine's is every maximum
 family whose maximum degree is at element 1, closed under the stabilizer
-of 1 and under the swaps (1 x) of the elements x of maximum degree.  All
-but s_union_max search only the maximizers that hold a fixed anchor
-member: the brute pair kinds candidate 0, the least j-set {1, ..., j};
-s_union_conditioned_max the (d+1)-set {1, ..., d+1} (see
-:func:`build_union_tables`); and the diversity ``clique`` engine the H
-member {2, ..., k+1} (see :func:`setfam.engines.pykern.diversity_bnb`).
-The brute pair kinds and the diversity ``clique`` engine also branch once
-per orbit at every node of their partner search, so they return only the
-anchored maximizers that a replay of that walk accepts
-(:func:`setfam.engines.pykern.walk_returns`).
+of 1 and under the swaps (1 x) of the elements x of maximum degree.
+s_union_conditioned_max searches only the maximizers that hold a fixed
+anchor member, the (d+1)-set {1, ..., d+1} (see
+:func:`build_union_tables`).  The brute pair kinds and the diversity
+``clique`` engine branch once per orbit at every node of their partner
+search, so they return only the maximizers that a replay of that walk
+accepts (:func:`setfam.engines.pykern.walk_returns`).  The root step of
+that rule branches on candidate 0 only, so each non-empty one holds it: the
+least j-set {1, ..., j} for the brute pair kinds, the H member
+{2, ..., k+1} for the diversity engine (see
+:func:`setfam.engines.pykern.diversity_bnb`).
 Their ``nodes`` count that search, and the walk recovers every other
 maximizer, so ``maximizer_count`` and the classes are those of the whole
 scope.  The ``shifted`` scopes are not closed under relabeling, so those
@@ -469,7 +470,7 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
         )
     if masks is None:
         return best, pairs, nodes, None
-    return best, pairs, nodes, pykern.walk_returns(masks, tabs.compat, tabs.pred, tabs.succ)
+    return best, pairs, nodes, pykern.walk_returns(masks, tabs.compat)
 
 
 def _solve_union(kind: str, p: Params, backend: str, deadline):
@@ -510,7 +511,7 @@ def _solve_diversity_clique(p: Params, backend: str, deadline):
     for hbits in maxers:
         abits = full & ~reduce(or_, _select(tabs.akill, hbits), 0)
         fams.append(Family.of_masks(n, _select(tabs.hmasks, hbits) + _select(tabs.amasks, abits)))
-    required = pykern.walk_returns(tabs.hmasks, tabs.hcompat, *pykern.anchor_rows(mh))
+    required = pykern.walk_returns(tabs.hmasks, tabs.hcompat)
     return best, fams, nodes, required
 
 

@@ -21,7 +21,6 @@ from math import comb
 
 from .._record import Record
 from ..engines import MAX_BITS
-from ..engines.pykern import anchor_rows
 from ..errors import InfeasibleInstanceError
 from ..family import elements_of, layer_masks
 from ..shifting import dominates
@@ -143,21 +142,16 @@ def build_pair_tables(
     then empty).  ``t_inter`` (when given) restricts F to pairwise
     intersections of at least that depth.
 
-    ``pred`` makes every candidate but the least one require candidate 0
-    (:func:`setfam.engines.pykern.anchor_rows`), so the kernel searches only
-    the families that contain it.  The pair objectives and constraints are
-    unchanged by relabeling and S_n is transitive on the f_size-sets, so
-    every non-empty family has a relabeling that contains candidate 0: the
-    optimum is unchanged, and the callers recover the other maximizers by
-    walking their S_n orbits.  These tables are unchanged by relabeling, so
-    the callers also pass ``cands`` as the kernel's element masks, and it
-    branches once per orbit at every node; at the root that orbit is every
-    candidate, as the anchor rows already make it.  With ``shifted`` it is
-    the dominance order instead (down-sets, the shifted families), which
-    already puts candidate 0 below every other candidate; that order is not
-    closed under relabeling, so that kernel walks every candidate.
-    ``succ`` is ``pred`` transposed: the other candidates under candidate 0,
-    or the dominance successors.
+    Without ``shifted`` the order rows ``pred`` and ``succ`` are empty.
+    These tables are unchanged by relabeling, so the callers pass ``cands``
+    as the kernel's element masks, and it branches once per orbit at every
+    node.  S_n is transitive on the f_size-sets, so the root step of that
+    rule branches on candidate 0 only: every non-empty family the kernel
+    returns contains it, and the callers recover the other maximizers by
+    walking their S_n orbits.  With ``shifted``, ``pred`` is the dominance
+    order (down-sets, the shifted families) and ``succ`` its transpose, the
+    dominance successors; that order is not closed under relabeling, so
+    that kernel walks every candidate.
     """
     cands = tuple(layer_masks(n, f_size))
     gmasks = () if g_size is None else tuple(layer_masks(n, g_size))
@@ -172,7 +166,7 @@ def build_pair_tables(
     if shifted:
         pred, succ = dominance_pred(cands), dominance_succ(cands)
     else:
-        pred, succ = anchor_rows(m)
+        pred = succ = (0,) * m
     if not gmasks:
         kill = (0,) * m
     elif t_inter == 1 and g_size == f_size:

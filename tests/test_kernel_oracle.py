@@ -10,8 +10,8 @@ and the maximizer set must be the enumeration's, and the compiled twin must
 give the same optimum, maximizers and ``nodes``.  Random tables have no
 symmetry, so both entry points run there without the orbit rule (no element
 masks for ``pair_bnb``, ``symmetric`` false for ``diversity_bnb``), and walk
-every candidate; ``pair_bnb`` also runs without the degree cap, which
-applies only when it is passed.  The orbit rule is held equal on both
+every family; ``pair_bnb`` also runs without the degree cap, which applies
+only when it is passed.  The orbit rule is held equal on both
 backends on the callers' own tables.  The clique kernel is checked the same
 way on random graphs, without its down-set cut, once with no side
 constraint and once with each of its two, and with its down-set cut on the
@@ -160,8 +160,6 @@ def diversity_instances(draw):
 def _diversity_oracle(mh, hcompat, hmasks, akill, na, avoid_a, r, nelems, _symmetric):
     best, found = -1, []
     for h in range(1 << mh):
-        if h and not h & 1:
-            continue  # the kernel's root branches on the anchor, candidate 0, only
         members = _members(h)
         if len(members) < r or any(h & ~hcompat[i] & ~(1 << i) for i in members):
             continue

@@ -2,11 +2,12 @@
 
 The oracle scores every subset F of the layer by the problem's definition,
 with plain bitmask loops, and classifies the maximizers by trying all n!
-relabelings.  ``solve(..., "brute")`` searches only the families that
-contain the least candidate and recovers the others by walking their S_n
-orbits; optimum, ``maximizer_count``, representatives and class sizes
-must agree with the oracle on every backend, and, on larger instances, with
-the search over every labeled family.
+relabelings.  ``solve(..., "brute")`` branches once per orbit at every
+node, so it returns only families that contain the least candidate, and
+recovers the others by walking their S_n orbits; optimum,
+``maximizer_count``, representatives and class sizes must agree with the
+oracle on every backend, and, on larger instances, with the search over
+every labeled family.
 """
 
 from functools import lru_cache
@@ -19,7 +20,7 @@ from conftest import are_isomorphic_bruteforce
 from setfam.bounds import Params
 from setfam.errors import InfeasibleInstanceError, ParamRangeError
 from setfam.family import Family
-from setfam.search import Problem, bound_for, problems, solve, tables
+from setfam.search import Problem, bound_for, solve
 
 MAX_LAYER = 15  # at most 2^15 families F per instance
 
@@ -146,13 +147,6 @@ def test_reduced_brute_search_matches_the_unreduced_one(compiled, monkeypatch, k
     pairs differ in size (n > 2k + t), compare with the search over every
     labeled family, whose list the same orbit walk classifies."""
     reduced = solve(Problem(kind, p, "brute"))
-
-    def unreduced_tables(*args, **kwargs):
-        t = tables.build_pair_tables(*args, **kwargs)
-        none = [0] * len(t.cands)
-        return tables.PairTables(t.n, t.cands, t.gmasks, t.compat, none, none, t.kill)
-
-    monkeypatch.setattr(problems, "build_pair_tables", unreduced_tables)
     run = compiled.pair_bnb  # without the element masks, which the orbit rule needs
     monkeypatch.setattr(compiled, "pair_bnb", lambda *args: run(*args[:11], None, *args[12:]))
     full = solve(Problem(kind, p, "brute"))

@@ -138,15 +138,16 @@ def test_engine_agreement_hemibundled():
         assert len(a.classes) == len(b.classes)
 
 
-def test_engine_agreement_diversity():
-    # the shifted lower-bound engine reaches the clique optimum on the
-    # whole verification grid
-    for n in (7, 8, 9):
-        for r in range(1, n - 2):
-            p = Params(n=n, k=3, r=r)
-            a = solve(Problem("diverse_intersecting_max", p, "clique"))
-            b = solve(Problem("diverse_intersecting_max", p, "shifted"))
-            assert a.optimum == b.optimum == a.bound.value
+def test_engine_agreement_diversity(compiled):
+    """The shifted lower-bound engine never passes the clique optimum, which
+    meets the bound; on the whole k=3 verification grid it reaches it."""
+    rows = [(n, 3, r) for n in (7, 8, 9) for r in range(1, n - 2)]
+    for n, k, r in rows + [(9, 4, r) for r in (1, 2, 3)]:
+        p = Params(n=n, k=k, r=r)
+        a = solve(Problem("diverse_intersecting_max", p, "clique"))
+        b = solve(Problem("diverse_intersecting_max", p, "shifted"))
+        assert b.optimum <= a.optimum == a.bound.value, p
+        assert k > 3 or b.optimum == a.optimum, p
 
 
 def test_named_specializations_verify_on_their_own_grids():
@@ -603,14 +604,14 @@ def _pair_instances(limit: int):
                         yield kind, p
 
 
-def _compare_walks(reduced, unreduced, anchor: int, generators) -> tuple | None:
+def _compare_walks(reduced, unreduced, generators) -> tuple | None:
     """``reduced`` and ``unreduced`` run one ``problems._solve_*`` call, the
-    first as is, branching once per orbit, the second walking every
-    candidate below the anchor.  Both give the same optimum and the same
-    classes, or the same cap error, raised by the kernel or by the orbit
-    walk that counts the maximizers.  The replay predicate of the reduced
-    walk accepts every family it returns, and among the unreduced walk's
-    maximizers exactly those.  Returns the two walks' ``nodes`` when both
+    first as is, branching once per orbit, the second walking every family.
+    Both give the same optimum and the same classes, the unreduced list
+    classified as the whole scope, or the same cap error, raised by the
+    kernel or by the orbit walk that counts the maximizers.  The replay
+    predicate of the reduced walk accepts every family it returns, and
+    among the unreduced walk's maximizers exactly those.  Returns the two walks' ``nodes`` when both
     kernels finish."""
 
     def outcome(run, *args):
@@ -631,7 +632,7 @@ def _compare_walks(reduced, unreduced, anchor: int, generators) -> tuple | None:
         return None
     full_best, full_found, full_nodes, _ = full
     assert {F.members for F in full_found if required(F.members)} == {F.members for F in found}
-    full_classes = classify_maximizers(full_found, generators, problems._holding(anchor))
+    full_classes = classify_maximizers(full_found, generators)
     assert (best, classes) == (full_best, full_classes)
     return nodes, full_nodes
 
@@ -639,10 +640,10 @@ def _compare_walks(reduced, unreduced, anchor: int, generators) -> tuple | None:
 def test_orbit_branching_keeps_every_pair_report(compiled, monkeypatch):
     """The differential test of the orbit rule on the brute pair kinds:
     every instance with at most 35 candidates, at every r.  The unreduced
-    walk is the kernel without the element masks.  The maximizer cap sits
-    just above the largest count that fits (59,048 families at
-    hemibundled_max (6,3,0,1)), so that the rows past it, which both walks
-    must fail alike, fail sooner."""
+    walk is the kernel without the element masks, over every family.  The
+    maximizer cap sits just above the largest count that fits (59,048
+    families at hemibundled_max (6,3,0,1)), so that the rows past it, which
+    both walks must fail alike, fail sooner."""
     monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 60_000)
     seen, fewer, ran = set(), 0, 0
     for kind, p in _pair_instances(35):
@@ -657,9 +658,7 @@ def test_orbit_branching_keeps_every_pair_report(compiled, monkeypatch):
                 patch.setattr(compiled, "pair_bnb", lambda *args: run(*args[:11], None, *args[12:]))
                 return reduced()
 
-        anchor = (1 << p.k + (p.t or 0)) - 1  # candidate 0, {1, ..., k + t}
-        nodes = _compare_walks(reduced, unreduced, anchor,
-                               problems._scope_generators(kind, "brute", p.n))
+        nodes = _compare_walks(reduced, unreduced, problems._scope_generators(kind, "brute", p.n))
         if nodes is not None:
             assert nodes[0] <= nodes[1], (kind, p)
             fewer += nodes[0] < nodes[1]
@@ -670,7 +669,8 @@ def test_orbit_branching_keeps_every_pair_report(compiled, monkeypatch):
 
 def test_orbit_branching_keeps_every_diversity_report(compiled, monkeypatch):
     """The same differential test on every k=3, n=7..9 diversity row, the
-    unreduced walk running diversity_bnb without ``symmetric``.  Both
+    unreduced walk running diversity_bnb without ``symmetric``, over every
+    family.  Both
     backends give the reduced walk's report, ``nodes`` included."""
     for n in (7, 8, 9):
         for r in range(n - 2):
@@ -685,11 +685,30 @@ def test_orbit_branching_keeps_every_diversity_report(compiled, monkeypatch):
                     return reduced()
 
             generators = problems._scope_generators("diverse_intersecting_max", "clique", n)
-            nodes, full_nodes = _compare_walks(reduced, unreduced, 0b1110, generators)  # {2, 3, 4}
+            nodes, full_nodes = _compare_walks(reduced, unreduced, generators)
             assert nodes < full_nodes, p
             reports = [solve(Problem("diverse_intersecting_max", p, "clique"), backend=backend)
                        for backend in ("python", "compiled")]
             assert [_fields(rep) for rep in reports[1:]] == [_fields(reports[0])], p
+
+
+@pytest.mark.parametrize(
+    "kind, engine, p, expected",
+    [
+        ("diverse_intersecting_max", "clique", Params(n=9, k=4, r=1), (53, 70, 1, 129547)),
+        ("diverse_intersecting_max", "clique", Params(n=9, k=4, r=2), (51, 644, 3, 434071)),
+        ("diverse_intersecting_max", "clique", Params(n=9, k=4, r=3), (51, 84, 2, 882281)),
+        ("cross_pair_capped", "brute", Params(n=7, k=3, r=1), (31, 70, 2, 129420)),
+        ("cross_pair_capped", "brute", Params(n=7, k=3, r=2), (29, 770, 4, 1048658)),
+    ],
+)
+def test_partner_search_walks_past_the_stored_sizes_are_pinned(compiled, kind, engine, p, expected):
+    """The optimum, maximizer count, class count and ``nodes`` of the orbit
+    rule's walks on rows larger than the stored reports, where the
+    pure-Python kernel is too slow for tier-1: a change to the walk shows
+    as a changed node count."""
+    rep = solve(Problem(kind, p, engine))
+    assert (rep.optimum, rep.maximizer_count, len(rep.classes), rep.nodes) == expected
 
 
 def _fields(report: SearchReport) -> tuple:

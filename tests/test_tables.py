@@ -85,8 +85,7 @@ def test_pair_tables_match_pairwise_definitions(n, f_size, g_size, t_inter):
         )
     if f_size == g_size:  # a capped search needs the partner universe to be the candidates
         assert tabs.cands == tabs.gmasks
-    assert tabs.pred == (0,) + (1,) * (len(cands) - 1)  # every family contains candidate 0
-    assert tabs.succ == ((1 << len(cands)) - 2,) + (0,) * (len(cands) - 1)  # pred transposed
+    assert tabs.pred == tabs.succ == (0,) * len(cands)  # no order: the orbit rule breaks symmetry
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3), (8, 3), (8, 4), (9, 3)])
