@@ -31,7 +31,9 @@
  * of pykern's module docstring: |F| + |partner| + |p| - nu, nu the size of
  * a maximum matching from the remaining candidates p into the partner along
  * the kill rows.  nu depends on the node alone, so the cut does not depend
- * on how either twin grows its matching.  It also takes succ, pred
+ * on how either twin grows its matching.  Each node passes down the members
+ * its candidates reach, and a descendant matches only when those that lie in
+ * its partner number at least want.  It also takes succ, pred
  * transposed: once its walk has passed over candidate i, the later siblings
  * drop the candidates that require i.
  */
@@ -132,8 +134,10 @@ static int max_degree(const int *degs, int nelems) {
    bitsets.  It stops once want pairs are made, or once want exceeds the
    members that any candidate reaches, or the pairs made plus the candidates
    not yet tried: a candidate that finds no augmenting path never finds one
-   after other paths are augmented. */
-static int matching(bits p, const word *rows, bits right, int want) {
+   after other paths are augmented.  When it returns 0, *reached holds the
+   members of right that some candidate reaches, which every descendant's
+   candidates reach inside its own partner, as pykern's _matching says. */
+static int matching(bits p, const word *rows, bits right, int want, bits *reached) {
     unsigned char owner[MAXBITS]; /* owner[j]: the candidate matched to member j */
     bits layers[MAXBITS];         /* layers[d]: matched members first reached through d others */
     bits avail = right;           /* the members not yet matched */
@@ -154,6 +158,7 @@ static int matching(bits p, const word *rows, bits right, int want) {
             rest |= (bits)1 << i;
         }
     }
+    *reached = covered;
     if (pop(covered) < want)
         return 0;
     for (int left = pop(rest); rest; rest &= rest - 1, left--) {
@@ -278,15 +283,19 @@ static int split(const bits *atoms, int natoms, bits mask, bits *below) {
    it) it drops i's whole orbit under the node's group: the orbit exclusion
    of pykern's module docstring. */
 static void partner_rec(Partner *c, bits chosen, int fcount, int rcount, bits p, bits partner,
-                        const bits *atoms, int natoms) {
+                        bits reach, const bits *atoms, int natoms) {
     Search *s = c->s;
     if (tick(s))
         return;
     int gnode = pop(partner), pcount = pop(p);
-    /* the deficiency bound: cut when nu >= want */
+    /* the deficiency bound: cut when nu >= want; nu <= |N(p)|, and N(p) lies
+       inside the ancestors' reach sets */
     int want = fcount + gnode + pcount - s->best + 1;
-    if (want <= gnode && want <= pcount && matching(p, c->kill, partner, want))
-        return;
+    if (want <= pcount) {
+        reach &= partner;
+        if (want <= pop(reach) && matching(p, c->kill, partner, want, &reach))
+            return;
+    }
     bits below[natoms ? 2 * natoms : 1]; /* the atoms of each child in turn */
     while (p) {
         int i = low_index(p);
@@ -323,7 +332,7 @@ static void partner_rec(Partner *c, bits chosen, int fcount, int rcount, bits p,
         if (c->g_ge_f && 2 * gc < child_ub)
             child_ub = 2 * gc;
         if (!s->status && child_ub >= s->best)
-            partner_rec(c, child, fc, rc, child_p, child_partner, below,
+            partner_rec(c, child, fc, rc, child_p, child_partner, reach, below,
                         natoms ? split(atoms, natoms, c->masks[i], below) : 0);
         if (c->slots)
             add_degrees(c->degs, c->slots[i], -1);
@@ -342,7 +351,8 @@ static void partner_root(Partner *c, int ng) {
             for (bits f = c->masks[i]; f; f &= f - 1)
                 c->holding[low_index(f)] |= (bits)1 << i;
         }
-    partner_rec(c, 0, 0, 0, full(c->m), full(ng), root, root[1] & (root[1] - 1) ? 2 : 0);
+    partner_rec(c, 0, 0, 0, full(c->m), full(ng), full(ng), root,
+                root[1] & (root[1] - 1) ? 2 : 0);
 }
 
 /* rmask holds the candidates that count toward r_min: all of them for the

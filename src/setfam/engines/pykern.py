@@ -55,7 +55,11 @@ Soundness notes shared by the kernels:
   a node is cut when it is strictly below the incumbent.  nu is a property
   of the node alone, not of the matching found, so the twins may grow their
   matchings differently (:func:`_matching` stops as soon as the cut is
-  decided) and still cut the same nodes.
+  decided) and still cut the same nodes.  nu is at most |N(p)|, and a
+  node's candidates and partner lie inside its parent's, so N(p) lies
+  inside the members its ancestors' candidates reach, cut to its partner:
+  each node passes that reach set down, and matches only when it holds at
+  least the members the cut needs.  A skipped matching could not have cut.
 * The forced vertices (``clique_bnb``, at node entry): the candidates
   adjacent to every other candidate join the clique at once, and the
   side-constraint test runs on the result.  Every maximal clique below the
@@ -143,18 +147,26 @@ def _indices(x: int) -> list[int]:
     return out
 
 
-def _matching(p: int, rows: list[int], right: int, want: int, owner: list[int]) -> int:
+def _matching(p: int, rows: list[int], right: int, want: int,
+              owner: list[int]) -> tuple[int, int]:
     """Grow a matching of the candidates in ``p`` into ``right``, candidate i
     to a member of ``rows[i] & right``, until it has ``want`` pairs: first
     greedily, then by augmenting paths (Kuhn), each one found breadth-first
     in layers of bitsets.
 
-    Returns ``want`` once it has them.  Otherwise returns a number below
-    ``want`` that bounds the maximum matching from above: the members that
-    any candidate reaches, or the pairs made plus the candidates not yet
-    tried, since a candidate that finds no augmenting path never finds one
-    after other paths are augmented.  ``owner`` is scratch space with a
-    slot per member of ``right``: owner[j] is the candidate matched to j.
+    Returns a bound and a reach set.  The bound is ``want`` once it has
+    them.  Otherwise it is a number below ``want`` that bounds the maximum
+    matching from above: the members that any candidate reaches, or the
+    pairs made plus the candidates not yet tried, since a candidate that
+    finds no augmenting path never finds one after other paths are
+    augmented.  Below ``want`` the reach set is every member of ``right``
+    that a candidate in ``p`` reaches.  Candidates and partner only shrink
+    down the walk, so a descendant's candidates reach nothing outside this
+    set and the descendant's partner, and its matching is no larger: the
+    partner search passes the set down and calls this helper only where
+    that part of it holds ``want`` members.  ``owner`` is scratch space
+    with a slot per member of ``right``: owner[j] is the candidate matched
+    to j.
     """
     size = 0
     avail = right  # the members not yet matched
@@ -173,15 +185,15 @@ def _matching(p: int, rows: list[int], right: int, want: int, owner: list[int]) 
             owner[free.bit_length() - 1] = i
             size += 1
             if size >= want:
-                return want
+                return want, covered
         elif reach:
             rest |= low
     if covered.bit_count() < want:
-        return covered.bit_count()
+        return covered.bit_count(), covered
     left = rest.bit_count()
     while rest:
         if size + left < want:
-            return size + left
+            return size + left, covered
         low = rest & -rest
         rest ^= low
         left -= 1
@@ -213,8 +225,8 @@ def _matching(p: int, rows: list[int], right: int, want: int, owner: list[int]) 
         owner[f.bit_length() - 1] = low.bit_length() - 1
         size += 1
         if size >= want:
-            return want
-    return size
+            return want, covered
+    return size, covered
 
 
 def pair_bnb(
@@ -394,17 +406,22 @@ def _partner_search(m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f
     rule = None if masks is None else _orbits(tuple(masks))
 
     def rec(chosen: int, fcount: int, need: int, p: int, pcount: int, partner: int,
-            atoms: tuple[int, ...] | None) -> None:
+            reach: int, atoms: tuple[int, ...] | None) -> None:
         nonlocal nodes, best, maxers
         nodes += 1
         if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
             raise _over_time(nodes, best)
         gnode = partner.bit_count()
         base = fcount + gnode
-        # cut when |F| + |partner| + |p| - nu < best, that is nu >= want
+        # cut when |F| + |partner| + |p| - nu < best, that is nu >= want;
+        # nu <= |N(p)|, and N(p) lies inside the ancestors' reach sets
         want = base + pcount - best + 1
-        if want <= gnode and want <= pcount and _matching(p, kill, partner, want, owner) >= want:
-            return
+        if want <= pcount:
+            reach &= partner
+            if want <= reach.bit_count():
+                nu, reach = _matching(p, kill, partner, want, owner)
+                if nu >= want:
+                    return
         twice = 2 * gnode  # |F| <= |partner| caps the sum at twice the partner
         fc = fcount + 1
         if atoms is not None:
@@ -474,14 +491,15 @@ def _partner_search(m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f
                 child_p = here & compat[i]
                 child_pcount = child_p.bit_count()
             if size + child_pcount >= best and not (g_ge_f and 2 * gc < best):
-                rec(chosen | low, fc, cneed, child_p, child_pcount, child_partner,
+                rec(chosen | low, fc, cneed, child_p, child_pcount, child_partner, reach,
                     atoms and step[1])
             if slots is not None:
                 for j in slots[i]:
                     degs[j] -= 1
 
     try:
-        rec(0, 0, max(r_min, 0), (1 << m) - 1, m, (1 << ng) - 1, rule and rule.root)
+        rec(0, 0, max(r_min, 0), (1 << m) - 1, m, (1 << ng) - 1, (1 << ng) - 1,
+            rule and rule.root)
     finally:
         del rec  # rec's closure holds rec: break the cycle, on a raise too
     return best, maxers, nodes

@@ -3,8 +3,9 @@
 ``pair_bnb`` and ``diversity_bnb`` are two entry points of one partner
 search, which cuts a node by the deficiency bound |F| + |partner| + |p| - nu,
 where nu is the size of a maximum matching from the remaining candidates p
-into the partner (see :mod:`setfam.engines.pykern`).  The matching helper is
-checked against the deficiency form of Hall's theorem, and each entry point,
+into the partner (see :mod:`setfam.engines.pykern`).  The matching helper,
+and the reach set it hands down the walk, are checked against the deficiency
+form of Hall's theorem, and each entry point,
 on random small tables, against a plain loop over every family: the optimum
 and the maximizer set must be the enumeration's, and the compiled twin must
 give the same optimum, maximizers and ``nodes``.  Random tables have no
@@ -50,9 +51,18 @@ def _deficiency(p: int, rows: list[int], right: int) -> int:
     return best
 
 
+def _reached(p: int, rows: list[int], right: int) -> int:
+    """N(p): the members of ``right`` that some row of ``p`` reaches."""
+    reached = 0
+    for i in _members(p):
+        reached |= rows[i]
+    return reached & right
+
+
 def test_matching_decides_the_deficiency_bound():
     """nu = |p| - max |S| - |N(S)| (Ore): for every want, the helper reaches
-    want exactly when nu does, and otherwise returns a bound on nu below it."""
+    want exactly when nu does, and otherwise returns a bound on nu below it
+    and a reach set that holds N(p)."""
     rng = random.Random(1955)
     owner = [0] * 8
     for _ in range(1500):
@@ -62,12 +72,39 @@ def test_matching_decides_the_deficiency_bound():
         p = rng.randint(1, (1 << nl) - 1)
         right = rng.randint(0, (1 << nr) - 1)
         nu = p.bit_count() - _deficiency(p, rows, right)
+        reached = _reached(p, rows, right)
         for want in range(1, p.bit_count() + 1):
-            got = pykern._matching(p, rows, right, want, owner)
+            got, reach = pykern._matching(p, rows, right, want, owner)
             if nu >= want:
                 assert got == want, (p, rows, right, want)
             else:
                 assert nu <= got < want, (p, rows, right, want)
+                assert reach & reached == reached, (p, rows, right, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_inherited_reach_set_only_skips_matchings_that_cannot_cut(data):
+    """A child's candidates p' lie inside its parent's p and its partner
+    right' inside the parent's right, so the parent's reach set, cut to
+    right', bounds the child's nu: wherever it holds fewer than want
+    members, the child's nu (by Ore's formula) is below want too, and the
+    partner search may skip the child's matching."""
+    nl, nr = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    rows = [data.draw(st.integers(0, (1 << nr) - 1)) for _ in range(nl)]
+    p = data.draw(st.integers(1, (1 << nl) - 1))
+    right = data.draw(st.integers(0, (1 << nr) - 1))
+    # a parent call that does not cut, the only kind whose set is passed down
+    want = p.bit_count() - _deficiency(p, rows, right) + 1
+    got, reach = pykern._matching(p, rows, right, want, [0] * nr)
+    assert got < want
+    child_p = p & data.draw(st.integers(0, (1 << nl) - 1))
+    child_right = right & data.draw(st.integers(0, (1 << nr) - 1))
+    child_nu = child_p.bit_count() - _deficiency(child_p, rows, child_right)
+    inherited = (reach & child_right).bit_count()
+    for child_want in range(1, child_p.bit_count() + 1):
+        if inherited < child_want:
+            assert child_nu < child_want, (rows, p, right, child_p, child_right)
 
 
 def _symmetric(draw, m: int) -> list[int]:
