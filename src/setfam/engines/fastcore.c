@@ -33,9 +33,10 @@
  * the kill rows.  nu depends on the node alone, so the cut does not depend
  * on how either twin grows its matching.  Each node passes down the members
  * its candidates reach, and a descendant matches only when those that lie in
- * its partner number at least want.  It also takes succ, pred
- * transposed: once its walk has passed over candidate i, the later siblings
- * drop the candidates that require i.
+ * its partner number at least want.  It also takes the order rows succ:
+ * once its walk has passed over candidate i, the later siblings drop the
+ * candidates that require i, which keeps every family it reaches a down-set
+ * under the precondition of pykern's module docstring.
  */
 
 #include <stdlib.h>
@@ -201,7 +202,7 @@ static int matching(bits p, const word *rows, bits right, int want, bits *reache
    they are not passed: slots NULL, masks NULL. */
 typedef struct {
     Search *s;
-    const word *compat, *pred, *succ, *kill;
+    const word *compat, *succ, *kill;
     const word *slots, *avoid; /* the degree cap, or slots NULL */
     const word *masks;         /* the candidates' element sets, or NULL */
     bits rmask;
@@ -310,8 +311,6 @@ static void partner_rec(Partner *c, bits chosen, int fcount, int rcount, bits p,
         p &= ~c->succ[i];
         if (natoms)
             p &= ~orbit(c, atoms, natoms, i, p);
-        if (c->pred[i] & ~chosen)
-            continue;
         bits child = chosen | low, child_partner = partner & ~c->kill[i];
         int fc = fcount + 1, gc = pop(child_partner);
         if (gc < c->g_min || (c->g_ge_f && gc < fc))
@@ -357,14 +356,14 @@ static void partner_root(Partner *c, int ng) {
 
 /* rmask holds the candidates that count toward r_min: all of them for the
    pair kinds, those avoiding element 1 for shifted diversity.  succ[i] holds
-   the candidates whose pred row holds i.  masks is NULL, or the candidates'
+   the candidates that require i.  masks is NULL, or the candidates'
    element sets when every table is unchanged by relabeling their union.
    Precondition with a cap (cap_excess >= 0): the partner universe is the
    candidate universe, index for index. */
-int pair_bnb(Search *s, int m, const word *compat, const word *pred, const word *succ,
-             const word *kill, int ng, const word *rmask, int r_min, int g_min, int g_ge_f,
-             int cap_excess, const word *masks) {
-    Partner c = {.s = s, .compat = compat, .pred = pred, .succ = succ, .kill = kill,
+int pair_bnb(Search *s, int m, const word *compat, const word *succ, const word *kill, int ng,
+             const word *rmask, int r_min, int g_min, int g_ge_f, int cap_excess,
+             const word *masks) {
+    Partner c = {.s = s, .compat = compat, .succ = succ, .kill = kill,
                  .masks = masks, .rmask = rmask[0], .m = m, .r_min = r_min, .g_min = g_min,
                  .g_ge_f = g_ge_f, .cap_excess = cap_excess};
     s->best = -1;
@@ -381,7 +380,7 @@ int pair_bnb(Search *s, int m, const word *compat, const word *pred, const word 
 int diversity_bnb(Search *s, int mh, const word *hcompat, const word *hmasks, const word *akill,
                   int na, const word *avoid_a, int r, int nelems, int symmetric) {
     static const word none[MAXBITS];
-    Partner c = {.s = s, .compat = hcompat, .pred = none, .succ = none, .kill = akill,
+    Partner c = {.s = s, .compat = hcompat, .succ = none, .kill = akill,
                  .slots = hmasks, .avoid = avoid_a, .masks = symmetric ? hmasks : NULL,
                  .rmask = full(mh), .m = mh, .r_min = r, .cap_excess = -1, .nelems = nelems};
     s->best = -1;
@@ -412,51 +411,29 @@ static int infeasible(const Clique *c, int laycount, bits p) {
     return c->cons == 2 && reach - max_degree(c->degs, c->nelems) < c->r;
 }
 
-static void clique_walk(Clique *c, bits q, int qcount, int laycount, bits p);
-
 static void clique_expand(Clique *c, bits q, int qcount, int laycount, bits p) {
-    if (tick(c->s))
-        return;
-    /* The forced vertices: the candidates adjacent to every other one.  Every
-       maximal clique below the node holds them, and both side constraints
-       survive adding a vertex, so they join q at once and the side
-       constraints are tested again.  A candidate's non-neighbours are not
-       forced either, so the scan skips them. */
-    bits forced = 0;
-    for (bits rest = p; rest;) {
-        int v = low_index(rest);
-        bits far = p & ~(c->adj[v] | (bits)1 << v);
-        rest &= ~(far | (bits)1 << v);
-        if (!far)
-            forced |= (bits)1 << v;
-    }
-    p ^= forced;
-    bits flay = forced & c->layer;
-    laycount += pop(flay);
-    if (c->cons == 2)
-        for (bits f = flay; f; f &= f - 1)
-            add_degrees(c->degs, c->vmasks[low_index(f)], 1);
-    if (!infeasible(c, laycount, p))
-        clique_walk(c, q | forced, qcount + pop(forced), laycount, p);
-    if (c->cons == 2)
-        for (bits f = flay; f; f &= f - 1)
-            add_degrees(c->degs, c->vmasks[low_index(f)], -1);
-}
-
-static void clique_walk(Clique *c, bits q, int qcount, int laycount, bits p) {
     Search *s = c->s;
-    if (!p) { /* feasible: the test after forcing saw exactly q */
-        record(s, qcount, q);
+    if (tick(s))
         return;
-    }
-    /* greedy colouring: a clique inside a prefix of the order has at most
-       the prefix's top colour vertices */
+    /* Greedy colouring: a clique inside a prefix of the order has at most
+       the prefix's top colour vertices.  A vertex adjacent to every other
+       candidate is forced: it would close a class of its own, so it takes no
+       colour and joins q at once.  Every maximal clique below the node holds
+       it, and both side constraints survive adding a vertex, so they are
+       tested again on the result. */
     unsigned char order[MAXBITS], colour[MAXBITS];
     int n = 0, col = 0;
+    bits forced = 0;
     for (bits uncoloured = p; uncoloured;) {
+        int v = low_index(uncoloured);
+        if (!(p & ~(c->adj[v] | (bits)1 << v))) {
+            forced |= (bits)1 << v;
+            uncoloured ^= (bits)1 << v;
+            continue;
+        }
         col++;
         for (bits avail = uncoloured; avail;) {
-            int v = low_index(avail);
+            v = low_index(avail);
             avail ^= (bits)1 << v;
             uncoloured ^= (bits)1 << v;
             order[n] = (unsigned char)v;
@@ -464,6 +441,18 @@ static void clique_walk(Clique *c, bits q, int qcount, int laycount, bits p) {
             avail &= ~c->adj[v];
         }
     }
+    p ^= forced;
+    q |= forced;
+    qcount += pop(forced);
+    bits flay = forced & c->layer;
+    laycount += pop(flay);
+    if (c->cons == 2)
+        for (bits f = flay; f; f &= f - 1)
+            add_degrees(c->degs, c->vmasks[low_index(f)], 1);
+    if (infeasible(c, laycount, p))
+        n = 0; /* walk nothing */
+    else if (!p) /* feasible: the test after forcing saw exactly q */
+        record(s, qcount, q);
     /* Only down-sets are searched: a maximum feasible s-union family Q is
        one, since for B inside A in Q every B | C lies inside A | C, and both
        side constraints survive adding B.  Once v is passed over (branched on
@@ -483,7 +472,7 @@ static void clique_walk(Clique *c, bits q, int qcount, int laycount, bits p) {
         if (!(local_p >> v & 1))
             continue;
         if (qcount + colour[n] < s->best)
-            return;
+            break;
         bits child_p = local_p & c->adj[v];
         int last = !(local_p & ~(c->adj[v] | (bits)1 << v));
         local_p &= ~(c->sup[v] | (bits)1 << v);
@@ -496,8 +485,11 @@ static void clique_walk(Clique *c, bits q, int qcount, int laycount, bits p) {
         if (bump)
             add_degrees(c->degs, c->vmasks[v], -1);
         if (s->status || (entered && last))
-            return;
+            break;
     }
+    if (c->cons == 2)
+        for (bits f = flay; f; f &= f - 1)
+            add_degrees(c->degs, c->vmasks[low_index(f)], -1);
 }
 
 int clique_bnb(Search *s, int nverts, const word *adj, const word *sup, int cons_kind,

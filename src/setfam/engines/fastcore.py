@@ -62,7 +62,7 @@ class Kernels:
         i, w = ctypes.c_int, ctypes.c_char_p
         search = ctypes.POINTER(_Search)
         signatures = {
-            "pair_bnb": [i, w, w, w, w, i, w, i, i, i, i, w],
+            "pair_bnb": [i, w, w, w, i, w, i, i, i, i, w],
             "clique_bnb": [i, w, w, i, w, w, i, i],
             "diversity_bnb": [i, w, w, w, i, w, i, i, i],
         }
@@ -93,14 +93,13 @@ class Kernels:
         words = [int.from_bytes(raw[j:j + _WORD], "little") for j in range(0, len(raw), _WORD)]
         return s.best, words, s.nodes
 
-    def pair_bnb(self, m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess,
-                 masks, deadline=None):
+    def pair_bnb(self, m, compat, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess, masks,
+                 deadline=None):
         """See :func:`setfam.engines.pykern.pair_bnb`."""
         _require_width(m, ng)
         return self._run(
             self._pair_bnb, deadline, m,
-            None if compat is None else _words(compat, m),
-            _words(pred, m), _words(succ, m),
+            None if compat is None else _words(compat, m), _words(succ, m),
             _words(kill, m), ng, _words([rmask], 1), r_min, g_min, bool(g_ge_f), cap_excess,
             None if masks is None else _words(masks, m),
         )

@@ -16,11 +16,9 @@ traversal of one kernel must be made to both.  Per-node bookkeeping may
 differ: for example, pykern carries candidate counts and the number of
 ``rmask`` members still needed down the recursion, where the C twin counts
 the chosen ones; pykern keeps each node's orbits in a memo per table, where
-the C twin counts the handled candidate's orbit afresh; pykern finds the
-forced vertices of ``clique_bnb`` inside its colouring pass, where the C
-twin scans for them before colouring.  All index sets are plain int
-bitsets (candidate universes are capped at 128 entries by the callers, the
-width of the C kernels' bitsets).
+the C twin counts the handled candidate's orbit afresh.  All index sets are
+plain int bitsets (candidate universes are capped at 128 entries by the
+callers, the width of the C kernels' bitsets).
 
 Two of the entry points run one partner search, :func:`_partner_search`.
 A chosen family F has a partner: every member of a second universe that no
@@ -116,6 +114,27 @@ Soundness notes shared by the kernels:
   Each descent narrows the candidates to the new member's row, so every
   remaining candidate is compatible with every chosen member, and the
   search does not test that again.
+* The order rows (the partner search): once the walk has passed over
+  candidate i, branched on it or skipped it, the later siblings drop
+  ``succ[i]``, the candidates that require i, while i's own subtree keeps
+  them.  This alone keeps every family the walk reaches a down-set of the
+  order, under a precondition: for every down-set C the walk reaches and
+  every candidate i compatible with all of C, every predecessor of i is
+  compatible with all of C.  Then a predecessor j of a candidate i still in
+  the walk below C lies in C: j comes before i, and no ``compat`` row of
+  the chosen members removed it, so were it not chosen, the walk of the
+  node or of an ancestor would have passed over j, and ``succ[j]`` would
+  have dropped i.  (The orbit exclusion drops candidates too; every caller
+  that passes element sets passes empty order rows.)  The callers meet the
+  precondition: their order is coordinatewise dominance on one layer of
+  k-sets, and their ``compat`` is None or "t-intersecting".  Take i
+  compatible with all of a down-set C, and j one move below i: some x in i
+  is replaced by x-1, which i lacks.  j meets a member c of C in fewer
+  elements than i does only when x is in c and x-1 is not.  Then
+  c - x + (x-1) is also in C, and i meets it in one element fewer than c,
+  so i meets c in at least t+1 elements and j meets c in at least t.  By
+  induction along one-move chains, every predecessor of i is compatible
+  with all of C.
 """
 
 from __future__ import annotations
@@ -232,7 +251,6 @@ def _matching(p: int, rows: list[int], right: int, want: int,
 def pair_bnb(
     m: int,
     compat: list[int] | None,
-    pred: list[int],
     succ: list[int],
     kill: list[int],
     ng: int,
@@ -249,12 +267,11 @@ def pair_bnb(
     chosen candidate kills.
 
     compat[i]   candidates allowed together with i (None: no self constraint)
-    pred[i]     candidates that must already be chosen before i
-    succ[i]     the candidates whose pred row holds i (pred transposed):
-                once the walk has passed over i, branched on it or skipped
-                it, the later siblings avoid i and so every candidate in
-                succ[i], which leaves their candidates.  The pred test stays,
-                because compat can remove a predecessor without passing it.
+    succ[i]     the candidates that require i, every one after i: once the
+                walk has passed over i, branched on it or skipped it, the
+                later siblings avoid i and so every candidate in succ[i],
+                which leaves their candidates (the order rows of the module
+                docstring, with their precondition on compat)
     rmask       candidates that count toward r_min: all of them for the pair
                 kinds and diversity, those avoiding element 1 for shifted
                 diversity
@@ -285,8 +302,7 @@ def pair_bnb(
     Returns (best, maximizers as chosen-index bitsets, node_count).
     """
     return _partner_search(
-        m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess, deadline,
-        masks=masks,
+        m, compat, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess, deadline, masks=masks,
     )
 
 
@@ -380,7 +396,7 @@ def _orbits(masks: tuple[int, ...]) -> _Orbits:
     return _Orbits(masks)
 
 
-def _partner_search(m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess,
+def _partner_search(m, compat, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess,
                     deadline, masks=None, slots=None, avoid=None, empty=False):
     """The walk behind :func:`pair_bnb` and :func:`diversity_bnb`: the
     arguments of :func:`pair_bnb`, and the degree cap, applied only when it
@@ -443,8 +459,6 @@ def _partner_search(m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f
                 if p & step[0]:
                     p &= ~step[0]
                     pcount = p.bit_count()
-            if pred[i] & ~chosen:
-                continue
             child_partner = partner & keep[i]
             gc = child_partner.bit_count()
             if gc < g_min or (g_ge_f and gc < fc):
@@ -758,11 +772,10 @@ def diversity_bnb(
     Returns (best, maximizers as H bitsets, node_count); each maximizer's A
     is every A candidate outside the ``akill`` rows of its H members.
     """
-    none = (0,) * mh  # no order rows
     # slot j is element j + 2
     slots = [_indices(hm >> 1) for hm in hmasks]
     return _partner_search(
-        mh, hcompat, none, none, akill, na, (1 << mh) - 1, r, 0, False, -1, deadline,
+        mh, hcompat, (0,) * mh, akill, na, (1 << mh) - 1, r, 0, False, -1, deadline,
         masks=hmasks if symmetric else None, slots=slots, avoid=avoid_a[2:nelems + 1],
         empty=r <= 0,
     )

@@ -83,7 +83,7 @@ from .tables import (
     build_diversity_tables,
     build_pair_tables,
     build_union_tables,
-    dominance_pred,
+    dominance_succ,
 )
 
 TYPE_CHECKING = False
@@ -452,8 +452,8 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
     m = len(tabs.cands)
     masks = None if engine == "shifted" else tabs.cands  # see build_pair_tables
     best, maxers, nodes = kern.pair_bnb(
-        m, tabs.compat, tabs.pred, tabs.succ, tabs.kill, len(tabs.gmasks), (1 << m) - 1, *rules,
-        masks, deadline,
+        m, tabs.compat, tabs.succ, tabs.kill, len(tabs.gmasks), (1 << m) - 1, *rules, masks,
+        deadline,
     )
     full = (1 << len(tabs.gmasks)) - 1
     pairs = []
@@ -535,8 +535,8 @@ def _solve_diversity_shifted(p: Params, backend: str, deadline):
     tabs = build_pair_tables(n, k, None, t_inter=1, shifted=True)
     avoid_1 = sum(1 << i for i, a in enumerate(tabs.cands) if not a & 1)
     best, maxers, nodes = engines.backend_module(backend).pair_bnb(
-        len(tabs.cands), tabs.compat, tabs.pred, tabs.succ, tabs.kill, 0, avoid_1,
-        r, 0, False, -1, None, deadline,
+        len(tabs.cands), tabs.compat, tabs.succ, tabs.kill, 0, avoid_1, r, 0, False, -1, None,
+        deadline,
     )
     fams = [Family(n, _select(tabs.cands, c)) for c in maxers]  # the candidates ascend
     return best, fams, nodes, None
@@ -614,26 +614,33 @@ def enumerate_shifted(n: int, k: int, predicate: Callable[[Family], bool] | None
     """Yield every shifted k-uniform family on [n] (the down-sets of the
     coordinatewise dominance order), each exactly once, in a deterministic
     depth-first order starting from the empty family.  ``predicate`` filters
-    the stream without affecting traversal."""
+    the stream without affecting traversal.
+
+    The walk is the partner search's: after recursing on candidate i, the
+    later siblings drop i's dominance successors, so every family reached
+    is a down-set (see :mod:`setfam.engines.pykern`), and every down-set is
+    reached once, along its members in index order."""
     masks = layer_masks(n, k)
     m = len(masks)
     if m > engines.MAX_BITS:
         raise InfeasibleInstanceError(
             f"C({n},{k}) = {m} exceeds the enumeration limit of {engines.MAX_BITS}"
         )
-    pred = dominance_pred(masks)
+    succ = dominance_succ(masks)
 
-    def rec(chosen: int, fmasks: tuple[int, ...], start: int) -> Iterator[Family]:
+    def rec(fmasks: tuple[int, ...], p: int) -> Iterator[Family]:
         fam = Family(n, fmasks)
         if predicate is None or predicate(fam):
             yield fam
-        for i in range(start, m):
-            if pred[i] & ~chosen:
-                continue
-            yield from rec(chosen | (1 << i), fmasks + (masks[i],), i + 1)
+        while p:
+            low = p & -p
+            p ^= low
+            i = low.bit_length() - 1
+            yield from rec(fmasks + (masks[i],), p)
+            p &= ~succ[i]
 
     try:
-        yield from rec(0, (), 0)
+        yield from rec((), (1 << m) - 1)
     finally:
         del rec  # its closure holds itself: break the cycle
 

@@ -2,7 +2,7 @@
 
 Layer candidates are sorted by numeric bit-vector value; for equal-size
 sets that order is a linear extension of coordinatewise dominance, which is
-what lets the down-set (shifted family) traversal decide predecessors
+what lets the down-set (shifted family) traversal meet predecessors
 before successors.  The s-union clique vertices run the other way (see
 :func:`build_union_tables`).
 
@@ -40,37 +40,15 @@ def _require(cond: bool, msg: str) -> None:
         raise InfeasibleInstanceError(msg)
 
 
-def dominance_pred(masks) -> tuple[int, ...]:
-    """pred[i] is the bitset of the indices j != i whose set masks[i]
-    coordinatewise dominates; ``masks`` is a full layer sorted by value.
-
-    Dominance on k-sets is the transitive closure of single moves x -> x-1
-    onto a free element, and such a move lowers the mask value, so every
-    one-move predecessor is listed before its successor and pred[i] is the
-    union of pred[j] | 1 << j over the at most k one-move predecessors j.
-    """
-    index = {a: i for i, a in enumerate(masks)}
-    pred = []
-    for a in masks:
-        bits = 0
-        movable = a & ~(a << 1) & ~1  # elements x in a with x-1 free, x >= 2
-        while movable:
-            low = movable & -movable
-            movable ^= low
-            j = index[a - (low >> 1)]
-            bits |= pred[j] | 1 << j
-        pred.append(bits)
-    return tuple(pred)
-
-
 def dominance_succ(masks) -> tuple[int, ...]:
     """succ[i] is the bitset of the indices j != i whose set coordinatewise
-    dominates masks[i]: :func:`dominance_pred` transposed, for the same
-    full layer sorted by value.
+    dominates masks[i]; ``masks`` is a full layer sorted by value.
 
-    Built the same way from the top of the order down: a one-move successor
-    (x -> x+1 onto a free element) raises the mask value, so succ[i] is the
-    union of succ[j] | 1 << j over the at most k one-move successors j.
+    Dominance on k-sets is the transitive closure of single moves x -> x+1
+    onto a free element, and such a move raises the mask value, so every
+    one-move successor is listed after its predecessor.  Built from the top
+    of the order down, succ[i] is the union of succ[j] | 1 << j over the at
+    most k one-move successors j.
     """
     index = {a: i for i, a in enumerate(masks)}
     succ = [0] * len(masks)
@@ -118,14 +96,13 @@ def disjoint_table(masks, others, n: int) -> tuple[int, ...]:
 
 
 class PairTables(Record):
-    __slots__ = ("n", "cands", "gmasks", "compat", "pred", "succ", "kill")
+    __slots__ = ("n", "cands", "gmasks", "compat", "succ", "kill")
 
     n: int
     cands: tuple[int, ...]   # F-side candidate masks
     gmasks: tuple[int, ...]  # partner universe masks
     compat: tuple[int, ...] | None
-    pred: tuple[int, ...]
-    succ: tuple[int, ...]    # pred transposed
+    succ: tuple[int, ...]    # succ[i]: the candidates that dominate candidate i
     kill: tuple[int, ...]
 
 
@@ -142,16 +119,16 @@ def build_pair_tables(
     then empty).  ``t_inter`` (when given) restricts F to pairwise
     intersections of at least that depth.
 
-    Without ``shifted`` the order rows ``pred`` and ``succ`` are empty.
+    Without ``shifted`` the order rows ``succ`` are empty.
     These tables are unchanged by relabeling, so the callers pass ``cands``
     as the kernel's element masks, and it branches once per orbit at every
     node.  S_n is transitive on the f_size-sets, so the root step of that
     rule branches on candidate 0 only: every non-empty family the kernel
     returns contains it, and the callers recover the other maximizers by
-    walking their S_n orbits.  With ``shifted``, ``pred`` is the dominance
-    order (down-sets, the shifted families) and ``succ`` its transpose, the
-    dominance successors; that order is not closed under relabeling, so
-    that kernel walks every candidate.
+    walking their S_n orbits.  With ``shifted``, ``succ`` holds the
+    dominance successors, and the kernel walks the down-sets of the
+    dominance order, the shifted families; that order is not closed under
+    relabeling, so that kernel walks every candidate.
     """
     cands = tuple(layer_masks(n, f_size))
     gmasks = () if g_size is None else tuple(layer_masks(n, g_size))
@@ -163,10 +140,7 @@ def build_pair_tables(
     )
     full = (1 << m) - 1
     compat = overlap_table(cands, cands, n, t_inter) if t_inter is not None else None
-    if shifted:
-        pred, succ = dominance_pred(cands), dominance_succ(cands)
-    else:
-        pred = succ = (0,) * m
+    succ = dominance_succ(cands) if shifted else (0,) * m
     if not gmasks:
         kill = (0,) * m
     elif t_inter == 1 and g_size == f_size:
@@ -174,7 +148,7 @@ def build_pair_tables(
         kill = tuple(full ^ row for row in compat)
     else:
         kill = disjoint_table(cands, gmasks, n)
-    return PairTables(n, cands, gmasks, compat, pred, succ, kill)
+    return PairTables(n, cands, gmasks, compat, succ, kill)
 
 
 class CliqueTables(Record):

@@ -522,7 +522,7 @@ PYTHON_SEARCHES = [
     # pair kernel, compat
     ("hemibundled_max_brute_n7_k3_t0_r2",
      "hemibundled_max --n 7 --k 3 --t 0 --r 2 --engine brute"),
-    # pair kernel, compat and pred
+    # pair kernel, compat and the order rows
     ("hemibundled_max_shifted_n10_k3_t0_r3",
      "hemibundled_max --n 10 --k 3 --t 0 --r 3 --engine shifted"),
     # pair kernel, cap_excess
@@ -538,7 +538,7 @@ PYTHON_SEARCHES = [
      "diverse_intersecting_max --n 7 --k 3 --r 0 --engine clique"),
     ("diverse_intersecting_max_clique_n8_k3_r2",
      "diverse_intersecting_max --n 8 --k 3 --r 2 --engine clique"),
-    # pair kernel, empty partner, pred and an rmask that is not all ones
+    # pair kernel, empty partner, the order rows and an rmask that is not all ones
     ("diverse_intersecting_max_shifted_n9_k3_r1",
      "diverse_intersecting_max --n 9 --k 3 --r 1 --engine shifted"),
     ("diverse_intersecting_max_shifted_n9_k4_r2",

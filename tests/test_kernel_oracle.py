@@ -12,8 +12,10 @@ give the same optimum, maximizers and ``nodes``.  Random tables have no
 symmetry, so both entry points run there without the orbit rule (no element
 masks for ``pair_bnb``, ``symmetric`` false for ``diversity_bnb``), and walk
 every family; ``pair_bnb`` also runs without the degree cap, which applies
-only when it is passed.  The orbit rule is held equal on both
-backends on the callers' own tables.  The clique kernel is checked the same
+only when it is passed.  Its random order rows come with ``compat`` rows
+widened to meet the partner search's precondition on them, and the
+enumeration keeps the down-sets of that order.  The orbit rule is held
+equal on both backends on the callers' own tables.  The clique kernel is checked the same
 way on random graphs, without its down-set cut, once with no side
 constraint and once with each of its two, and with its down-set cut on the
 s-union graphs the callers build, against every down-set clique.  The
@@ -117,9 +119,9 @@ def _symmetric(draw, m: int) -> list[int]:
     return rows
 
 
-def _closed_pred(draw, m: int) -> tuple[list[int], list[int]]:
-    """A transitively closed pred, every row below its own index (the walk
-    meets predecessors first), and its transpose succ."""
+def _closed_succ(draw, m: int) -> list[int]:
+    """The succ rows of a random order: transitively closed, every row above
+    its own index (the walk meets predecessors first)."""
     pred = []
     for i in range(m):
         direct = draw(st.integers(0, (1 << i) - 1))
@@ -127,8 +129,26 @@ def _closed_pred(draw, m: int) -> tuple[list[int], list[int]]:
         for j in _members(direct):
             row |= pred[j]
         pred.append(row)
-    succ = [sum(1 << j for j in range(m) if pred[j] >> i & 1) for i in range(m)]
-    return pred, succ
+    return [sum(1 << j for j in range(m) if pred[j] >> i & 1) for i in range(m)]
+
+
+def _widen_to_predecessors(compat: list[int], succ: list[int]) -> None:
+    """Widen the symmetric ``compat`` until each candidate j is compatible
+    with everything its successors are, but itself: then a candidate
+    compatible with a set of chosen members has every predecessor
+    compatible with them too, the precondition of the partner search's
+    order rows (:mod:`setfam.engines.pykern`)."""
+    changed = True
+    while changed:
+        changed = False
+        for j, row in enumerate(succ):
+            for i in _members(row):
+                extra = compat[i] & ~compat[j] & ~(1 << j)
+                if extra:
+                    changed = True
+                    compat[j] |= extra
+                    for x in _members(extra):
+                        compat[x] |= 1 << j
 
 
 @st.composite
@@ -136,25 +156,26 @@ def pair_instances(draw):
     m = draw(st.integers(1, 7))
     ng = draw(st.integers(0, 7))
     compat = _symmetric(draw, m) if draw(st.booleans()) else None
-    pred, succ = _closed_pred(draw, m)
+    succ = _closed_succ(draw, m)
+    if compat is not None:
+        _widen_to_predecessors(compat, succ)
     kill = [draw(st.integers(0, (1 << ng) - 1)) for _ in range(m)]
     rmask = draw(st.integers(0, (1 << m) - 1))
     r_min, g_min = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     g_ge_f = draw(st.booleans())
     # a cap needs the partner universe to be the candidate universe
     cap_excess = draw(st.integers(0, 3)) if ng == m and draw(st.booleans()) else -1
-    return m, compat, pred, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess, None
+    return m, compat, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess, None
 
 
-def _pair_oracle(m, compat, pred, _succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess,
-                 _masks):
+def _pair_oracle(m, compat, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_excess, _masks):
     best, found = -1, []
     for fam in range(1, 1 << m):
         members = _members(fam)
         if compat is not None and any(fam & ~compat[i] & ~(1 << i) for i in members):
             continue
-        if any(pred[i] & ~fam for i in members):
-            continue
+        if any(succ[j] & fam for j in range(m) if not fam >> j & 1):
+            continue  # not a down-set: a member requires a candidate left out
         partner = (1 << ng) - 1
         for i in members:
             partner &= ~kill[i]
@@ -253,10 +274,10 @@ def test_orbit_rule_gives_equal_walks_on_both_backends(compiled_kernels, monkeyp
               backend="python")
     assert len(calls) == len(cases)
     for name, args, expected in calls:
-        assert (args[11] is not None) if name == "pair_bnb" else args[8]  # the orbit rule is on
+        assert (args[10] is not None) if name == "pair_bnb" else args[8]  # the orbit rule is on
         assert getattr(compiled_kernels, name)(*args) == expected, (name, args[0])
     _, args, (_, maxers, _) = calls[0]
-    rule = pykern._orbits(args[11])
+    rule = pykern._orbits(args[10])
     depths = set()
     for chosen in maxers:  # the depth at which each maximizer's path meets a trivial group
         atoms, depth = rule.root, 0

@@ -148,7 +148,7 @@ def test_reduced_brute_search_matches_the_unreduced_one(compiled, monkeypatch, k
     labeled family, whose list the same orbit walk classifies."""
     reduced = solve(Problem(kind, p, "brute"))
     run = compiled.pair_bnb  # without the element masks, which the orbit rule needs
-    monkeypatch.setattr(compiled, "pair_bnb", lambda *args: run(*args[:11], None, *args[12:]))
+    monkeypatch.setattr(compiled, "pair_bnb", lambda *args: run(*args[:10], None, *args[11:]))
     full = solve(Problem(kind, p, "brute"))
     assert full.nodes > reduced.nodes
     assert (reduced.optimum, reduced.maximizer_count) == (full.optimum, full.maximizer_count)

@@ -6,11 +6,12 @@ import pytest
 
 from setfam.engines import pykern
 from setfam.errors import InfeasibleInstanceError
+from setfam.family import is_t_intersecting
+from setfam.search.problems import enumerate_shifted
 from setfam.search.tables import (
     build_diversity_tables,
     build_pair_tables,
     build_union_tables,
-    dominance_pred,
     dominance_succ,
     layer_masks,
 )
@@ -33,23 +34,56 @@ DOMINANCE_CASES = [
 
 @pytest.mark.parametrize("n,k", DOMINANCE_CASES)
 def test_dominance_pred_matches_pairwise_definition(n, k):
+    """The succ rows hold the dominance order: j is in succ[i] exactly when
+    masks[j] dominates masks[i], that is when i is a predecessor of j."""
     masks = layer_masks(n, k)
-    expected = tuple(
-        _bitset(j for j in range(len(masks)) if j != i and dominates(a, masks[j]))
+    assert dominance_succ(masks) == tuple(
+        _bitset(j for j, b in enumerate(masks) if j != i and dominates(b, a))
         for i, a in enumerate(masks)
     )
-    assert dominance_pred(masks) == expected
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n, k in DOMINANCE_CASES if n <= 10])
 def test_dominance_succ_is_pred_transposed(n, k):
+    """The shifted pair tables carry the order as succ rows alone: the
+    pairwise predecessor rows, transposed."""
     masks = layer_masks(n, k)
-    pred = dominance_pred(masks)
-    assert dominance_succ(masks) == tuple(
+    pred = [
+        _bitset(j for j in range(len(masks)) if j != i and dominates(a, masks[j]))
+        for i, a in enumerate(masks)
+    ]
+    tabs = build_pair_tables(n, k, None, None, shifted=True)
+    assert tabs.succ == tuple(
         _bitset(j for j in range(len(masks)) if pred[j] >> i & 1) for i in range(len(masks))
     )
-    tabs = build_pair_tables(n, k, None, None, shifted=True)
-    assert (tabs.pred, tabs.succ) == (pred, dominance_succ(masks))
+
+
+# the shifted pair tables of the callers at n <= 7, as (n, f_size, g_size,
+# t_inter): hemibundled_max (n, k, t) builds (n, k + t, k, t + 1) and the
+# shifted diversity engine (n, k) builds (n, k, None, 1)
+SHIFTED_CALLER_TABLES = [
+    (n, k + t, k, t + 1) for n in range(2, 8) for k in range(1, n) for t in range(n - k)
+] + [(n, k, None, 1) for n in range(2, 8) for k in range(1, n)]
+
+
+@pytest.mark.parametrize("n,f_size,g_size,t_inter", SHIFTED_CALLER_TABLES)
+def test_shifted_callers_meet_the_order_rows_precondition(n, f_size, g_size, t_inter):
+    """The partner search drops only ``succ`` rows to stay in down-sets, which
+    is exact under the precondition of :mod:`setfam.engines.pykern`: for
+    every t-intersecting down-set C, a candidate compatible with all of C
+    has each of its dominance predecessors compatible with all of C."""
+    tabs = build_pair_tables(n, f_size, g_size, t_inter, shifted=True)
+    m = len(tabs.cands)
+    index = {a: i for i, a in enumerate(tabs.cands)}
+    pred = [_bitset(j for j in range(m) if tabs.succ[j] >> i & 1) for i in range(m)]
+    families = enumerate_shifted(n, f_size, predicate=lambda F: is_t_intersecting(F, t_inter))
+    for fam in families:
+        allowed = (1 << m) - 1  # the candidates compatible with all of C, C among them
+        for a in fam.members:
+            allowed &= tabs.compat[index[a]]
+        for i in range(m):
+            if allowed >> i & 1:
+                assert not pred[i] & ~allowed, (fam, tabs.cands[i])
 
 
 PAIR_CASES = [
@@ -85,7 +119,7 @@ def test_pair_tables_match_pairwise_definitions(n, f_size, g_size, t_inter):
         )
     if f_size == g_size:  # a capped search needs the partner universe to be the candidates
         assert tabs.cands == tabs.gmasks
-    assert tabs.pred == tabs.succ == (0,) * len(cands)  # no order: the orbit rule breaks symmetry
+    assert tabs.succ == (0,) * len(cands)  # no order: the orbit rule breaks symmetry
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3), (8, 3), (8, 4), (9, 3)])
