@@ -645,7 +645,7 @@ def clique_bnb(
         return cons_kind == 2 and reach - max(degs) < r
 
     def expand(q: int, qcount: int, laycount: int, p: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, best, maxers
         nodes += 1
         if not nodes & _CHECK_MASK and deadline is not None and time.monotonic() > deadline:
             raise _over_time(nodes, best)
@@ -672,6 +672,8 @@ def clique_bnb(
             uncoloured ^= cls
             classes.append(cls)
         p ^= forced
+        q |= forced
+        qcount += forced.bit_count()
         flay = forced & layer
         laycount += flay.bit_count()
         raised = []
@@ -682,54 +684,53 @@ def clique_bnb(
                 raised += elems[v]
             for e in raised:
                 degs[e] += 1
-        if not infeasible(laycount, p):
-            walk(q | forced, qcount + forced.bit_count(), laycount, p, classes)
-        for e in raised:
-            degs[e] -= 1
-
-    def walk(q: int, qcount: int, laycount: int, p: int, classes: list[int]) -> None:
-        nonlocal best, maxers
-        if not p:
-            if qcount > best:
-                best = qcount
-                maxers = [q]
-            elif qcount == best:
-                if len(maxers) >= cap:
-                    raise _over_cap(cap)
-                maxers.append(q)
-            return
-        # The walk goes down from the top colour and stops at the first
-        # colour c with qcount + c < best.
-        colour = len(classes)
-        local_p = p
-        for cls in reversed(classes):
-            cls &= local_p
-            while cls:
-                if qcount + colour < best:
-                    return
-                v = cls.bit_length() - 1
-                low = 1 << v
-                child_p = local_p & adj[v]
-                last = not local_p & apart[v]  # v is adjacent to every other candidate
-                local_p &= keep[v]
+        try:  # the forced vertices' degrees drop again on every way out
+            if infeasible(laycount, p):
+                return
+            if not p:  # feasible: the test after forcing saw exactly q
+                if qcount > best:
+                    best = qcount
+                    maxers = [q]
+                elif qcount == best:
+                    if len(maxers) >= cap:
+                        raise _over_cap(cap)
+                    maxers.append(q)
+                return
+            # The walk goes down from the top colour and stops at the first
+            # colour c with qcount + c < best.
+            colour = len(classes)
+            local_p = p
+            for cls in reversed(classes):
                 cls &= local_p
-                in_layer = layer >> v & 1
-                raised = elems[v] if cons_kind == 2 and in_layer else ()
-                for e in raised:
-                    degs[e] += 1
-                entered = not infeasible(laycount + in_layer, child_p)
-                if entered:
-                    expand(q | low, qcount + 1, laycount + in_layer, child_p)
-                for e in raised:
-                    degs[e] -= 1
-                if entered and last:  # every later clique extends by v: none is maximum
-                    return
-            colour -= 1
+                while cls:
+                    if qcount + colour < best:
+                        return
+                    v = cls.bit_length() - 1
+                    low = 1 << v
+                    child_p = local_p & adj[v]
+                    last = not local_p & apart[v]  # v is adjacent to every other candidate
+                    local_p &= keep[v]
+                    cls &= local_p
+                    in_layer = layer >> v & 1
+                    bumped = elems[v] if cons_kind == 2 and in_layer else ()
+                    for e in bumped:
+                        degs[e] += 1
+                    entered = not infeasible(laycount + in_layer, child_p)
+                    if entered:
+                        expand(q | low, qcount + 1, laycount + in_layer, child_p)
+                    for e in bumped:
+                        degs[e] -= 1
+                    if entered and last:  # every later clique extends by v: none is maximum
+                        return
+                colour -= 1
+        finally:
+            for e in raised:
+                degs[e] -= 1
 
     try:
         expand(0, 0, 0, (1 << nverts) - 1)
     finally:
-        del expand, walk  # each one's closure holds the other: break the cycle
+        del expand  # its closure holds itself: break the cycle
     return best, maxers, nodes
 
 

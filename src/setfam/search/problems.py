@@ -52,7 +52,7 @@ classify by ``are_isomorphic``.
 from __future__ import annotations
 
 import time
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from math import comb
 from operator import or_
@@ -105,25 +105,6 @@ __all__ = [
 ]
 
 _PAIR_KINDS = ("hemibundled_max", "cross_pair_max", "cross_pair_capped")
-
-_SHIFTED_SCOPE = "maximizer scope: shifted families only"
-
-# kind -> {engine it runs: the note its reports carry}; auto runs the first.
-# ``brute`` also names the clique engine of the graph-shaped kinds.
-_KIND_ENGINES = {
-    "hemibundled_max": {"shifted": _SHIFTED_SCOPE, "brute": None},
-    "cross_pair_max": {"shifted": _SHIFTED_SCOPE, "brute": None},
-    "cross_pair_capped": {"brute": "partner shown with the lowest-indexed overlap members dropped"},
-    "diverse_intersecting_max": {
-        "clique": "maximizer scope: families with maximum degree at element 1",
-        "shifted": (
-            "lower-bound engine: optimum certified over shifted families only; "
-            "validate with the clique engine"
-        ),
-    },
-    "s_union_max": {"clique": None},
-    "s_union_conditioned_max": {"clique": None},
-}
 
 
 class Problem(Record):
@@ -275,13 +256,12 @@ def _orbit_classes(
     by_members = {F.members: F for F in families}
     n = families[0].n if families else 0
     cap = pykern.MAXIMIZER_CAP
-    tables: dict[tuple[int, ...], list[list[int]]] = {}
     reached: set[tuple[int, ...]] = set()
     classes = []
     for start in sorted(by_members):
         if start in reached:
             continue
-        orbit = _orbit(start, generators, n, tables, cap - len(reached))
+        orbit = _orbit(start, generators, cap - len(reached))
         if orbit is None:
             raise pykern._over_cap(cap)
         for members in orbit:
@@ -298,54 +278,52 @@ def _orbit_classes(
     return classes
 
 
-def _orbit(
-    start: tuple[int, ...], generators: Callable, n: int, tables: dict, limit: int
-) -> set[tuple[int, ...]] | None:
+def _orbit(start: tuple[int, ...], generators: Callable, limit: int) -> set[tuple[int, ...]] | None:
     """The orbit of the member tuple ``start`` under ``generators``, or None
     once it holds more than ``limit`` tuples."""
     orbit: set[tuple[int, ...]] = set()
-    for _ in _walk(start, generators, n, tables, orbit):
+    for _ in _walk(start, generators, orbit):
         if len(orbit) > limit:
             return None
     return orbit
 
 
-def _walk(start: tuple[int, ...], generators: Callable, n: int, tables: dict, seen: set):
+def _walk(start: tuple[int, ...], generators: Callable, seen: set):
     """Yield the orbit of the member tuple ``start`` under ``generators``,
-    ``start`` first, each tuple once and as soon as it is added to ``seen``.
-    ``tables`` caches the chunk tables of each permutation met
-    (:func:`_chunk_tables`)."""
+    ``start`` first, each tuple once and as soon as it is added to ``seen``."""
     seen.add(start)
     yield start
     stack = [start]
     while stack:
         members = stack.pop()
         for perm in generators(members):
-            tab = tables.get(perm)
-            if tab is None:
-                tab = tables[perm] = _chunk_tables(perm, n)
-            image = tuple(sorted(_images(members, tab)))
+            image = tuple(sorted(_images(members, _chunk_tables(perm))))
             if image not in seen:
                 seen.add(image)
                 stack.append(image)
                 yield image
 
 
-def _chunk_tables(perm: tuple[int, ...], n: int) -> list[list[int]]:
-    """The relabeling ``perm`` of [n] as one table per 8-bit chunk of a mask:
-    entry b of table c is the image of the bits b << 8c.  A table has 256
-    entries, or fewer in the last chunk, whose mask bits stop at n."""
+# Built once per process and permutation: both groups together use at most
+# n + 3 tables per n, the degree spread's included, so 512 hold n = 2..28.
+@lru_cache(maxsize=512)
+def _chunk_tables(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The relabeling ``perm`` of [n], n = len(perm), as one table per 8-bit
+    chunk of a mask: entry b of table c is the image of the bits b << 8c.  A
+    table has 256 entries, or fewer in the last chunk, whose mask bits stop
+    at n."""
+    n = len(perm)
     tables = []
     for base in range(0, n, 8):
         table = [0]
         for e in range(base, min(base + 8, n)):
             image = 1 << perm[e] - 1
             table += [t | image for t in table]
-        tables.append(table)
-    return tables
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
-def _images(members: tuple[int, ...], tables: list[list[int]]) -> list[int]:
+def _images(members: tuple[int, ...], tables: tuple[tuple[int, ...], ...]) -> list[int]:
     """Each member mapped through the chunk tables of :func:`_chunk_tables`."""
     if len(tables) == 1:
         table = tables[0]
@@ -372,14 +350,17 @@ def _cycle(n: int, elements) -> tuple[int, ...]:
     return tuple(perm)
 
 
+# Each source is built once per n, and a process meets a few n.
+@lru_cache(maxsize=32)
 def _symmetric_generators(n: int) -> Callable:
     """S_n, generated by (1 2) and (1 2 ... n).  The pair and s-union
     objectives and side constraints ignore labels, so their maximum
     families are closed under S_n."""
-    gens = [_cycle(n, (1, 2)), _cycle(n, range(1, n + 1))]
+    gens = (_cycle(n, (1, 2)), _cycle(n, range(1, n + 1)))  # shared: read-only
     return lambda members: gens
 
 
+@lru_cache(maxsize=32)
 def _max_degree_generators(n: int) -> Callable:
     """The relabelings that keep a family with maximum degree at element 1
     in that scope: the stabilizer of 1, generated by (2 3) and (2 ... n),
@@ -394,7 +375,7 @@ def _max_degree_generators(n: int) -> Callable:
     # so that the spread members sum to every degree at once
     w = n + 1
     field = (1 << w) - 1
-    spread = _chunk_tables(tuple((x - 1) * w + 1 for x in range(1, n + 1)), n)
+    spread = _chunk_tables(tuple((x - 1) * w + 1 for x in range(1, n + 1)))
 
     def generators(members: tuple[int, ...]) -> list[tuple[int, ...]]:
         degs = sum(_images(members, spread))
@@ -413,16 +394,34 @@ def _with_max_degree_at_1(F: Family) -> Family:
     return F if x == 1 else apply_permutation(F, _cycle(F.n, (1, x)))
 
 
+_SHIFTED_SCOPE = "maximizer scope: shifted families only"
+
+# kind -> {engine it runs: (the note its reports carry, the generator source
+# of the group its maximizer scope is closed under, or None)}; auto runs the
+# first.  ``brute`` also names the clique engine of the graph-shaped kinds.
+_KIND_ENGINES = {
+    "hemibundled_max": {"shifted": (_SHIFTED_SCOPE, None), "brute": (None, _symmetric_generators)},
+    "cross_pair_max": {"shifted": (_SHIFTED_SCOPE, None), "brute": (None, _symmetric_generators)},
+    "cross_pair_capped": {
+        "brute": ("partner shown with the lowest-indexed overlap members dropped",
+                  _symmetric_generators),
+    },
+    "diverse_intersecting_max": {
+        "clique": ("maximizer scope: families with maximum degree at element 1",
+                   _max_degree_generators),
+        "shifted": ("lower-bound engine: optimum certified over shifted families only; "
+                    "validate with the clique engine", None),
+    },
+    "s_union_max": {"clique": (None, _symmetric_generators)},
+    "s_union_conditioned_max": {"clique": (None, _symmetric_generators)},
+}
+
+
 def _scope_generators(kind: str, engine: str, n: int) -> Callable | None:
     """The generator source of an engine whose maximizer scope is closed
     under a known group of relabelings, or None (see the module docstring)."""
-    if kind in ("s_union_max", "s_union_conditioned_max") or (
-        kind in _PAIR_KINDS and engine == "brute"
-    ):
-        return _symmetric_generators(n)
-    if kind == "diverse_intersecting_max" and engine == "clique":
-        return _max_degree_generators(n)
-    return None
+    _, source = _KIND_ENGINES[kind][engine]
+    return None if source is None else source(n)
 
 
 # ------------------------------------------------------------------ engines
@@ -603,7 +602,7 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
         classes=tuple(classes),
         nodes=nodes,
         elapsed=elapsed,
-        note=_KIND_ENGINES[problem.kind][engine],
+        note=_KIND_ENGINES[problem.kind][engine][0],
     )
 
 

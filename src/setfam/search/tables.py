@@ -138,16 +138,9 @@ def build_pair_tables(
         len(gmasks) <= MAX_BITS,
         f"partner universe C({n},{g_size}) = {len(gmasks)} exceeds {MAX_BITS}",
     )
-    full = (1 << m) - 1
     compat = overlap_table(cands, cands, n, t_inter) if t_inter is not None else None
     succ = dominance_succ(cands) if shifted else (0,) * m
-    if not gmasks:
-        kill = (0,) * m
-    elif t_inter == 1 and g_size == f_size:
-        # one layer on both sides, compat "meets": kill, "misses", is its complement
-        kill = tuple(full ^ row for row in compat)
-    else:
-        kill = disjoint_table(cands, gmasks, n)
+    kill = disjoint_table(cands, gmasks, n) if gmasks else (0,) * m
     return PairTables(n, cands, gmasks, compat, succ, kill)
 
 

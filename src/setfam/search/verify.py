@@ -146,10 +146,9 @@ def _classes_match(report: SearchReport, expected: list) -> bool:
         return _isomorphic_classes_match(found, expected)
     reps = {F.members for F in found}
     limit = max((c.size for c in report.classes), default=0)
-    tables: dict = {}
     matched = set()
     for F in expected:
-        walk = _walk(_with_max_degree_at_1(F).members, generators, F.n, tables, set())
+        walk = _walk(_with_max_degree_at_1(F).members, generators, set())
         rep = next((members for members in islice(walk, limit) if members in reps), None)
         if rep is None or rep in matched:
             return False

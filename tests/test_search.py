@@ -1,6 +1,7 @@
 import copy
 import gc
 import importlib
+import inspect
 import itertools
 import os
 import re
@@ -16,6 +17,7 @@ from conftest import are_isomorphic_bruteforce, fam, random_family
 
 from setfam import engines
 from setfam.engines import pykern
+from setfam.engines.fastcore import Kernels
 from setfam.bounds import Params, bound_classic
 from setfam.constructions import ConstructionId, construct
 from setfam.errors import (
@@ -458,7 +460,7 @@ def test_chunk_tables_relabel_like_apply_permutation(rng):
             ))
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
-            images = _images(F.members, _chunk_tables(tuple(perm), n))
+            images = _images(F.members, _chunk_tables(tuple(perm)))
             assert Family.of_masks(n, images) == apply_permutation(F, tuple(perm))
 
 
@@ -563,7 +565,7 @@ def test_anchored_walk_rejects_a_list_missing_an_anchored_maximizer(request, kin
         anchor = 0b111  # {1, 2, 3}
     generators = problems._scope_generators(kind, engine, p.n)
     classes = classify_maximizers(found, generators, required)
-    orbits = [problems._orbit(F.members, generators, p.n, {}, 10**6) for F in found]
+    orbits = [problems._orbit(F.members, generators, 10**6) for F in found]
     images = set().union(*orbits)
     assert {F.members for F in found} == {m for m in images if required(m)}
     unreturned = sorted(m for m in images if anchor in m and not required(m))
@@ -965,9 +967,8 @@ def _garbage_after(call) -> tuple:
 @pytest.mark.parametrize("kernel", ["pair", "pair_masks", "diversity", "clique"])
 def test_kernel_calls_leave_no_reference_cycles(monkeypatch, kernel):
     """The kernels' recursive closures refer to themselves (the partner
-    search's rec) or to each other (clique_bnb's expand and walk); each call
-    clears them as it ends, whether it returns, hits the maximizer cap or
-    runs out of time."""
+    search's rec, clique_bnb's expand); each call clears them as it ends,
+    whether it returns, hits the maximizer cap or runs out of time."""
     call = _kernel_call(kernel)
     assert _garbage_after(lambda: call(None)) == (None, 0)
     monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 1)
@@ -1015,6 +1016,17 @@ def test_fastcore_compiles_without_warnings(compiled_kernels, tmp_path):
     flags = ["-O3", "-Wall", "-Wextra", "-Werror", "-c", "-o", str(tmp_path / "fastcore.o")]
     out = subprocess.run([*cc, *flags, str(source)], capture_output=True, text=True)
     assert out.returncode == 0 and not out.stderr, out.stderr
+
+
+@pytest.mark.parametrize("name", ["pair_bnb", "clique_bnb", "diversity_bnb"])
+def test_compiled_kernels_take_pykerns_parameters(name):
+    """Each compiled entry point takes its pykern twin's parameters, by name
+    and default, in the same order; checked on the binding itself, so that a
+    drift shows without a compiler."""
+    def parameters(fn):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    assert parameters(getattr(Kernels, name))[1:] == parameters(getattr(pykern, name))  # no self
 
 
 def test_missing_library_names_the_reason():

@@ -1,12 +1,13 @@
-"""The candidate tables, the expected constructions and the isomorphism
-layer are computed once per process: ``build_pair_tables``,
-``build_union_tables``, ``build_diversity_tables``, ``construct``,
-``_element_signatures`` and ``are_isomorphic`` are memoized.  Every caller of
-one key then shares one object, so these tests hold the memo to a read-only
-contract and check that a warm cache, or one filled by several threads at
-once, changes no report.  The partner search's orbit rows
-(``pykern._orbits``), which each search fills in on first use, are cleared
-with the rest for the cold runs."""
+"""The candidate tables, the expected constructions, the isomorphism
+layer and the relabeling groups of the orbit walk are computed once per
+process: ``build_pair_tables``, ``build_union_tables``,
+``build_diversity_tables``, ``construct``, ``_element_signatures``,
+``are_isomorphic``, the two generator sources and ``_chunk_tables`` are
+memoized.  Every caller of one key then shares one object, so these tests
+hold the memo to a read-only contract and check that a warm cache, or one
+filled by several threads at once, changes no report.  The partner search's
+orbit rows (``pykern._orbits``), which each search fills in on first use,
+are cleared with the rest for the cold runs."""
 
 import re
 
@@ -22,6 +23,8 @@ from setfam.search import Problem, SearchReport, expected, problems, solve, tabl
 from setfam.search.verify import verify_grid
 
 BUILDERS = ("build_pair_tables", "build_union_tables", "build_diversity_tables")
+GROUP_MEMOS = (problems._symmetric_generators, problems._max_degree_generators,
+               problems._chunk_tables)
 
 # one solve of each kind on each engine that runs it
 SOLVES = [
@@ -62,6 +65,8 @@ def _clear_caches() -> None:
     _element_signatures.cache_clear()
     are_isomorphic.cache_clear()
     pykern._orbits.cache_clear()
+    for memo in GROUP_MEMOS:
+        memo.cache_clear()
 
 
 def _frozen(value) -> bool:
@@ -123,6 +128,18 @@ def test_warm_and_threaded_grids_match_a_cold_one(theorem, grid, engine):
     assert cold == _stable(verify_grid(theorem, grid, engine))
     _clear_caches()  # both threads meet an empty cache
     assert cold == _stable(verify_grid(theorem, grid, engine, threads=2))
+
+
+def test_relabeling_groups_are_built_once_per_process():
+    """A generator source is one object per n, and a warm verify grid walks
+    its orbits without building a chunk table."""
+    for source in (problems._symmetric_generators, problems._max_degree_generators):
+        assert source(7) is source(7)
+    verify_grid("diversity", "k=3;n=7;r=1", "clique")
+    first = problems._chunk_tables.cache_info()
+    verify_grid("diversity", "k=3;n=7;r=1", "clique")
+    again = problems._chunk_tables.cache_info()
+    assert again.misses == first.misses and again.hits > first.hits
 
 
 @pytest.mark.parametrize("build,args,message", [
