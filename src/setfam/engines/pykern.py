@@ -102,9 +102,16 @@ Soundness notes shared by the kernels:
   that holds i and avoids everything dropped before i, which lies in i's
   subtree, with the same score and the same feasibility: when i's subtree
   was searched or cut, the family is found or below the incumbent.  Every
-  class keeps a maximizer; the callers' orbit walk recovers the rest, and
-  :func:`walk_returns` replays the walk to say which ones the search
-  returns.  At the root the group is transitive on the callers'
+  class keeps a maximizer, and the callers size each class by the
+  orbit-stabilizer theorem
+  (:func:`setfam.search.problems.classify_maximizers`).  Of each orbit the
+  search returns the least maximizer, its members' indices compared as
+  ascending tuples: were one of its members i dropped at a node on its
+  path, as part of the orbit of a candidate j that the node handled before
+  the member the path goes through, the relabeling that carries i onto j
+  and fixes the node's chosen members would give a family of the orbit
+  that holds j, which the least does not, and lacks only members above j:
+  a smaller one.  At the root the group is transitive on the callers'
   candidates, so the root branches once, on candidate 0, and every
   non-empty family the search returns holds it: this is the search's only
   symmetry break.  Once every atom has one element the group is trivial,
@@ -392,7 +399,7 @@ class _Orbits:
 
 @functools.lru_cache(maxsize=32)
 def _orbits(masks: tuple[int, ...]) -> _Orbits:
-    """The orbit rows of one table, shared by every search and replay on it."""
+    """The orbit rows of one table, shared by every search on it."""
     return _Orbits(masks)
 
 
@@ -517,64 +524,6 @@ def _partner_search(m, compat, succ, kill, ng, rmask, r_min, g_min, g_ge_f, cap_
     finally:
         del rec  # rec's closure holds rec: break the cycle, on a raise too
     return best, maxers, nodes
-
-
-def walk_returns(masks, compat):
-    """The maximizers that the partner search with the orbit rule returns
-    on these tables, the candidates' element sets ``masks`` among them, as
-    a predicate on a family's member masks in ascending order: the members
-    found in ``masks`` are its chosen candidates, in index order when
-    ``masks`` ascend, as the callers' do.  Every caller that passes masks
-    passes empty order rows, so the replay has none.
-
-    The walk reaches a family's members in index order, and no bound, side
-    constraint or cap cuts the path to a maximizer: a bound cuts only below
-    the incumbent, and every constraint that ends a subtree holds on every
-    part of a feasible family.  So the search returns a maximizer exactly
-    when each member is reached, and its subtree entered, at the node of
-    the members before it.  The predicate replays the walk along those
-    nodes, each walked once per predicate.
-
-    Of each orbit of maximizers, the search returns the least, its members'
-    indices compared as ascending tuples.  Were one of its members i
-    dropped at a node on its path, as part of the orbit of a candidate j
-    that the node handled before the member the path goes through, the
-    relabeling that carries i onto j and fixes the node's chosen members
-    would give a family of the orbit that holds j, which the least does
-    not, and lacks only members above j: a smaller one.
-    """
-    rule = _orbits(tuple(masks))
-    index = {mask: i for i, mask in enumerate(masks)}
-    # node -> {candidate entered: the candidates and atoms of its subtree}
-    walked: dict[int, dict[int, tuple]] = {}
-
-    def walk(chosen: int, p: int, atoms: tuple[int, ...] | None) -> dict[int, tuple]:
-        entered = {}
-        steps = atoms and rule.node(atoms)
-        while p:
-            low = p & -p
-            p ^= low
-            i = low.bit_length() - 1
-            here = p
-            step = atoms and (steps[i] or rule.step(atoms, steps, i))
-            if step:
-                p &= ~step[0]
-            entered[i] = here if compat is None else here & compat[i], step and step[1]
-        return entered
-
-    def returned(members) -> bool:
-        chosen, p, atoms = 0, (1 << len(masks)) - 1, rule.root
-        for i in (index[m] for m in members if m in index):
-            entered = walked.get(chosen)
-            if entered is None:
-                entered = walked[chosen] = walk(chosen, p, atoms)
-            if i not in entered:
-                return False
-            chosen |= 1 << i
-            p, atoms = entered[i]
-        return True
-
-    return returned
 
 
 def clique_bnb(
@@ -767,8 +716,8 @@ def diversity_bnb(
     the stabilizer of 1 is transitive on those k-sets, so every non-empty H
     found holds it; the empty H, seeded for r <= 0, is the one maximizer
     without it.  Without ``symmetric`` the walk visits every family.  The
-    callers recover the other relabeled copies by walking orbits
-    (:func:`setfam.search.problems.classify_maximizers`).
+    callers count the other relabeled copies by the orbit-stabilizer
+    theorem (:func:`setfam.search.problems.classify_maximizers`).
 
     Returns (best, maximizers as H bitsets, node_count); each maximizer's A
     is every A candidate outside the ``akill`` rows of its H members.

@@ -43,15 +43,20 @@ __all__ = [
     "apply_permutation",
     "iso_invariant",
     "are_isomorphic",
+    "automorphism_count",
     "read_family",
     "write_family",
 ]
 
 MAX_UNIVERSE = 63
-ISO_MAX_UNIVERSE = 12
 
-# Signatures and verdicts kept per process: a verify sweep meets about a
-# hundred distinct families and a few dozen (found, expected) pairs.
+# Tentative assignments one relabeling search may make.  The largest search
+# that the stored grids, the benchmark grids and the n = 13..16 brute rows
+# run makes 110.
+ISO_STEP_BUDGET = 1_000_000
+
+# Signatures, search plans and verdicts kept per process: a verify sweep
+# meets about a hundred distinct families and as many compared pairs.
 _ISO_CACHE_SIZE = 1024
 
 
@@ -373,13 +378,9 @@ def iso_invariant(F: Family) -> tuple:
 
 @functools.lru_cache(maxsize=_ISO_CACHE_SIZE)
 def are_isomorphic(F: Family, G: Family) -> IsoCertificate:
-    """Search for a relabeling of [n] carrying F onto G.
+    """Search for a relabeling of [n] carrying F onto G (:func:`_relabeling`).
 
     Families with different :func:`iso_invariant` are rejected at once.
-    Otherwise elements are partitioned by per-layer degree signature; the
-    backtracking then only maps within matching signature classes, checking
-    fully-assigned members along the way.  Exact for n <= 12 (rejected
-    above); every verification instance in this package has n <= 10.
 
     The verdict is memoized per process on the ordered pair (F, G), for at
     most ``_ISO_CACHE_SIZE`` (1024) pairs; a certificate is checked when it
@@ -388,62 +389,136 @@ def are_isomorphic(F: Family, G: Family) -> IsoCertificate:
     """
     if F.n != G.n:
         raise UniverseMismatchError(f"universe mismatch: {F.n} vs {G.n}")
-    n = F.n
-    if n > ISO_MAX_UNIVERSE:
-        raise InfeasibleInstanceError(
-            f"isomorphism search supports n <= {ISO_MAX_UNIVERSE} (got n={n})"
-        )
-    sig_f = dict(enumerate(_element_signatures(F), 1))
-    sig_g = dict(enumerate(_element_signatures(G), 1))
-    # the iso_invariant pre-check, on the signatures already computed
-    if len(F) != len(G) or sorted(sig_f.values()) != sorted(sig_g.values()):
+    # the iso_invariant pre-check, on the memoized signatures
+    if len(F) != len(G) or sorted(_element_signatures(F)) != sorted(_element_signatures(G)):
         return IsoCertificate(None)
-    candidates = {x: [y for y in range(1, n + 1) if sig_g[y] == sig_f[x]] for x in range(1, n + 1)}
+    perm = _relabeling(F, G)
+    assert perm is None or apply_permutation(F, perm) == G
+    return IsoCertificate(perm)
 
-    g_set = set(G.members)
-    # map elements in order of fewest candidates first
-    order = sorted(range(1, n + 1), key=lambda x: len(candidates[x]))
-    image = [0] * (n + 1)
-    used = [False] * (n + 1)
 
-    members_by_max: dict[int, list[int]] = {x: [] for x in range(1, n + 1)}
-    # a member becomes fully assigned exactly when its last element (in the
-    # chosen order) gets an image; index members by that trigger element
-    pos_in_order = {x: i for i, x in enumerate(order)}
+def automorphism_count(F: Family) -> int:
+    """|Aut(F)|, the number of relabelings of [n] that carry F onto itself.
+
+    A stabilizer chain (Sims, 1970) over the base b_1, ..., b_n that
+    :func:`_search_plan` orders the elements in: G_0 = Aut(F), G_j fixes
+    b_1, ..., b_j, and |G_{j-1}| = |orbit of b_j under G_{j-1}| * |G_j|, so
+    |Aut(F)| is the product of those orbits.  The levels run from j = n
+    down, so every automorphism found at a deeper level fixes b_1, ...,
+    b_{j-1} and lies in G_{j-1}: an orbit starts as the closure of b_j
+    under them, and :func:`_relabeling` with the prefix (b_1, ..., b_{j-1},
+    y) is asked only about the elements y of b_j's signature that the
+    closure has not reached.
+    """
+    sig = _element_signatures(F)
+    order = _search_plan(F)[0]
+    found: list[tuple[int, ...]] = []
+    count = 1
+    for j in range(F.n - 1, -1, -1):
+        x = order[j]
+        orbit = _closure(x, found)
+        for y in order[j + 1:]:
+            if y not in orbit and sig[y - 1] == sig[x - 1]:
+                perm = _relabeling(F, F, (*order[:j], y))
+                if perm is not None:
+                    found.append(perm)
+                    orbit = _closure(x, found)
+        count *= len(orbit)
+    return count
+
+
+def _closure(x: int, perms: list[tuple[int, ...]]) -> set[int]:
+    """The orbit of element x under the group that ``perms`` generate."""
+    orbit = {x}
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        for perm in perms:
+            z = perm[y - 1]
+            if z not in orbit:
+                orbit.add(z)
+                stack.append(z)
+    return orbit
+
+
+@functools.lru_cache(maxsize=_ISO_CACHE_SIZE)
+def _search_plan(F: Family) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """The order in which :func:`_relabeling` maps the elements of F, those
+    of smaller signature classes first (ties by label), and, per position
+    in it, the members of F whose last element in that order sits there,
+    each as its elements.  A relabeling search checks a member as soon as
+    every element of it has an image.  The empty set is fixed by every
+    relabeling, so it is in no list.  Memoized per family, as tuples."""
+    sig = _element_signatures(F)
+    class_size = {s: sig.count(s) for s in set(sig)}
+    order = sorted(range(1, F.n + 1), key=lambda x: class_size[sig[x - 1]])
+    pos = [0] * (F.n + 1)
+    for i, x in enumerate(order):
+        pos[x] = i
+    checks: list[list[tuple[int, ...]]] = [[] for _ in order]
     for m in F.members:
-        if m == 0:  # fixed by every relabeling; the invariant puts it in G too
-            continue
-        trigger = max(elements_of(m), key=lambda e: pos_in_order[e])
-        members_by_max[trigger].append(m)
+        if m:
+            xs = elements_of(m)
+            checks[max(pos[x] for x in xs)].append(xs)
+    return tuple(order), tuple(map(tuple, checks))
 
-    def backtrack(idx: int) -> bool:
-        if idx == n:
+
+def _relabeling(F: Family, G: Family, prefix: tuple[int, ...] = ()) -> tuple[int, ...] | None:
+    """A relabeling of [n] carrying F onto G that maps the first elements of
+    F's search order (:func:`_search_plan`) to ``prefix``, as a tuple perm
+    with perm[i-1] the image of i; or None when there is none.
+
+    The backtracking maps each element only into its signature class in G
+    and checks each member of F as soon as all its elements have images.
+    More than ``ISO_STEP_BUDGET`` tentative assignments raise
+    InfeasibleInstanceError.
+    """
+    n = F.n
+    order, checks = _search_plan(F)
+    sig_f = _element_signatures(F)
+    by_sig: dict[tuple, list[int]] = {}
+    for y, s in enumerate(_element_signatures(G), 1):
+        by_sig.setdefault(s, []).append(y)
+    candidates = [[y] for y in prefix]
+    candidates += [by_sig.get(sig_f[x - 1], ()) for x in order[len(prefix):]]
+    g_set = set(G.members)
+    image = [0] * (n + 1)  # image[x]: the image of element x, as a mask
+    used = [False] * (n + 1)
+    budget = ISO_STEP_BUDGET
+
+    def backtrack(pos: int) -> bool:
+        nonlocal budget
+        if pos == n:
             return True
-        x = order[idx]
-        for y in candidates[x]:
+        x = order[pos]
+        for y in candidates[pos]:
             if used[y]:
                 continue
-            image[x] = y
+            budget -= 1
+            if budget < 0:
+                raise InfeasibleInstanceError(
+                    f"isomorphism search exceeded its budget of {ISO_STEP_BUDGET} steps (n={n})"
+                )
+            image[x] = 1 << y - 1
             used[y] = True
-            ok = True
-            for m in members_by_max[x]:
+            for xs in checks[pos]:
                 img = 0
-                for e in elements_of(m):
-                    img |= 1 << (image[e] - 1)
+                for e in xs:
+                    img |= image[e]
                 if img not in g_set:
-                    ok = False
                     break
-            if ok and backtrack(idx + 1):
-                return True
+            else:
+                if backtrack(pos + 1):
+                    return True
             used[y] = False
-            image[x] = 0
         return False
 
-    if backtrack(0):
-        perm = tuple(image[1:])
-        assert apply_permutation(F, perm) == G
-        return IsoCertificate(perm)
-    return IsoCertificate(None)
+    try:
+        if not backtrack(0):
+            return None
+    finally:
+        del backtrack  # its closure holds itself: break the cycle
+    return tuple(b.bit_length() for b in image[1:])
 
 
 # ------------------------------------------------------------------ file I/O

@@ -77,7 +77,9 @@ def expected_classes(kind: str, p: Params):
         return None  # bound only; no equality characterization asserted
     if kind == "diverse_intersecting_max":
         (n, k, r) = p.require("n", "k", "r")
-        if r == 0:  # unconstrained maximum: the full star, uniquely (n > 2k)
+        if r == 0:  # unconstrained maximum: the full star, uniquely for n > 2k
+            if n == 2 * k:  # Erdos-Ko-Rado has other maximum families there
+                return None
             return [construct(ConstructionId("full_star", Params(n=n, k=k)))]
         bound = bound_for(kind, p).value
         return _attaining(_diversity_families(n, k), bound, lambda F: degree_profile(F)[1] >= r)

@@ -26,35 +26,34 @@ runs on either backend and its report names the backend that ran.
 The overlap cap of cross_pair_capped can grow under joint shifts, so only
 ``brute`` applies.
 
-Classification (:func:`classify_maximizers`) lists each class as an orbit
-where the engine's maximizer scope is closed under a known permutation
-group: the scope of the s-union kinds and of the brute pair kinds is every
-maximum family (a pair's F side, its partner being a function of F),
-closed under S_n, and the diversity ``clique`` engine's is every maximum
-family whose maximum degree is at element 1, closed under the stabilizer
-of 1 and under the swaps (1 x) of the elements x of maximum degree.
-s_union_conditioned_max searches only the maximizers that hold a fixed
-anchor member, the (d+1)-set {1, ..., d+1} (see
-:func:`build_union_tables`).  The brute pair kinds and the diversity
-``clique`` engine branch once per orbit at every node of their partner
-search, so they return only the maximizers that a replay of that walk
-accepts (:func:`setfam.engines.pykern.walk_returns`).  The root step of
-that rule branches on candidate 0 only, so each non-empty one holds it: the
+Classification (:func:`classify_maximizers`) groups the maximizers by
+isomorphism.  Where the engine's maximizer scope holds every relabeled
+copy of a maximizer that its rule admits, a class's size follows from the
+orbit-stabilizer theorem: the scope of the s-union kinds and of the brute
+pair kinds is every maximum family (a pair's F side, its partner being a
+function of F), closed under S_n, and the diversity ``clique`` engine's is
+every maximum family whose maximum degree is at element 1, which holds
+each relabeling that moves an element of maximum degree to 1.  So the
+search need return only one maximizer of each class.  s_union_conditioned_max
+searches only the maximizers that hold a fixed anchor member, the
+(d+1)-set {1, ..., d+1} (see :func:`build_union_tables`).  The brute pair
+kinds and the diversity ``clique`` engine branch once per orbit at every
+node of their partner search.  The root step of that rule branches on
+candidate 0 only, so each non-empty maximizer they return holds it: the
 least j-set {1, ..., j} for the brute pair kinds, the H member
 {2, ..., k+1} for the diversity engine (see
-:func:`setfam.engines.pykern.diversity_bnb`).
-Their ``nodes`` count that search, and the walk recovers every other
-maximizer, so ``maximizer_count`` and the classes are those of the whole
-scope.  The ``shifted`` scopes are not closed under relabeling, so those
-classify by ``are_isomorphic``.
+:func:`setfam.engines.pykern.diversity_bnb`).  Their ``nodes`` count that
+search, while ``maximizer_count`` and the classes are those of the whole
+scope.  The ``shifted`` scopes are not closed under relabeling, so there a
+class's size is the number of its returned members.
 """
 
 from __future__ import annotations
 
 import time
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import compress
-from math import comb
+from math import comb, factorial
 from operator import or_
 
 from .._record import Record
@@ -70,8 +69,8 @@ from ..bounds import (
 from ..errors import InfeasibleInstanceError, ParamRangeError
 from ..family import (
     Family,
-    apply_permutation,
     are_isomorphic,
+    automorphism_count,
     is_s_union,
     iso_invariant,
     layer_masks,
@@ -204,236 +203,89 @@ def bound_for(kind: str, p: Params) -> BoundValue:
 
 
 def classify_maximizers(
-    families: list[Family], generators: Callable | None = None, required: Callable | None = None
+    families: list[Family], relabelings: Callable[[Family], int] | None = None
 ) -> list[MaximizerClass]:
     """Partition maximizers into isomorphism classes.
 
-    Representatives are the lexicographically least members of their
-    classes, and classes are listed in the order of their representatives.
+    The families are bucketed by :func:`iso_invariant`, so ``are_isomorphic``
+    only runs within a bucket.  A class's representative is its least listed
+    family, and classes are listed in the order of their representatives.
 
-    Without ``generators``, classes are bucketed by :func:`iso_invariant`,
-    so ``are_isomorphic`` only runs within a bucket.  This serves the scopes
-    that are not closed under relabeling: the shifted engines.
-
-    ``generators`` maps a family's sorted member-mask tuple to permutations
-    of [n] (``perm[i-1]`` the image of i) for a maximizer scope closed under
-    relabeling, so that each class is an orbit and is listed by walking it
-    instead of being found again pair by pair.  The walks start from the
-    listed families in ascending order; a class's size is the number of
-    families its walk reaches, and its representative the least of them,
-    built here when the list does not hold it.  Without ``required`` the
-    list holds every maximizer of the scope; with it (a predicate on sorted
-    member-mask tuples), every maximizer it accepts, as a reduced search
-    returns them (:func:`_holding`,
-    :func:`setfam.engines.pykern.walk_returns`), and at least one of each
-    class.  A relabeled image that the list should hold and does not means
-    the list or the generators are wrong, and raises ``AssertionError``.
-    More families reached than ``pykern.MAXIMIZER_CAP`` raise the kernels'
-    cap error.
+    Without ``relabelings`` a class's size is the number of its listed
+    families: the scopes that are not closed under relabeling, the shifted
+    engines'.  ``relabelings`` gives, for a family F, how many relabelings
+    of [n] carry F into the engine's maximizer scope, which holds every such
+    copy of a maximizer.  So a class is every copy of its representative in
+    the scope, and as the relabelings that give one copy are a coset of
+    Aut(F) (orbit-stabilizer), its size is that count over |Aut(F)|.  The
+    list then needs to hold one family of each class, and may hold more.
+    Once the sizes sum past ``pykern.MAXIMIZER_CAP``, the kernels' cap error
+    is raised.
     """
-    if generators is not None:
-        return _orbit_classes(families, generators, required)
+    cap = pykern.MAXIMIZER_CAP
+    total = 0
     classes: list[list] = []  # [representative, size]
     buckets: dict[tuple, list[list]] = {}
     for fam in sorted(families, key=lambda F: F.members):
         bucket = buckets.setdefault(iso_invariant(fam), [])
         for cls in bucket:
             if are_isomorphic(cls[0], fam):
-                cls[1] += 1
+                if relabelings is None:
+                    cls[1] += 1
+                    total += 1
                 break
         else:
-            cls = [fam, 1]
+            size = 1 if relabelings is None else relabelings(fam) // automorphism_count(fam)
+            cls = [fam, size]
             bucket.append(cls)
             classes.append(cls)
+            total += size
+        if total > cap:
+            raise pykern._over_cap(cap)
     return [MaximizerClass(rep, size) for rep, size in classes]
 
 
-def _orbit_classes(
-    families: list[Family], generators: Callable, required: Callable | None
-) -> list[MaximizerClass]:
-    """The orbits of ``families`` under ``generators``, each walked from
-    the least listed family not yet reached (see :func:`classify_maximizers`)."""
-    by_members = {F.members: F for F in families}
-    n = families[0].n if families else 0
-    cap = pykern.MAXIMIZER_CAP
-    reached: set[tuple[int, ...]] = set()
-    classes = []
-    for start in sorted(by_members):
-        if start in reached:
-            continue
-        orbit = _orbit(start, generators, cap - len(reached))
-        if orbit is None:
-            raise pykern._over_cap(cap)
-        for members in orbit:
-            if members not in by_members and (required is None or required(members)):
-                raise AssertionError(
-                    f"the orbit of maximizer {by_members[start]} holds {Family(n, members)}, "
-                    "which is not a maximizer"
-                )
-        reached |= orbit
-        least = min(orbit)
-        rep = by_members[least] if least in by_members else Family(n, least)
-        classes.append(MaximizerClass(rep, len(orbit)))
-    classes.sort(key=lambda c: c.representative.members)
-    return classes
+def _all_relabelings(F: Family) -> int:
+    """The pair and s-union objectives and side constraints ignore labels,
+    so their maximum families are closed under S_n: every relabeling counts."""
+    return factorial(F.n)
 
 
-def _orbit(start: tuple[int, ...], generators: Callable, limit: int) -> set[tuple[int, ...]] | None:
-    """The orbit of the member tuple ``start`` under ``generators``, or None
-    once it holds more than ``limit`` tuples."""
-    orbit: set[tuple[int, ...]] = set()
-    for _ in _walk(start, generators, orbit):
-        if len(orbit) > limit:
-            return None
-    return orbit
-
-
-def _walk(start: tuple[int, ...], generators: Callable, seen: set):
-    """Yield the orbit of the member tuple ``start`` under ``generators``,
-    ``start`` first, each tuple once and as soon as it is added to ``seen``."""
-    seen.add(start)
-    yield start
-    stack = [start]
-    while stack:
-        members = stack.pop()
-        for perm in generators(members):
-            image = tuple(sorted(_images(members, _chunk_tables(perm))))
-            if image not in seen:
-                seen.add(image)
-                stack.append(image)
-                yield image
-
-
-# Built once per process and permutation: both groups together use at most
-# n + 3 tables per n, the degree spread's included, so 512 hold n = 2..28.
-@lru_cache(maxsize=512)
-def _chunk_tables(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The relabeling ``perm`` of [n], n = len(perm), as one table per 8-bit
-    chunk of a mask: entry b of table c is the image of the bits b << 8c.  A
-    table has 256 entries, or fewer in the last chunk, whose mask bits stop
-    at n."""
-    n = len(perm)
-    tables = []
-    for base in range(0, n, 8):
-        table = [0]
-        for e in range(base, min(base + 8, n)):
-            image = 1 << perm[e] - 1
-            table += [t | image for t in table]
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
-def _images(members: tuple[int, ...], tables: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Each member mapped through the chunk tables of :func:`_chunk_tables`."""
-    if len(tables) == 1:
-        table = tables[0]
-        return [table[m] for m in members]
-    if len(tables) == 2:  # n = 9..16
-        lo, hi = tables
-        return [lo[m & 255] | hi[m >> 8] for m in members]
-    out = []
-    for m in members:
-        image = 0
-        for table in tables:
-            image |= table[m & 255]
-            m >>= 8
-        out.append(image)
-    return out
-
-
-def _cycle(n: int, elements) -> tuple[int, ...]:
-    """The cyclic permutation of [n] taking each of ``elements`` to the next."""
-    perm = list(range(1, n + 1))
-    elements = list(elements)
-    for a, b in zip(elements, elements[1:] + elements[:1]):
-        perm[a - 1] = b
-    return tuple(perm)
-
-
-# Each source is built once per n, and a process meets a few n.
-@lru_cache(maxsize=32)
-def _symmetric_generators(n: int) -> Callable:
-    """S_n, generated by (1 2) and (1 2 ... n).  The pair and s-union
-    objectives and side constraints ignore labels, so their maximum
-    families are closed under S_n."""
-    gens = (_cycle(n, (1, 2)), _cycle(n, range(1, n + 1)))  # shared: read-only
-    return lambda members: gens
-
-
-@lru_cache(maxsize=32)
-def _max_degree_generators(n: int) -> Callable:
-    """The relabelings that keep a family with maximum degree at element 1
-    in that scope: the stabilizer of 1, generated by (2 3) and (2 ... n),
-    and the swap (1 x) for each element x whose degree equals element 1's.
-
-    They reach every relabeled copy in the scope: if G = pi F and both lie
-    in it, x = pi^-1(1) has maximum degree in F, and pi (1 x) fixes 1.
-    """
-    stab = [_cycle(n, (2, 3)), _cycle(n, range(2, n + 1))] if n >= 3 else []
-    swaps = [(x, _cycle(n, (1, x))) for x in range(2, n + 1)]
-    # element x to a counter field of n + 1 bits, wide enough for any degree,
-    # so that the spread members sum to every degree at once
-    w = n + 1
-    field = (1 << w) - 1
-    spread = _chunk_tables(tuple((x - 1) * w + 1 for x in range(1, n + 1)))
-
-    def generators(members: tuple[int, ...]) -> list[tuple[int, ...]]:
-        degs = sum(_images(members, spread))
-        deg_1 = degs & field
-        return stab + [swap for x, swap in swaps if degs >> (x - 1) * w & field == deg_1]
-
-    return generators
-
-
-def _with_max_degree_at_1(F: Family) -> Family:
-    """``F`` relabeled so that element 1 has maximum degree, which puts it in
-    the diversity ``clique`` scope (and in every S_n scope): unchanged when
-    it has, else swapped by (1 x), x the least element of maximum degree."""
+def _max_degree_relabelings(F: Family) -> int:
+    """The relabelings that put a maximum-degree element of F at element 1,
+    the diversity ``clique`` engine's scope: d (n-1)!, d the number of
+    elements of maximum degree."""
     degs = [sum(m >> e & 1 for m in F.members) for e in range(F.n)]
-    x = degs.index(max(degs)) + 1
-    return F if x == 1 else apply_permutation(F, _cycle(F.n, (1, x)))
+    return degs.count(max(degs)) * factorial(F.n - 1)
 
 
 _SHIFTED_SCOPE = "maximizer scope: shifted families only"
 
-# kind -> {engine it runs: (the note its reports carry, the generator source
-# of the group its maximizer scope is closed under, or None)}; auto runs the
-# first.  ``brute`` also names the clique engine of the graph-shaped kinds.
+# kind -> {engine it runs: the note its reports carry}; auto runs the first.
+# ``brute`` also names the clique engine of the graph-shaped kinds.
 _KIND_ENGINES = {
-    "hemibundled_max": {"shifted": (_SHIFTED_SCOPE, None), "brute": (None, _symmetric_generators)},
-    "cross_pair_max": {"shifted": (_SHIFTED_SCOPE, None), "brute": (None, _symmetric_generators)},
+    "hemibundled_max": {"shifted": _SHIFTED_SCOPE, "brute": None},
+    "cross_pair_max": {"shifted": _SHIFTED_SCOPE, "brute": None},
     "cross_pair_capped": {
-        "brute": ("partner shown with the lowest-indexed overlap members dropped",
-                  _symmetric_generators),
+        "brute": "partner shown with the lowest-indexed overlap members dropped",
     },
     "diverse_intersecting_max": {
-        "clique": ("maximizer scope: families with maximum degree at element 1",
-                   _max_degree_generators),
-        "shifted": ("lower-bound engine: optimum certified over shifted families only; "
-                    "validate with the clique engine", None),
+        "clique": "maximizer scope: families with maximum degree at element 1",
+        "shifted": "lower-bound engine: optimum certified over shifted families only; "
+                   "validate with the clique engine",
     },
-    "s_union_max": {"clique": (None, _symmetric_generators)},
-    "s_union_conditioned_max": {"clique": (None, _symmetric_generators)},
+    "s_union_max": {"clique": None},
+    "s_union_conditioned_max": {"clique": None},
 }
-
-
-def _scope_generators(kind: str, engine: str, n: int) -> Callable | None:
-    """The generator source of an engine whose maximizer scope is closed
-    under a known group of relabelings, or None (see the module docstring)."""
-    _, source = _KIND_ENGINES[kind][engine]
-    return None if source is None else source(n)
 
 
 # ------------------------------------------------------------------ engines
 
 
 def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
-    """The kernel's result as (F, G) pairs, with the predicate of the
-    maximizers it must return (:func:`setfam.engines.pykern.walk_returns`),
-    which all hold candidate 0; or None for the shifted engine, whose walk
-    has no orbit rule and whose result is classified by isomorphism.  F is
-    the chosen candidates, G the partner universe outside their kill rows,
-    both :func:`_select`-ed from tables that ascend, so already sorted."""
+    """The kernel's result as (F, G) pairs: F the chosen candidates, G the
+    partner universe outside their kill rows, both :func:`_select`-ed from
+    tables that ascend, so already sorted."""
     kern = engines.backend_module(backend)
     if kind == "hemibundled_max":
         (n, k, t, r) = p.require("n", "k", "t", "r")
@@ -467,9 +319,7 @@ def _solve_pair(kind: str, p: Params, engine: str, backend: str, deadline):
         pairs.append(
             (Family(n, _select(tabs.cands, chosen)), Family(n, _select(tabs.gmasks, partner)))
         )
-    if masks is None:
-        return best, pairs, nodes, None
-    return best, pairs, nodes, pykern.walk_returns(masks, tabs.compat)
+    return best, pairs, nodes
 
 
 def _solve_union(kind: str, p: Params, backend: str, deadline):
@@ -478,25 +328,23 @@ def _solve_union(kind: str, p: Params, backend: str, deadline):
     d = s // 2
     if kind == "s_union_max":
         tabs = build_union_tables(n, s, None)
-        cons, r, required = 0, 0, None
+        cons, r = 0, 0
     else:
         (r,) = p.require("r")
         tabs = build_union_tables(n, s, d + 1)
         cons = 1 if s % 2 == 0 else 2
-        required = _holding((1 << d + 1) - 1)  # {1, ..., d+1}
     best, maxers, nodes = kern.clique_bnb(
         len(tabs.vmasks), tabs.adj, tabs.sup, cons, tabs.layer, tabs.vmasks, n, r, deadline
     )
     fams = [Family.of_masks(n, _select(tabs.vmasks, chosen)) for chosen in maxers]
-    return best, fams, nodes, required
+    return best, fams, nodes
 
 
 def _solve_diversity_clique(p: Params, backend: str, deadline):
-    """The kernel's result as families, with the predicate of the
-    maximizers it must return (:func:`setfam.engines.pykern.walk_returns`).
-    H is the chosen candidates, A the star members outside their ``akill``
-    rows, both :func:`_select`-ed; H avoids element 1 and A holds it, so
-    the two interleave and the family sorts them."""
+    """The kernel's result as families: H the chosen candidates, A the star
+    members outside their ``akill`` rows, both :func:`_select`-ed; H avoids
+    element 1 and A holds it, so the two interleave and the family sorts
+    them."""
     kern = engines.backend_module(backend)
     (n, k, r) = p.require("n", "k", "r")
     tabs = build_diversity_tables(n, k)
@@ -510,13 +358,7 @@ def _solve_diversity_clique(p: Params, backend: str, deadline):
     for hbits in maxers:
         abits = full & ~reduce(or_, _select(tabs.akill, hbits), 0)
         fams.append(Family.of_masks(n, _select(tabs.hmasks, hbits) + _select(tabs.amasks, abits)))
-    required = pykern.walk_returns(tabs.hmasks, tabs.hcompat)
-    return best, fams, nodes, required
-
-
-def _holding(anchor: int) -> Callable:
-    """The maximizers an anchored search returns: those holding ``anchor``."""
-    return lambda members: anchor in members
+    return best, fams, nodes
 
 
 def _solve_diversity_shifted(p: Params, backend: str, deadline):
@@ -538,7 +380,7 @@ def _solve_diversity_shifted(p: Params, backend: str, deadline):
         deadline,
     )
     fams = [Family(n, _select(tabs.cands, c)) for c in maxers]  # the candidates ascend
-    return best, fams, nodes, None
+    return best, fams, nodes
 
 
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits as compress's selectors
@@ -575,20 +417,24 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
         result = _solve_diversity_clique(p, backend_name, deadline)
     else:
         result = _solve_union(problem.kind, p, backend_name, deadline)
-    # required: the predicate of the maximizers a reduced search must return
-    optimum, maxers, nodes, required = result
+    optimum, maxers, nodes = result
     elapsed = time.monotonic() - start
     if optimum < 0:
         raise InfeasibleInstanceError(
             "no admissible family satisfies the side constraints at these parameters"
         )
-    generators = _scope_generators(problem.kind, engine, p.n)
+    if engine == "shifted":
+        relabelings = None
+    elif problem.kind == "diverse_intersecting_max":
+        relabelings = _max_degree_relabelings
+    else:
+        relabelings = _all_relabelings
     pairs = None
     if problem.kind in _PAIR_KINDS:  # classified by the F side, which fixes the partner
         pairs = {F: (F, G) for F, G in maxers}
         maxers = list(pairs)
-    classes = classify_maximizers(maxers, generators, required)
-    if pairs is not None:  # each representative, the least of its class, was returned
+    classes = classify_maximizers(maxers, relabelings)
+    if pairs is not None:  # each representative was returned
         classes = [MaximizerClass(pairs[c.representative], c.size) for c in classes]
     return SearchReport(
         kind=problem.kind,
@@ -602,7 +448,7 @@ def solve(problem: Problem, max_seconds: float | None = None, backend: str | Non
         classes=tuple(classes),
         nodes=nodes,
         elapsed=elapsed,
-        note=_KIND_ENGINES[problem.kind][engine][0],
+        note=_KIND_ENGINES[problem.kind][engine],
     )
 
 

@@ -124,8 +124,8 @@ def build_pair_tables(
     as the kernel's element masks, and it branches once per orbit at every
     node.  S_n is transitive on the f_size-sets, so the root step of that
     rule branches on candidate 0 only: every non-empty family the kernel
-    returns contains it, and the callers recover the other maximizers by
-    walking their S_n orbits.  With ``shifted``, ``succ`` holds the
+    returns contains it, and the callers count the other maximizers by the
+    orbit-stabilizer theorem.  With ``shifted``, ``succ`` holds the
     dominance successors, and the kernel walks the down-sets of the
     dominance order, the shifted families; that order is not closed under
     relabeling, so that kernel walks every candidate.
@@ -166,9 +166,9 @@ def build_union_tables(n: int, s: int, constrained_layer: int | None) -> CliqueT
     and S_n carries that set onto the anchor, so every maximizer has a
     relabeled copy in the kept graph.  There the anchor is adjacent to every
     other vertex, and both side constraints survive adding a vertex, so every
-    maximum feasible clique holds the anchor; the callers recover the other
-    relabeled copies by walking orbits.  The kept sets are closed under
-    subsets, so the kernel's down-set cut still holds.  The vertex limit
+    maximum feasible clique holds the anchor; the callers count the other
+    relabeled copies by the orbit-stabilizer theorem.  The kept sets are
+    closed under subsets, so the kernel's down-set cut still holds.  The vertex limit
     counts the kept sets: any part of the anchor, with at most s - c of the
     other n - c elements.
 

@@ -5,7 +5,6 @@ classes against the expected equality families."""
 from __future__ import annotations
 
 import re
-from itertools import islice
 
 from .._record import Record
 from ..bounds import Params
@@ -18,9 +17,6 @@ from .problems import (
     Problem,
     SearchReport,
     _check_budget,
-    _scope_generators,
-    _walk,
-    _with_max_degree_at_1,
     bound_for,
     solve,
 )
@@ -130,33 +126,12 @@ class VerifyResult(Record):
 
 def _classes_match(report: SearchReport, expected: list) -> bool:
     """Whether the report's classes are the expected families' classes,
-    one for one; pairs are compared by their F sides, which fix the
-    partners.  Where the engine lists classes as orbits, each expected
-    family is relabeled into the engine's scope and its orbit walked until
-    it meets a reported class's representative, the least member of that
-    class's orbit; orbits are disjoint, so that is the family's class.  A
-    walk that meets none within the largest class size fails.  Elsewhere
-    the classes are matched by the isomorphism search."""
+    one for one, matched by the isomorphism search; pairs are compared by
+    their F sides, which fix the partners."""
     found = report.class_representatives
     if report.kind in _PAIR_KINDS:
         found = [F for F, _ in found]
         expected = [F for F, _ in expected]
-    generators = _scope_generators(report.kind, report.engine, report.params.n)
-    if generators is None:
-        return _isomorphic_classes_match(found, expected)
-    reps = {F.members for F in found}
-    limit = max((c.size for c in report.classes), default=0)
-    matched = set()
-    for F in expected:
-        walk = _walk(_with_max_degree_at_1(F).members, generators, set())
-        rep = next((members for members in islice(walk, limit) if members in reps), None)
-        if rep is None or rep in matched:
-            return False
-        matched.add(rep)
-    return len(matched) == len(reps)
-
-
-def _isomorphic_classes_match(found: list, expected: list) -> bool:
     if len(found) != len(expected):
         return False
     taken = [False] * len(expected)

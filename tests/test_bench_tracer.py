@@ -45,6 +45,7 @@ def test_benchmark_tracer_sees_every_layer(request, monkeypatch, backend):
         "engines.clique_bnb",
         "search.tables",
         "search.problems.classify",
+        "family.are_isomorphic.classify",
         "search.expected",
     } <= names
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import setfam
+from setfam import family
 from setfam.cli import main
 from setfam.errors import ParamRangeError
 from setfam.search.verify import parse_grid
@@ -602,10 +603,13 @@ def test_verify_reports_infeasible_rows_and_runs_the_rest(capsys):
     assert lines[-1] == "INFEASIBLE"
 
 
-def test_verify_reports_a_class_check_past_the_isomorphism_limit_as_infeasible(capsys):
+def test_verify_reports_a_class_check_past_the_step_budget_as_infeasible(capsys, monkeypatch):
     # both rows solve on the shifted engine, whose classes are matched by the
-    # isomorphism search; only n=13 is past its universe limit
+    # isomorphism search; each search there maps every element without
+    # backtracking, 12 steps at n=12 and 13 at n=13, so a budget of 12 stops
+    # only the n=13 row
     argv = ("verify", "f16", "--grid", "k=2;t=0;n=12..13")
+    monkeypatch.setattr(family, "ISO_STEP_BUDGET", 12)
     code, out, _ = run(capsys, *argv, "--json", "--no-timing")
     assert code == 3
     obj = json.loads(out)
@@ -614,18 +618,37 @@ def test_verify_reports_a_class_check_past_the_isomorphism_limit_as_infeasible(c
     assert obj["rows"][1] == {
         "params": {"k": 2, "n": 13, "r": 1, "t": 0},
         "status": "infeasible",
-        "reason": "isomorphism search supports n <= 12 (got n=13)",
+        "reason": "isomorphism search exceeded its budget of 12 steps (n=13)",
     }
     code, out, _ = run(capsys, *argv)
     assert code == 3
     lines = out.splitlines()
     assert lines[0].startswith("OK  ") and lines[1].startswith("INFS  ")
     assert lines[-1] == "INFEASIBLE"
+    # nothing of the failed search was cached: at the default budget it verifies
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv, "--json", "--no-timing")
+    assert code == 0
+    assert [(row["status"], row["classes_ok"]) for row in json.loads(out)["rows"]] == [
+        ("ok", True), ("ok", True)
+    ]
+
+
+def test_diversity_asserts_no_classes_at_n_2k_without_a_floor(capsys):
+    # at n = 2k Erdos-Ko-Rado has maximum families besides the full star, so
+    # r = 0 asserts classes only from n = 2k+1 on, where the star is unique
+    argv = ("verify", "diversity", "--grid", "k=3;n=6..7;r=0", "--engine", "clique")
+    code, out, _ = run(capsys, *argv, "--json", "--no-timing")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(row["params"]["n"], row["status"], row["classes_ok"], row["class_count"])
+            for row in rows] == [(6, "ok", None, 13), (7, "ok", True, 1)]
 
 
 def test_orbit_classified_rows_match_their_classes_past_the_isomorphism_limit(capsys):
-    # the s-union classes are orbits, and each expected family's orbit is
-    # walked instead of searched for an isomorphism, so n = 13..15 verify too
+    # the s-union classes are sized by the orbit-stabilizer theorem and
+    # matched by the isomorphism search, which has no universe limit, so
+    # n = 13..15 verify too
     code, out, _ = run(capsys, "verify", "katona", "--grid", "n=12..15;s=2", "--json", "--no-timing")
     assert code == 0
     obj = json.loads(out)

@@ -145,7 +145,7 @@ UNREDUCED = [
 def test_reduced_brute_search_matches_the_unreduced_one(compiled, monkeypatch, kind, p):
     """Past the oracle's sizes, and where the two layers of hemibundled
     pairs differ in size (n > 2k + t), compare with the search over every
-    labeled family, whose list the same orbit walk classifies."""
+    labeled family, whose list the same classification sizes."""
     reduced = solve(Problem(kind, p, "brute"))
     run = compiled.pair_bnb  # without the element masks, which the orbit rule needs
     monkeypatch.setattr(compiled, "pair_bnb", lambda *args: run(*args[:10], None, *args[11:]))

@@ -3,6 +3,7 @@ import gc
 import importlib
 import inspect
 import itertools
+import json
 import os
 import re
 import shlex
@@ -34,15 +35,9 @@ from setfam.search import (
     enumerate_shifted,
     solve,
 )
-from setfam.search import problems
+from setfam.search import THEOREMS, problems
 from setfam.search.expected import expected_classes
-from setfam.search.problems import (
-    _chunk_tables,
-    _images,
-    _max_degree_generators,
-    _select,
-    _symmetric_generators,
-)
+from setfam.search.problems import _all_relabelings, _max_degree_relabelings, _select
 from setfam.search.tables import (
     build_diversity_tables,
     build_pair_tables,
@@ -95,8 +90,10 @@ def test_shifted_maximizers_land_in_expected_classes():
     ],
 )
 def test_orbit_class_matching_takes_any_relabeled_expected_family(rng, kind, p):
-    """verify matches orbit classes by walking each expected family's orbit;
-    a diversity family is first swapped into the maximum-degree scope."""
+    """verify matches the classes of a scope closed under relabeling by the
+    isomorphism search, so a relabeled expected family matches its class,
+    a diversity family too when the relabeling moves its maximum degree
+    off element 1."""
     rep = solve(Problem(kind, p, "clique"))
     relabeled = []
     for F in expected_classes(kind, p):
@@ -107,7 +104,7 @@ def test_orbit_class_matching_takes_any_relabeled_expected_family(rng, kind, p):
     assert _classes_match(rep, relabeled[::-1])
     assert not _classes_match(rep, relabeled + relabeled[-1:])
     assert not _classes_match(rep, relabeled[:-1] + [Family(p.n, ())])
-    # a family of no reported class, whose walk is cut at the largest class size
+    # a family of no reported class
     assert not _classes_match(rep, relabeled[:-1] + [random_family(rng, p.n, max_size=40)])
     if len(relabeled) > 1:
         assert not _classes_match(rep, relabeled[:-1])
@@ -164,8 +161,8 @@ def test_named_specializations_verify_on_their_own_grids():
 
 
 def test_brute_pair_kinds_verify_past_the_isomorphism_limit():
-    """The brute pair classes are orbits, found and matched by walking them,
-    so no row reaches the isomorphism search's limit of n <= 12."""
+    """The brute pair rows at n = 13..14 classify and match their classes
+    with the isomorphism search, well inside its step budget."""
     from setfam.search.verify import verify_grid
 
     for theorem, grid in (("f24", "k=2;n=13..14;r=1..2"), ("main1", "k=2;t=0;n=13;r=1..2")):
@@ -434,34 +431,79 @@ def _max_degree_at_1(F: Family) -> bool:
 def _closed_lists(rng, trials: int):
     """Random maximizer lists closed under relabeling at 2 <= n <= 5: unions of
     whole S_n orbits, and the same orbits cut to the families with maximum
-    degree at element 1, each with its generator source."""
+    degree at element 1, each with the relabeling count of its scope."""
     for _ in range(trials):
         n = rng.randint(2, 5)
         families = set()
         for _ in range(rng.randint(1, 3)):
             families |= _orbit(random_family(rng, n, max_size=rng.choice((4, 8, 16))))
-        yield sorted(families, key=lambda f: f.members), _symmetric_generators(n)
+        yield sorted(families, key=lambda f: f.members), _all_relabelings
         scoped = [F for F in families if _max_degree_at_1(F)]
-        yield sorted(scoped, key=lambda f: f.members), _max_degree_generators(n)
+        yield sorted(scoped, key=lambda f: f.members), _max_degree_relabelings
 
 
 def test_orbit_classes_match_bruteforce_on_closed_lists(rng):
-    for families, generators in _closed_lists(rng, 40):
+    """On a closed list the orbit-stabilizer sizes are the listed counts, and
+    the least family of each class is enough to give every class."""
+    for families, relabelings in _closed_lists(rng, 40):
         rng.shuffle(families)
-        got = [(c.representative, c.size) for c in classify_maximizers(families, generators)]
-        assert got == _bruteforce_classes(families)
+        want = _bruteforce_classes(families)
+        got = [(c.representative, c.size) for c in classify_maximizers(families, relabelings)]
+        assert got == want
+        least = [F for F, _ in want]
+        assert [(c.representative, c.size) for c in classify_maximizers(least, relabelings)] == want
 
 
-def test_chunk_tables_relabel_like_apply_permutation(rng):
-    for n in (2, 5, 8, 9, 12, 16, 17, 24, 30):  # one to four 8-bit chunks
-        for _ in range(5):
-            F = random_family(rng, n) if n <= 16 else fam(n, *(
-                rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(12)
-            ))
-            perm = list(range(1, n + 1))
-            rng.shuffle(perm)
-            images = _images(F.members, _chunk_tables(tuple(perm)))
-            assert Family.of_masks(n, images) == apply_permutation(F, tuple(perm))
+def _orbit_scope_rows() -> list:
+    """Every ok row of the stored verify grids whose engine's maximizer
+    scope is closed under relabeling, at n <= 7 for the diversity grid (its
+    rows start at n = 7) and n <= 6 for the rest, and one main5 row at
+    n = 7, as (kind, params, engine)."""
+    rows = []
+    for path in sorted((Path(__file__).parent / "data").glob("verify_*.json")):
+        stored = json.loads(path.read_text())
+        kind = THEOREMS[stored["theorem"]][0]
+        if problems._resolve_engine(kind, stored["engine"]) == "shifted":
+            continue
+        top = 7 if kind == "diverse_intersecting_max" else 6
+        rows += [(kind, Params(**row["params"]), stored["engine"])
+                 for row in stored["rows"] if row["status"] == "ok" and row["params"]["n"] <= top]
+    return rows + [("s_union_conditioned_max", Params(n=7, s=5, r=1), "clique")]
+
+
+def _scope_images(F: Family, kind: str) -> set[tuple[int, ...]]:
+    """The member tuples of every relabeling of F, over all of S_n, cut to
+    those with maximum degree at element 1 for the diversity engine."""
+    elements = [[e - 1 for e in range(1, F.n + 1) if m >> e - 1 & 1] for m in F.members]
+    images = set()
+    for perm in itertools.permutations([1 << i for i in range(F.n)]):
+        image = tuple(sorted(sum(perm[e] for e in es) for es in elements))
+        if kind != "diverse_intersecting_max" or _max_degree_at_1(Family(F.n, image)):
+            images.add(image)
+    return images
+
+
+def test_class_representatives_and_sizes_match_every_relabeling():
+    """The reference for classification: on every stored orbit-scope row
+    (:func:`_orbit_scope_rows`), each class's representative is the least
+    relabeled copy in the engine's scope, and its size is the number of
+    distinct copies there.  The classes are disjoint, so their sizes sum to
+    the maximizer count.  For s_union_conditioned_max, whose search returns
+    only the maximizers holding {1, ..., d+1}, nothing proves that the least
+    copy is among them; this is what holds it there."""
+    rows = _orbit_scope_rows()
+    assert {kind for kind, _, _ in rows} == {
+        "cross_pair_max", "diverse_intersecting_max", "s_union_max", "s_union_conditioned_max"}
+    for kind, p, engine in rows:
+        rep = solve(Problem(kind, p, engine))
+        seen = set()
+        for c in rep.classes:
+            F = c.representative[0] if kind in problems._PAIR_KINDS else c.representative
+            images = _scope_images(F, kind)
+            assert (F.members, c.size) == (min(images), len(images)), (kind, p)
+            assert not seen & images, (kind, p)
+            seen |= images
+        assert rep.maximizer_count == len(seen), (kind, p)
 
 
 def test_select_takes_the_entries_at_the_set_bits(rng):
@@ -477,115 +519,6 @@ def test_select_takes_the_entries_at_the_set_bits(rng):
         for past in (1 << width, full + (1 << width + 5)):
             with pytest.raises(IndexError):
                 _select(entries, past)
-
-
-def test_orbit_walk_rejects_a_list_that_is_not_closed():
-    n = 5
-    F = fam(n, (1, 2), (1, 3), (2, 4), (1, 2, 5))  # maximum degree at elements 1 and 2
-    full = sorted(_orbit(F), key=lambda f: f.members)
-    scoped = [G for G in full if _max_degree_at_1(G)]
-    assert len(full) > len(scoped) > 1
-    assert classify_maximizers(full, _symmetric_generators(n))[0].size == len(full)
-    assert classify_maximizers(scoped, _max_degree_generators(n))[0].size == len(scoped)
-    # a member missing from the orbit, and an orbit cut to the wrong scope
-    for families, generators in (
-        (full[:3] + full[4:], _symmetric_generators(n)),
-        (scoped[:1] + scoped[2:], _max_degree_generators(n)),
-        (scoped, _symmetric_generators(n)),
-    ):
-        with pytest.raises(AssertionError, match="not a maximizer"):
-            classify_maximizers(families, generators)
-
-
-def test_anchored_walk_lists_the_classes_of_the_whole_list(rng):
-    """An anchored search keeps only the maximizers that contain the anchor;
-    walking their orbits lists the classes of the whole closed list, with
-    the representatives the anchored list does not hold built on the way."""
-    built = 0
-    for _ in range(200):
-        n = rng.randint(2, 5)
-        j = rng.randint(1, n - 1)
-        for anchor, in_scope, generators in (
-            ((1 << j) - 1, lambda F: True, _symmetric_generators(n)),
-            (((1 << j) - 1) << 1, _max_degree_at_1, _max_degree_generators(n)),
-        ):
-            families = set()
-            for _ in range(rng.randint(1, 3)):
-                orbit = {F for F in _orbit(random_family(rng, n, max_size=8)) if in_scope(F)}
-                if any(anchor in F.members for F in orbit):
-                    families |= orbit
-            anchored = [F for F in families if anchor in F.members]
-            rng.shuffle(anchored)
-            full = classify_maximizers(sorted(families, key=lambda f: f.members), generators)
-            got = classify_maximizers(anchored, generators, problems._holding(anchor))
-            assert got == full
-            built += sum(c.representative not in anchored for c in got)
-    assert built > 10
-
-
-@pytest.mark.parametrize(
-    "kind,p,lone",
-    [
-        ("s_union_conditioned_max", Params(n=6, s=4, r=1), 1),
-        ("diverse_intersecting_max", Params(n=7, k=3, r=1), 1),
-        # k=4: some anchored images pass the first orbit level but not the second
-        ("diverse_intersecting_max", Params(n=9, k=4, r=3), 0),
-        ("cross_pair_capped", Params(n=6, k=2, r=2), 0),
-    ],
-    ids=[
-        "s_union_conditioned_max-p0", "diverse_intersecting_max-p1", "diverse_intersecting_max-p2",
-        "cross_pair_capped-p3",
-    ],
-)
-def test_anchored_walk_rejects_a_list_missing_an_anchored_maximizer(request, kind, p, lone):
-    """The search returns exactly the maximizers its predicate accepts.  The
-    walk from any anchored member of a class reaches every returned one, so
-    a list missing one of them raises, even when it holds another anchored
-    member of the class.  A class with no anchored member left is no longer
-    reached at all.  The partner searches of the diversity and pair kinds
-    branch once per orbit at every node, so they return only some of the
-    anchored maximizers; dropping an anchored one that they do not return
-    changes nothing.  ``lone`` counts the returned maximizers that are the
-    only anchored member of their class."""
-    engine = "clique"
-    if kind == "diverse_intersecting_max":
-        backend = "python"
-        if p.k > 3:  # millions of nodes: too many for the pure-Python kernel
-            request.getfixturevalue("compiled")
-            backend = "compiled"
-        _, found, _, required = problems._solve_diversity_clique(p, backend, None)
-        anchor = ((1 << p.k) - 1) << 1  # H candidate 0, {2, ..., k+1}
-    elif kind == "cross_pair_capped":
-        engine = "brute"
-        _, pairs, _, required = problems._solve_pair(kind, p, engine, "python", None)
-        found = [F for F, _ in pairs]
-        anchor = (1 << p.k) - 1  # candidate 0, {1, ..., k}
-    else:
-        _, found, _, required = problems._solve_union(kind, p, "python", None)
-        anchor = 0b111  # {1, 2, 3}
-    generators = problems._scope_generators(kind, engine, p.n)
-    classes = classify_maximizers(found, generators, required)
-    orbits = [problems._orbit(F.members, generators, 10**6) for F in found]
-    images = set().union(*orbits)
-    assert {F.members for F in found} == {m for m in images if required(m)}
-    unreturned = sorted(m for m in images if anchor in m and not required(m))
-    assert bool(unreturned) == (kind != "s_union_conditioned_max")
-    caught = 0
-    for i, (F, orbit) in enumerate(zip(found, orbits)):
-        rest = found[:i] + found[i + 1:]
-        other = min((m for m in orbit if m != F.members and anchor in m), default=None)
-        if other is None:
-            assert len(classify_maximizers(rest, generators, required)) == len(classes) - 1
-            continue
-        if not required(other):  # the class's walk starts from an unreturned member
-            rest.append(Family(p.n, other))
-        with pytest.raises(AssertionError, match="not a maximizer"):
-            classify_maximizers(rest, generators, required)
-        caught += 1
-    assert 0 < caught == len(found) - lone
-    listed = found + [Family(p.n, m) for m in unreturned]
-    for i in range(len(found), len(listed)):
-        assert classify_maximizers(listed[:i] + listed[i + 1:], generators, required) == classes
 
 
 def _pair_instances(limit: int):
@@ -606,15 +539,14 @@ def _pair_instances(limit: int):
                         yield kind, p
 
 
-def _compare_walks(reduced, unreduced, generators) -> tuple | None:
+def _compare_walks(reduced, unreduced, relabelings) -> tuple | None:
     """``reduced`` and ``unreduced`` run one ``problems._solve_*`` call, the
-    first as is, branching once per orbit, the second walking every family.
-    Both give the same optimum and the same classes, the unreduced list
-    classified as the whole scope, or the same cap error, raised by the
-    kernel or by the orbit walk that counts the maximizers.  The replay
-    predicate of the reduced walk accepts every family it returns, and
-    among the unreduced walk's maximizers exactly those.  Returns the two walks' ``nodes`` when both
-    kernels finish."""
+    first as is, branching once per orbit, the second walking every family
+    of the scope.  Both give the same optimum, the unreduced list holds
+    every family of the reduced one, and its length is the sum of the
+    reduced list's class sizes; or both raise the same cap error, from the
+    kernel or from the classification that sums the class sizes.  Returns
+    the two walks' ``nodes`` when both finish."""
 
     def outcome(run, *args):
         try:
@@ -626,16 +558,15 @@ def _compare_walks(reduced, unreduced, generators) -> tuple | None:
     if isinstance(got, str):  # the walk that visits fewer nodes keeps fewer ties
         assert full == got
         return None
-    best, found, nodes, required = got
-    assert all(required(F.members) for F in found)
-    classes = outcome(classify_maximizers, found, generators, required)
+    best, found, nodes = got
+    classes = outcome(classify_maximizers, found, relabelings)
     if isinstance(full, str):
         assert classes == full
         return None
-    full_best, full_found, full_nodes, _ = full
-    assert {F.members for F in full_found if required(F.members)} == {F.members for F in found}
-    full_classes = classify_maximizers(full_found, generators)
-    assert (best, classes) == (full_best, full_classes)
+    full_best, full_found, full_nodes = full
+    assert best == full_best
+    assert {F.members for F in found} <= {F.members for F in full_found}
+    assert len(full_found) == sum(c.size for c in classes)
     return nodes, full_nodes
 
 
@@ -652,15 +583,15 @@ def test_orbit_branching_keeps_every_pair_report(compiled, monkeypatch):
         seen.add(kind)
 
         def reduced(kind=kind, p=p):
-            best, pairs, nodes, required = problems._solve_pair(kind, p, "brute", "compiled", None)
-            return best, [F for F, _ in pairs], nodes, required
+            best, pairs, nodes = problems._solve_pair(kind, p, "brute", "compiled", None)
+            return best, [F for F, _ in pairs], nodes
 
         def unreduced(run=compiled.pair_bnb):
             with monkeypatch.context() as patch:
                 patch.setattr(compiled, "pair_bnb", lambda *args: run(*args[:10], None, *args[11:]))
                 return reduced()
 
-        nodes = _compare_walks(reduced, unreduced, problems._scope_generators(kind, "brute", p.n))
+        nodes = _compare_walks(reduced, unreduced, _all_relabelings)
         if nodes is not None:
             assert nodes[0] <= nodes[1], (kind, p)
             fewer += nodes[0] < nodes[1]
@@ -672,8 +603,8 @@ def test_orbit_branching_keeps_every_pair_report(compiled, monkeypatch):
 def test_orbit_branching_keeps_every_diversity_report(compiled, monkeypatch):
     """The same differential test on every k=3, n=7..9 diversity row, the
     unreduced walk running diversity_bnb without ``symmetric``, over every
-    family.  Both
-    backends give the reduced walk's report, ``nodes`` included."""
+    family.  Both backends give the reduced walk's report, ``nodes``
+    included."""
     for n in (7, 8, 9):
         for r in range(n - 2):
             p = Params(n=n, k=3, r=r)
@@ -686,8 +617,7 @@ def test_orbit_branching_keeps_every_diversity_report(compiled, monkeypatch):
                     patch.setattr(compiled, "diversity_bnb", lambda *args: run(*args[:8], False))
                     return reduced()
 
-            generators = problems._scope_generators("diverse_intersecting_max", "clique", n)
-            nodes, full_nodes = _compare_walks(reduced, unreduced, generators)
+            nodes, full_nodes = _compare_walks(reduced, unreduced, _max_degree_relabelings)
             assert nodes < full_nodes, p
             reports = [solve(Problem("diverse_intersecting_max", p, "clique"), backend=backend)
                        for backend in ("python", "compiled")]
@@ -910,10 +840,10 @@ def test_maximizer_cap_counts_labeled_families(monkeypatch):
 
 
 def test_maximizer_cap_counts_the_families_the_orbit_walk_reaches(monkeypatch):
-    """diversity (7,3,1) has 35 maximizers in two classes; the anchored
-    search, which branches once per orbit at the anchor's node and the node
-    below it, finds only a few of those whose H holds {2, 3, 4}, but the cap
-    counts all 35."""
+    """diversity (7,3,1) has 35 maximizers in two classes; the search, which
+    branches once per orbit at every node, finds only a few of those whose
+    H holds {2, 3, 4}, but the cap counts all 35, the class sizes that the
+    orbit-stabilizer theorem gives."""
     problem = Problem("diverse_intersecting_max", Params(n=7, k=3, r=1), "clique")
     monkeypatch.setattr(pykern, "MAXIMIZER_CAP", 35)
     rep = solve(problem)

@@ -1,8 +1,7 @@
-"""The candidate tables, the expected constructions, the isomorphism
-layer and the relabeling groups of the orbit walk are computed once per
-process: ``build_pair_tables``, ``build_union_tables``,
-``build_diversity_tables``, ``construct``, ``_element_signatures``,
-``are_isomorphic``, the two generator sources and ``_chunk_tables`` are
+"""The candidate tables, the expected constructions and the isomorphism
+layer are computed once per process: ``build_pair_tables``,
+``build_union_tables``, ``build_diversity_tables``, ``construct``,
+``_element_signatures``, ``_search_plan`` and ``are_isomorphic`` are
 memoized.  Every caller of one key then shares one object, so these tests
 hold the memo to a read-only contract and check that a warm cache, or one
 filled by several threads at once, changes no report.  The partner search's
@@ -18,13 +17,18 @@ from setfam.bounds import Params
 from setfam.constructions import ConstructionId, construct
 from setfam.engines import pykern
 from setfam.errors import InfeasibleInstanceError, ParamRangeError, UniverseMismatchError
-from setfam.family import Family, _element_signatures, apply_permutation, are_isomorphic
+from setfam import family
+from setfam.family import (
+    Family,
+    _element_signatures,
+    _search_plan,
+    apply_permutation,
+    are_isomorphic,
+)
 from setfam.search import Problem, SearchReport, expected, problems, solve, tables
 from setfam.search.verify import verify_grid
 
 BUILDERS = ("build_pair_tables", "build_union_tables", "build_diversity_tables")
-GROUP_MEMOS = (problems._symmetric_generators, problems._max_degree_generators,
-               problems._chunk_tables)
 
 # one solve of each kind on each engine that runs it
 SOLVES = [
@@ -63,10 +67,9 @@ def _clear_caches() -> None:
         getattr(tables, name).cache_clear()
     construct.cache_clear()
     _element_signatures.cache_clear()
+    _search_plan.cache_clear()
     are_isomorphic.cache_clear()
     pykern._orbits.cache_clear()
-    for memo in GROUP_MEMOS:
-        memo.cache_clear()
 
 
 def _frozen(value) -> bool:
@@ -130,18 +133,6 @@ def test_warm_and_threaded_grids_match_a_cold_one(theorem, grid, engine):
     assert cold == _stable(verify_grid(theorem, grid, engine, threads=2))
 
 
-def test_relabeling_groups_are_built_once_per_process():
-    """A generator source is one object per n, and a warm verify grid walks
-    its orbits without building a chunk table."""
-    for source in (problems._symmetric_generators, problems._max_degree_generators):
-        assert source(7) is source(7)
-    verify_grid("diversity", "k=3;n=7;r=1", "clique")
-    first = problems._chunk_tables.cache_info()
-    verify_grid("diversity", "k=3;n=7;r=1", "clique")
-    again = problems._chunk_tables.cache_info()
-    assert again.misses == first.misses and again.hits > first.hits
-
-
 @pytest.mark.parametrize("build,args,message", [
     (tables.build_pair_tables, (10, 4, 4, None, False), "candidate universe C(10,4) = 210"),
     (tables.build_union_tables, (8, 4, None), "the 163 subsets of [8]"),
@@ -192,12 +183,17 @@ def test_memoized_isomorphism_matches_the_uncached_search(rng):
     ((Family.of_sets(5, [(1, 2)]), Family.of_sets(6, [(1, 2)])),
      UniverseMismatchError, "universe mismatch: 5 vs 6"),
     ((Family.of_sets(13, [(1, 2)]), Family.of_sets(13, [(2, 3)])),
-     InfeasibleInstanceError, "isomorphism search supports n <= 12 (got n=13)"),
+     InfeasibleInstanceError, "isomorphism search exceeded its budget of 5 steps (n=13)"),
 ])
-def test_failed_isomorphism_searches_are_never_cached(args, error, message):
+def test_failed_isomorphism_searches_are_never_cached(monkeypatch, args, error, message):
+    """No verdict is kept for a search that raised.  The search that runs out
+    of its budget has computed both families' signatures first, and only
+    those are kept."""
+    monkeypatch.setattr(family, "ISO_STEP_BUDGET", 5)  # 13 elements need 13 steps
     sizes = (are_isomorphic.cache_info().currsize, _element_signatures.cache_info().currsize)
     for _ in range(2):
         with pytest.raises(error, match=re.escape(message)):
             are_isomorphic(*args)
+    signed = 0 if error is UniverseMismatchError else 2
     assert (are_isomorphic.cache_info().currsize,
-            _element_signatures.cache_info().currsize) == sizes
+            _element_signatures.cache_info().currsize) == (sizes[0], sizes[1] + signed)

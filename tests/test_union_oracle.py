@@ -117,7 +117,7 @@ def test_down_set_clique_search_matches_the_oracle(request, backend, kind, p):
     best, families = _oracle(kind, p)
     rep = solve(Problem(kind, p, "clique"), backend=backend)
     assert (rep.optimum, rep.maximizer_count) == (best, len(families))
-    _, found, _, _ = problems._solve_union(kind, p, backend, None)
+    _, found, _ = problems._solve_union(kind, p, backend, None)
     assert sorted(tuple(sorted(f.members)) for f in found) == _anchored(kind, p, families)
 
 
@@ -134,6 +134,6 @@ def test_down_set_pruning_holds_in_any_vertex_order(request, monkeypatch, backen
     build = tables.build_union_tables
     monkeypatch.setattr(problems, "build_union_tables", lambda *args: _ascending(build(*args)))
     best, families = _oracle(kind, p)
-    found_best, found, _, _ = problems._solve_union(kind, p, backend, None)
+    found_best, found, _ = problems._solve_union(kind, p, backend, None)
     assert found_best == best
     assert sorted(tuple(sorted(f.members)) for f in found) == _anchored(kind, p, families)
